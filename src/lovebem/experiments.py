@@ -20,12 +20,14 @@ import hashlib
 import json
 import logging
 import math
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import scipy.io
+import scipy.sparse as sp
 
 from . import __version__
 from .dipole import DipoleSource, field_arrays, sample_measurement
@@ -34,10 +36,11 @@ from .fields import (check_love_condition, error_curve,
 from .formulations import (SPSystem, build_sp_system, build_stabilized,
                            assemble_calderon_interior, interior_coupling,
                            recover_electric_current, save_solution,
-                           solve_baseline_love, solve_sp, solve_stabilized)
+                           solve_baseline_love, solve_sp, solve_stabilized,
+                           static_double_layer)
 from .mesh import generate_sphere_mesh, load_mesh
-from .operators import (ETA0, FrequencyContext, assemble_hypersingular,
-                        gram_matrix)
+from .operators import (ETA0, AssemblyOptions, FrequencyContext,
+                        assemble_hypersingular, gram_matrix)
 from .projectors import (ScalingMap, build_projectors, build_scaling,
                          save_norm_table, verify_limit_property)
 from .spaces import basis_pair, build_loop_star
@@ -45,7 +48,12 @@ from .tsvd import RegularizationPolicy, condition_at_threshold
 
 __all__ = [
     "EXIT_CODES",
+    "PLANS",
+    "PLAN_BOUND",
     "ExperimentConfig",
+    "GeometryPlan",
+    "OperatorPlan",
+    "OperatorPlans",
     "StageError",
     "dump_operator",
     "load_config",
@@ -315,48 +323,192 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _build_scene(cfg: ExperimentConfig, frequency: float) -> dict:
+# -- operator plans --------------------------------------------------
+#
+# The system matrix depends on the two meshes, the wavenumber and the
+# assembly options only; measured data enters as the right side.  The
+# plans below own that work, so a request that repeats a (geometry,
+# wavenumber) pair skips assembly.  A hit returns the very arrays a miss
+# built, so it gives the same bits.  The builders call their
+# collaborators through this module's names, which keeps the calls
+# visible at the module boundaries perfbench/tracing.py wraps.
+
+# Operator plans kept; geometry plans keep twice as many, since every
+# operator plan names two meshes.  The least recently used goes first.
+# One plan serves repeated requests on one (geometry, wavenumber) pair;
+# each kept plan holds about 6 MB at 120 unknowns and 480 tests, which
+# requests that never repeat carry as dead weight.
+PLAN_BOUND = 1
+
+
+def _freeze(*values):
+    """Make cached arrays read-only; sparse matrices freeze their buffers."""
+    for value in values:
+        arrays = ((value.data, value.indices, value.indptr)
+                  if sp.issparse(value) else (value,))
+        for arr in arrays:
+            arr.setflags(write=False)
+
+
+def _options(options):
+    return AssemblyOptions() if options is None else options
+
+
+class GeometryPlan:
+    """Work that depends only on the contents of one mesh.
+
+    Holds the mesh object later stages must use, since identity checks
+    reject an equal but distinct mesh, and its RWG/BC pair.  The
+    loop/star projectors and the static double layer (one per options
+    value) are built on first use.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.rwg, self.bc = basis_pair(mesh)
+        _freeze(self.rwg.to_fine, self.bc.to_fine)
+        self._projectors = None
+        self._static = {}
+
+    @property
+    def projectors(self):
+        if self._projectors is None:
+            ps = build_projectors(*build_loop_star(self.mesh))
+            _freeze(ps.loops, ps.stars)
+            self._projectors = ps
+        return self._projectors
+
+    def static_double(self, options=None):
+        options = _options(options)
+        if options not in self._static:
+            block = static_double_layer(self.rwg, self.bc, options)
+            _freeze(block)
+            self._static[options] = block
+        return self._static[options]
+
+
+class OperatorPlan:
+    """Single-current system of one (surface, probe, wavenumber, options).
+
+    ``stabilized`` adds the scaled system, its matrix materialized, on
+    first use.
+    """
+
+    def __init__(self, surface: GeometryPlan, probe: GeometryPlan, ctx,
+                 options: AssemblyOptions):
+        self.surface, self.probe, self.ctx = surface, probe, ctx
+        self.system = build_sp_system(
+            surface.rwg, surface.bc, probe.bc, ctx, options=options,
+            projectors=surface.projectors,
+            static_double=surface.static_double(options))
+        system = self.system
+        _freeze(system.field_double, system.field_efie, system.trace_efie,
+                system.trace_double, system.coupling, system.dense())
+        self._stabilized = None
+
+    @property
+    def stabilized(self):
+        if self._stabilized is None:
+            maps = build_scaling(self.surface.projectors,
+                                 self.probe.projectors, self.ctx)
+            stabilized = build_stabilized(self.system, *maps)
+            _freeze(stabilized.matrix())
+            self._stabilized = stabilized
+        return self._stabilized
+
+
+class OperatorPlans:
+    """Bounded LRU of geometry and operator plans, with hit counters.
+
+    Geometry plans are keyed on the mesh digest; operator plans on the
+    two mesh digests, the wavenumber and the assembly options.
+    """
+
+    def __init__(self, bound: int = PLAN_BOUND):
+        self._bounds = {"geometry": 2 * bound, "operator": bound}
+        self._entries = {level: OrderedDict() for level in self._bounds}
+        self.hits = dict.fromkeys(self._bounds, 0)
+        self.misses = dict.fromkeys(self._bounds, 0)
+
+    def _lookup(self, level, key, build):
+        entries = self._entries[level]
+        if key in entries:
+            entries.move_to_end(key)
+            self.hits[level] += 1
+            return entries[key]
+        self.misses[level] += 1
+        entry = build()
+        entries[key] = entry
+        if len(entries) > self._bounds[level]:
+            entries.popitem(last=False)
+        return entry
+
+    def geometry(self, mesh) -> GeometryPlan:
+        """Plan of a mesh; use its ``mesh``, not the argument, afterwards."""
+        return self._lookup("geometry", mesh.digest,
+                            lambda: GeometryPlan(mesh))
+
+    def operator(self, surface: GeometryPlan, probe: GeometryPlan, ctx,
+                 options=None) -> OperatorPlan:
+        options = _options(options)
+        key = (surface.mesh.digest, probe.mesh.digest,
+               float(getattr(ctx, "wavenumber", ctx)), options)
+        return self._lookup("operator", key,
+                            lambda: OperatorPlan(surface, probe, ctx,
+                                                 options))
+
+    def __len__(self):
+        return sum(len(entries) for entries in self._entries.values())
+
+
+# The pipeline's plans, shared by every run in the process.
+PLANS = OperatorPlans()
+
+
+@dataclass(frozen=True)
+class _Scene:
+    ctx: FrequencyContext
+    surface: GeometryPlan
+    probe: GeometryPlan
+    src: DipoleSource
+
+
+def _build_scene(cfg: ExperimentConfig, frequency: float) -> _Scene:
     ctx = FrequencyContext(frequency)
     with _stage("mesh"):
         gamma = generate_sphere_mesh(cfg.surface_radius, cfg.surface_edge)
         probe_radius = cfg.surface_radius + cfg.probe_offset_meters(ctx)
         probe = generate_sphere_mesh(probe_radius,
                                      cfg.probe_edge_meters(ctx))
-        rwg, bc = basis_pair(gamma)
-        bc_probe = basis_pair(probe)[1]
+        surface, probe = PLANS.geometry(gamma), PLANS.geometry(probe)
     if np.linalg.norm(cfg.dipole_position) >= cfg.surface_radius:
         raise StageError("config", "dipole must sit inside the surface")
     src = DipoleSource(cfg.dipole_position, cfg.dipole_moment, ctx)
-    return {"ctx": ctx, "gamma": gamma, "probe": probe, "rwg": rwg,
-            "bc": bc, "bc_probe": bc_probe, "src": src}
+    return _Scene(ctx, surface, probe, src)
 
 
-def _solve_scene(cfg: ExperimentConfig, scene: dict):
+def _solve_scene(cfg: ExperimentConfig, scene: _Scene):
     """Measurement sampling, system build and solve for one scene."""
-    ctx, rwg, bc = scene["ctx"], scene["rwg"], scene["bc"]
+    ctx, surface, probe = scene.ctx, scene.surface, scene.probe
     with _stage("assembly"):
-        e, h = sample_measurement(scene["src"], scene["probe"],
-                                  scene["bc_probe"], rotated=False)
+        e, h = sample_measurement(scene.src, probe.mesh, probe.bc,
+                                  rotated=False)
     policy = cfg.policy()
     if cfg.formulation == "baseline-love":
         with _stage("solve"):
             solution = solve_baseline_love(
-                rwg, bc, scene["bc_probe"], ctx, e, h, policy,
+                surface.rwg, surface.bc, probe.bc, ctx, e, h, policy,
                 love_weight=cfg.love_weight)
         return solution, None
     with _stage("assembly"):
-        system = build_sp_system(rwg, bc, scene["bc_probe"], ctx)
+        plan = PLANS.operator(surface, probe, ctx)
     with _stage("solve"):
         if cfg.formulation == "sp-stabilized":
-            ps = build_projectors(*build_loop_star(scene["gamma"]))
-            ps_probe = build_projectors(*build_loop_star(scene["probe"]))
-            unknown_map, test_map = build_scaling(ps, ps_probe, ctx)
-            stabilized = build_stabilized(system, unknown_map, test_map)
-            solution = solve_stabilized(stabilized, e, policy)
+            solution = solve_stabilized(plan.stabilized, e, policy)
         else:
-            solution = solve_sp(system, e, policy)
-        solution = recover_electric_current(system, solution)
-    return solution, system
+            solution = solve_sp(plan.system, e, policy)
+        solution = recover_electric_current(plan.system, solution)
+    return solution, plan.system
 
 
 def run_reconstruction(cfg: ExperimentConfig) -> dict:
@@ -372,12 +524,13 @@ def run_reconstruction(cfg: ExperimentConfig) -> dict:
     provenance = cfg.provenance()
     scene = _build_scene(cfg, cfg.frequency)
     solution, _ = _solve_scene(cfg, scene)
-    rwg, bc = scene["rwg"], scene["bc"]
+    rwg, bc = scene.surface.rwg, scene.surface.bc
+    gamma, probe = scene.surface.mesh, scene.probe.mesh
     with _stage("evaluate"):
         # Configured radii are clearances above the surface; the curve
         # evaluator wants origin-centered sphere radii in wavelengths.
-        shift = cfg.surface_radius / scene["ctx"].wavelength
-        curve = error_curve(solution, scene["src"], rwg, bc,
+        shift = cfg.surface_radius / scene.ctx.wavelength
+        curve = error_curve(solution, scene.src, rwg, bc,
                             [shift + r for r in cfg.curve_radii],
                             n_points=cfg.curve_points)
         interior = (0.25 * cfg.surface_radius) * fibonacci_directions(50)
@@ -406,11 +559,11 @@ def run_reconstruction(cfg: ExperimentConfig) -> dict:
                 "formulation": cfg.formulation,
                 "frequency": cfg.frequency,
                 "wavenumber": solution.wavenumber,
-                "edges": scene["gamma"].n_edges,
-                "unknowns": (2 * scene["gamma"].n_edges
+                "edges": gamma.n_edges,
+                "unknowns": (2 * gamma.n_edges
                              if cfg.formulation == "baseline-love"
-                             else scene["gamma"].n_edges),
-                "tests": scene["probe"].n_edges,
+                             else gamma.n_edges),
+                "tests": probe.n_edges,
                 "sigma_max": report.sigma_max,
                 "sigma_cut": report.sigma_cut,
                 "rank": report.rank,
@@ -443,25 +596,23 @@ def run_frequency_sweep(cfg: ExperimentConfig) -> str:
             "(probe_offset_m, probe_edge_m)")
     out = _out_dir(cfg)
     scene = _build_scene(cfg, cfg.sweep[-1])
-    ps = build_projectors(*build_loop_star(scene["gamma"]))
-    ps_probe = build_projectors(*build_loop_star(scene["probe"]))
+    surface = scene.surface
     policy = cfg.policy()
     rows = []
     for frequency in cfg.sweep:
         try:
             ctx = FrequencyContext(frequency)
-            system = build_sp_system(scene["rwg"], scene["bc"],
-                                     scene["bc_probe"], ctx,
-                                     projectors=ps)
+            plan = PLANS.operator(surface, scene.probe, ctx)
+            system = plan.system
+            # The self pass already assembled the dynamic double layer.
             plain = SPSystem(
                 ctx.wavenumber, system.field_double, system.field_efie,
                 system.trace_efie,
-                interior_coupling(scene["rwg"], scene["bc"], ctx,
+                interior_coupling(surface.rwg, surface.bc, ctx,
+                                  dynamic_double=system.trace_double,
                                   corrected=False))
-            unknown_map, test_map = build_scaling(ps, ps_probe, ctx)
-            stabilized = build_stabilized(system, unknown_map, test_map)
             kappa_raw = condition_at_threshold(plain.dense(), policy)
-            kappa_scaled = condition_at_threshold(stabilized.matrix(),
+            kappa_scaled = condition_at_threshold(plan.stabilized.matrix(),
                                                   policy)
             rows.append((frequency, kappa_scaled, kappa_raw))
         except Exception as err:
@@ -491,24 +642,20 @@ def dump_operator(cfg: ExperimentConfig, kind: str) -> str:
         raise StageError("config", "operator dump needs a frequency")
     out = _out_dir(cfg)
     scene = _build_scene(cfg, cfg.frequency)
-    ctx = scene["ctx"]
+    surface = scene.surface
     with _stage("assembly"):
         if kind == "gram":
-            matrix = gram_matrix(scene["rwg"], scene["bc"],
+            matrix = gram_matrix(surface.rwg, surface.bc,
                                  rotated=True).toarray()
         elif kind == "coupling":
-            matrix = interior_coupling(scene["rwg"], scene["bc"], ctx)
+            matrix = interior_coupling(
+                surface.rwg, surface.bc, scene.ctx,
+                projectors=surface.projectors,
+                static_double=surface.static_double())
         else:
-            system = build_sp_system(scene["rwg"], scene["bc"],
-                                     scene["bc_probe"], ctx)
-            if kind == "stabilized":
-                ps = build_projectors(*build_loop_star(scene["gamma"]))
-                ps_probe = build_projectors(
-                    *build_loop_star(scene["probe"]))
-                maps = build_scaling(ps, ps_probe, ctx)
-                matrix = build_stabilized(system, *maps).matrix()
-            else:
-                matrix = system.dense()
+            plan = PLANS.operator(surface, scene.probe, scene.ctx)
+            matrix = (plan.stabilized.matrix() if kind == "stabilized"
+                      else plan.system.dense())
     path = out / f"operator_{kind}.mtx"
     with _stage("write"):
         scipy.io.mmwrite(path, matrix,
@@ -602,11 +749,13 @@ def _suite_scaling_roundtrip():
 
 def _suite_limit_property():
     """Loop-to-star coupling of the inner solve must vanish with k."""
-    mesh = generate_sphere_mesh(1.0, 0.55)
-    rwg, bc = basis_pair(mesh)
-    ps = build_projectors(*build_loop_star(mesh))
+    plan = PLANS.geometry(generate_sphere_mesh(1.0, 0.55))
+    ps = plan.projectors
     wavenumbers = np.logspace(-6.0, 0.0, 7)
-    inner_by_k = {k: interior_coupling(rwg, bc, k) for k in wavenumbers}
+    inner_by_k = {
+        k: interior_coupling(plan.rwg, plan.bc, k, projectors=ps,
+                             static_double=plan.static_double())
+        for k in wavenumbers}
     rows = verify_limit_property(ps, ps, inner_by_k)
     norms = np.array([norm for _, norm in rows])
     monotone = bool(np.all(np.diff(norms) > 0.0))
@@ -666,7 +815,7 @@ def _suite_interior_identity():
     scene = _build_scene(cfg, cfg.frequency)
     solution, system = _solve_scene(cfg, scene)
     identity_map = assemble_calderon_interior(
-        scene["rwg"], scene["bc"], scene["ctx"],
+        scene.surface.rwg, scene.surface.bc, scene.ctx,
         coupling=system.coupling, trace_efie=system.trace_efie)
     stack = np.concatenate([-solution.m, solution.j])
     recovered = float(np.linalg.norm(identity_map @ stack)

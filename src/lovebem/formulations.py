@@ -45,6 +45,7 @@ __all__ = [
     "solve_baseline_love",
     "solve_sp",
     "solve_stabilized",
+    "static_double_layer",
 ]
 
 _STATIC_WAVENUMBER = 1e-30
@@ -58,8 +59,18 @@ def _wavenumber(ctx) -> float:
     return k
 
 
+def static_double_layer(rwg, bc, options=None):
+    """Primal-dual double layer at the static wavenumber.
+
+    It does not depend on the working frequency, so one block serves
+    the decoupling correction of every wavenumber on the same mesh.
+    """
+    return assemble_double_layer(rwg, bc, _STATIC_WAVENUMBER, options)
+
+
 def interior_coupling(rwg, bc, ctx, options=None, projectors=None,
-                      dynamic_double=None, corrected=True):
+                      dynamic_double=None, corrected=True,
+                      static_double=None):
     """Dual-tested interior trace block, cleaned for static decoupling.
 
     The block is half the rotated mixed Gram plus the primal-dual
@@ -79,7 +90,9 @@ def interior_coupling(rwg, bc, ctx, options=None, projectors=None,
     path.
 
     ``dynamic_double`` accepts a preassembled double-layer block for
-    the working wavenumber so system builders do not pay for it twice.
+    the working wavenumber so system builders do not pay for it twice;
+    ``static_double`` likewise takes the block of
+    ``static_double_layer``.
     """
     k = _wavenumber(ctx)
     dynamic = dynamic_double
@@ -88,7 +101,9 @@ def interior_coupling(rwg, bc, ctx, options=None, projectors=None,
     half_gram = 0.5 * gram_matrix(rwg, bc, rotated=True).toarray()
     if not corrected:
         return half_gram + dynamic
-    static = assemble_double_layer(rwg, bc, _STATIC_WAVENUMBER, options)
+    static = static_double
+    if static is None:
+        static = static_double_layer(rwg, bc, options)
     ps = projectors
     if ps is None:
         ps = build_projectors(*build_loop_star(rwg.mesh))
@@ -103,12 +118,14 @@ class SPSystem:
     factorization of the interior coupling shared by every solve and
     recovery.  ``apply`` composes the three factors on a coefficient
     vector; ``dense`` materializes the composition for
-    pseudo-inversion.
+    pseudo-inversion.  ``trace_double``, when given, keeps the
+    self-surface double layer the coupling was built from.
     """
 
     def __init__(self, wavenumber, field_double, field_efie, trace_efie,
-                 coupling, materialize: bool = True):
+                 coupling, materialize: bool = True, trace_double=None):
         self.wavenumber = float(wavenumber)
+        self.trace_double = trace_double
         self.field_double = np.asarray(field_double)
         self.field_efie = np.asarray(field_efie)
         self.trace_efie = np.asarray(trace_efie)
@@ -159,21 +176,24 @@ class SPSystem:
 
 
 def build_sp_system(rwg, bc, bc_probe, ctx, options=None, projectors=None,
-                    materialize: bool = True) -> SPSystem:
+                    materialize: bool = True,
+                    static_double=None) -> SPSystem:
     """Assemble the single-current system for one working point.
 
     ``rwg`` and ``bc`` live on the radiating surface, ``bc_probe`` on
     the measurement surface.  Set ``materialize=False`` to keep the
     system in apply-only form when only matrix-vector products are
-    needed.
+    needed.  ``projectors`` and ``static_double`` pass prebuilt
+    frequency-independent inputs through to ``interior_coupling``.
     """
     k = _wavenumber(ctx)
     blocks = assemble_radiation_blocks(rwg, bc, bc_probe, k, options)
     coupling = interior_coupling(
         rwg, bc, k, options=options, projectors=projectors,
-        dynamic_double=blocks["trace_double"])
+        dynamic_double=blocks["trace_double"], static_double=static_double)
     return SPSystem(k, blocks["field_double"], blocks["field_efie"],
-                    blocks["trace_efie"], coupling, materialize=materialize)
+                    blocks["trace_efie"], coupling, materialize=materialize,
+                    trace_double=blocks["trace_double"])
 
 
 @dataclass(frozen=True)
@@ -306,6 +326,13 @@ def assemble_calderon_interior(rwg, bc, ctx, options=None, projectors=None,
     return np.vstack([top, bottom])
 
 
+def _check_weight(weight) -> float:
+    weight = float(weight)
+    if not (math.isfinite(weight) and weight >= 0.0):
+        raise ValueError("love_weight must be a finite nonnegative scalar")
+    return weight
+
+
 def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
                         love_weight=None, options=None,
                         projectors=None) -> CurrentSolution:
@@ -325,6 +352,8 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
     n_tests = bc_probe.n_dofs
     if e.shape != (n_tests,) or h.shape != (n_tests,):
         raise ValueError("measurement vectors do not match the probe space")
+    # An explicit weight is checked before any assembly pass runs.
+    weight = None if love_weight is None else _check_weight(love_weight)
     rad = assemble_blocks(
         bc_probe, [(rwg, ("double", "single", "hyper")),
                    (bc, ("double", "single", "hyper"))], k, options)
@@ -336,13 +365,9 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
                           [-efie_primal, -double_dual]])
     identity_map = assemble_calderon_interior(
         rwg, bc, k, options=options, projectors=projectors)
-    weight = love_weight
     if weight is None:
-        weight = (np.linalg.norm(radiation, 2)
-                  / np.linalg.norm(identity_map, 2))
-    weight = float(weight)
-    if not (math.isfinite(weight) and weight >= 0.0):
-        raise ValueError("love_weight must be a finite nonnegative scalar")
+        weight = _check_weight(np.linalg.norm(radiation, 2)
+                               / np.linalg.norm(identity_map, 2))
     stacked = np.vstack([radiation, weight * identity_map])
     rhs = np.concatenate([e, ETA0 * h, np.zeros(2 * rwg.n_dofs)])
     x, report = tsvd_solve(stacked, rhs, policy)

@@ -14,7 +14,7 @@ traverses the edge tail -> head (called the plus side) and
 
 from __future__ import annotations
 
-import json
+import hashlib
 import logging
 from collections import deque
 from dataclasses import dataclass, field
@@ -224,6 +224,21 @@ class TriangleMesh:
         return self._cached("face_edge_tables", build)
 
     @property
+    def digest(self) -> str:
+        """SHA-256 of the vertex and triangle arrays, shapes included.
+
+        Both arrays are read-only, so the digest is computed once and
+        identifies the mesh contents for memoized per-mesh work.
+        """
+        def build():
+            sha = hashlib.sha256()
+            for arr in (self.vertices, self.triangles):
+                sha.update(repr(arr.shape).encode())
+                sha.update(np.ascontiguousarray(arr).tobytes())
+            return sha.hexdigest()
+        return self._cached("digest", build)
+
+    @property
     def signed_volume(self) -> float:
         c = self.face_corners
         return float(np.einsum("ij,ij->", c[:, 0],
@@ -288,9 +303,6 @@ class TriangleMesh:
             "max_edge": float(self.edge_lengths.max()),
             "signed_volume": self.signed_volume,
         }
-
-    def stats_json(self, indent: int = 2) -> str:
-        return json.dumps(self.stats(), indent=indent)
 
 
 def _repair_orientation(vertices, triangles) -> np.ndarray:

@@ -98,14 +98,6 @@ class AssemblyOptions:
 
 # -- kernels ---------------------------------------------------------
 
-def _helmholtz_kernel(r: np.ndarray, k: float, floor: float) -> np.ndarray:
-    live = r > floor
-    safe = np.where(live, r, 1.0)
-    vals = np.exp(1j * k * safe) / (_FOUR_PI * safe)
-    vals[~live] = 0.0
-    return vals
-
-
 def _gradient_kernel(r: np.ndarray, k: float, floor: float) -> np.ndarray:
     live = r > floor
     safe = np.where(live, r, 1.0)

@@ -1,4 +1,5 @@
 """Shared fixtures: small canonical meshes used across the test suite."""
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -85,3 +86,30 @@ def octahedron():
 def small_sphere():
     """Level-1 icosphere, 120 edges: the workhorse small test mesh."""
     return generate_sphere_mesh(0.04, 0.02)
+
+
+@contextmanager
+def _counting_assembly():
+    """Record the wavenumber of every ``assemble_blocks`` call.
+
+    The counter replaces the name in both modules that call it, the
+    way the benchmark's traced run wraps it.
+    """
+    from lovebem import formulations, operators
+    real = operators.assemble_blocks
+    calls = []
+
+    def counted(test, requests, k, options=None):
+        calls.append(float(k))
+        return real(test, requests, k, options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (operators, formulations):
+            patch.setattr(module, "assemble_blocks", counted)
+        yield calls
+
+
+@pytest.fixture(scope="session")
+def count_assembly():
+    """Context manager yielding the list of assembly wavenumbers."""
+    return _counting_assembly

@@ -1,5 +1,6 @@
 """Experiment pipelines: config validation, artifacts, sweep and CLI."""
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ import scipy.io
 
 from lovebem import cli
 from lovebem import experiments
-from lovebem.experiments import (ExperimentConfig, StageError, dump_operator,
-                                 load_config, run_frequency_sweep,
-                                 run_property_suite, run_reconstruction)
+from lovebem.experiments import (ExperimentConfig, OperatorPlans,
+                                 StageError, dump_operator, load_config,
+                                 run_frequency_sweep, run_property_suite,
+                                 run_reconstruction)
+from lovebem.mesh import TriangleMesh, generate_sphere_mesh
+from lovebem.operators import AssemblyOptions
 
 GATE_GEOMETRY = {"surface_edge": 0.02, "probe_edge_m": 0.055}
 SWEEP_GEOMETRY = {"surface_edge": 0.02, "probe_offset_m": 0.07,
@@ -20,6 +24,19 @@ def gate_config(out_dir, **overrides):
     return ExperimentConfig(surface_edge=0.02, probe_edge=0.055,
                             probe_edge_unit="m", curve_points=64,
                             output_dir=str(out_dir), **overrides)
+
+
+@contextmanager
+def cold_plans():
+    """A fresh, empty plan store for the pipeline, restored afterwards.
+
+    Tests that count assembly passes start cold this way, so their
+    counts do not depend on which tests ran before them.
+    """
+    plans = OperatorPlans()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "PLANS", plans)
+        yield plans
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +53,15 @@ def baseline_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def mini_sweep(tmp_path_factory):
+def mini_sweep(tmp_path_factory, count_assembly):
     cfg = ExperimentConfig(surface_edge=0.02, probe_offset=0.07,
                            probe_offset_unit="m", probe_edge=0.03,
                            probe_edge_unit="m", frequency=None,
                            sweep=(1e6, 1e8, 3.16e9),
                            output_dir=str(tmp_path_factory.mktemp("sweep")))
-    return cfg, run_frequency_sweep(cfg)
+    with cold_plans(), count_assembly() as calls:
+        path = run_frequency_sweep(cfg)
+    return cfg, path, calls
 
 
 def read_commented_csv(path):
@@ -248,7 +267,7 @@ class TestReconstruction:
 
 class TestFrequencySweep:
     def test_csv_structure(self, mini_sweep):
-        cfg, path = mini_sweep
+        cfg, path, _ = mini_sweep
         meta, header, rows = read_commented_csv(path)
         assert meta["config_hash"] == cfg.config_hash
         assert header == ["frequency_hz", "kappa_stabilized", "kappa_raw"]
@@ -259,11 +278,18 @@ class TestFrequencySweep:
         assert np.all(values >= 1.0)
 
     def test_raw_and_stabilized_paths_differ(self, mini_sweep):
-        _, path = mini_sweep
+        _, path, _ = mini_sweep
         _, _, rows = read_commented_csv(path)
         stabilized = np.array([float(row[1]) for row in rows])
         raw = np.array([float(row[2]) for row in rows])
         assert not np.allclose(stabilized, raw, rtol=1e-3)
+
+    def test_static_layer_assembled_once(self, mini_sweep):
+        cfg, _, calls = mini_sweep
+        # One static pass per sweep, then a self and a radiation pass
+        # per point; the uncorrected block reuses the self pass.
+        assert calls.count(1e-30) == 1
+        assert len(calls) == 1 + 2 * len(cfg.sweep)
 
     def test_short_sweep_rejected(self, tmp_path):
         cfg = ExperimentConfig(sweep=(1e6, 1e7), frequency=None,
@@ -320,6 +346,21 @@ class TestPropertySuite:
         ledger = run_property_suite(cfg, names=("dipole-maxwell",))
         assert not ledger["all_passed"]
         assert not ledger["checks"][0]["passed"]
+
+    def test_limit_property_assembles_static_once(self, tmp_path,
+                                                  monkeypatch,
+                                                  count_assembly):
+        # The check's 120-edge sphere swapped for the 30-edge one keeps
+        # the seven-wavenumber run short; the property holds on both.
+        monkeypatch.setattr(experiments, "generate_sphere_mesh",
+                            lambda radius, edge: generate_sphere_mesh(
+                                radius, radius))
+        cfg = ExperimentConfig(output_dir=str(tmp_path))
+        with cold_plans(), count_assembly() as calls:
+            ledger = run_property_suite(cfg, names=("limit-property",))
+        assert ledger["all_passed"]
+        assert calls.count(1e-30) == 1
+        assert len(calls) == 1 + len(ledger["checks"][0]["detail"]["norms"])
 
     def test_check_exception_is_captured(self, tmp_path, monkeypatch):
         def broken(src, points):
@@ -418,3 +459,85 @@ class TestCli:
             assert name in out
         with open(tmp_path / "run" / "solve_report.json") as handle:
             assert json.load(handle)["formulation"] == "sp"
+
+
+def small_pair(plans, octahedron, scale=1.0):
+    """Geometry plans of a unit octahedron and a far 120-edge probe."""
+    surface = TriangleMesh(scale * octahedron.vertices, octahedron.triangles)
+    return (plans.geometry(surface),
+            plans.geometry(generate_sphere_mesh(30.0, 20.0)))
+
+
+class TestOperatorPlans:
+    def test_hit_repeats_miss_bytes(self, tmp_path, count_assembly):
+        artifacts = {}
+        with cold_plans() as plans, count_assembly() as calls:
+            # Only the first run assembles: the first sp-stabilized run
+            # scales the plain system the sp runs left in the plan.
+            for formulation in ("sp", "sp", "sp-stabilized",
+                                "sp-stabilized"):
+                cfg = gate_config(tmp_path / formulation,
+                                  formulation=formulation)
+                paths = run_reconstruction(cfg)
+                artifacts.setdefault(formulation, []).append(
+                    {name: open(path, "rb").read()
+                     for name, path in paths.items()})
+                assert len(calls) == 3
+        assert plans.misses == {"geometry": 2, "operator": 1}
+        assert plans.hits == {"geometry": 6, "operator": 3}
+        for miss, hit in artifacts.values():
+            assert hit == miss
+
+    def test_keys_cover_wavenumber_options_and_contents(self, octahedron):
+        plans = OperatorPlans(bound=4)
+        surface, probe = small_pair(plans, octahedron)
+        first = plans.operator(surface, probe, 1.0)
+        assert plans.operator(surface, probe, 1.0) is first
+        assert plans.operator(surface, probe, 1.1) is not first
+        assert plans.operator(surface, probe, 1.0,
+                              AssemblyOptions(regular_degree=3)) \
+            is not first
+        moved, _ = small_pair(plans, octahedron, scale=1.01)
+        assert moved.mesh.vertices.shape == surface.mesh.vertices.shape
+        assert moved is not surface
+        assert plans.operator(moved, probe, 1.0) is not first
+        # Equal contents find the plan, which keeps its own mesh object.
+        again, _ = small_pair(plans, octahedron)
+        assert again is surface
+        assert plans.hits == {"geometry": 3, "operator": 1}
+        assert plans.misses == {"geometry": 3, "operator": 4}
+
+    def test_lru_evicts_at_bound(self, octahedron):
+        plans = OperatorPlans(bound=1)
+        meshes = [TriangleMesh(scale * octahedron.vertices,
+                               octahedron.triangles)
+                  for scale in (1.0, 1.01, 1.02)]
+        first = plans.geometry(meshes[0])
+        plans.geometry(meshes[1])
+        assert plans.geometry(meshes[0]) is first
+        plans.geometry(meshes[2])
+        assert len(plans) == 2
+        assert plans.geometry(meshes[0]) is first
+        plans.geometry(meshes[1])
+        assert plans.misses["geometry"] == 4
+        probe = plans.geometry(generate_sphere_mesh(30.0, 20.0))
+        low = plans.operator(first, probe, 1.0)
+        plans.operator(first, probe, 1.1)
+        assert len(plans) == 3
+        assert plans.operator(first, probe, 1.0) is not low
+        assert plans.misses["operator"] == 3
+
+    def test_cached_arrays_are_read_only(self, octahedron):
+        plans = OperatorPlans()
+        surface, probe = small_pair(plans, octahedron)
+        plan = plans.operator(surface, probe, 1.0)
+        system = plan.system
+        for arr in (system.dense(), system.coupling, system.trace_efie,
+                    system.field_double, system.field_efie,
+                    system.trace_double, surface.static_double(),
+                    plan.stabilized.matrix()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+        for matrix in (surface.rwg.to_fine, surface.projectors.loops):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.data[0] = 0.0

@@ -101,6 +101,9 @@ class TestInteriorCoupling:
         dynamic = assemble_double_layer(rwg, bc, CTX.wavenumber)
         block = interior_coupling(rwg, bc, CTX, dynamic_double=dynamic)
         assert np.array_equal(block, system.coupling)
+        # The self pass's double layer equals the standalone one bit
+        # for bit, so sweeps may reuse it for the uncorrected block.
+        assert np.array_equal(system.trace_double, dynamic)
 
     def test_rejects_bad_wavenumber(self, scene):
         _, rwg, bc, _, _, _, _, _ = scene
@@ -297,11 +300,13 @@ class TestBaseline:
         assert np.all(np.isfinite(sol.m)) and np.all(np.isfinite(sol.j))
 
     @pytest.mark.parametrize("weight", [-1.0, np.inf, np.nan])
-    def test_rejects_bad_weight(self, scene, weight):
+    def test_rejects_bad_weight(self, scene, weight, count_assembly):
         _, rwg, bc, _, bc_m, _, e, h = scene
-        with pytest.raises(ValueError, match="love_weight"):
-            solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY,
-                                love_weight=weight)
+        with count_assembly() as calls:
+            with pytest.raises(ValueError, match="love_weight"):
+                solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY,
+                                    love_weight=weight)
+        assert calls == []
 
     def test_rejects_mismatched_data(self, scene):
         _, rwg, bc, _, bc_m, _, e, _ = scene
