@@ -36,8 +36,7 @@ _SUBMODULES = {
                      "save_solution", "solve_baseline_love", "solve_sp",
                      "solve_stabilized"],
     "fields": ["ErrorCurve", "check_love_condition", "error_curve",
-               "fibonacci_directions", "radiate_arrays", "radiate_currents",
-               "save_error_curve"],
+               "fibonacci_directions", "radiate_arrays", "save_error_curve"],
 }
 
 _EXPORTS = {name: module

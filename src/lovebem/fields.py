@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipole import DipoleSource, FieldSample, field_arrays
+from .dipole import DipoleSource, field_arrays
 from .operators import ETA0
 from .quadrature import triangle_rule
 from .spaces import evaluate_rt0
@@ -27,12 +27,12 @@ __all__ = [
     "error_curve",
     "fibonacci_directions",
     "radiate_arrays",
-    "radiate_currents",
     "save_error_curve",
 ]
 
 _FOUR_PI = 4.0 * math.pi
-_CHUNK = 32
+# Points per kernel block; a (128, 2880) complex kernel is about 6 MB.
+_CHUNK = 128
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -89,42 +89,41 @@ def radiate_arrays(solution, rwg, bc, points, degree: int = 4):
         raise ValueError("points must have shape (n, 3)")
     _reject_near(rwg.mesh, points)
     k = float(solution.wavenumber)
-    fine = rwg.fine
-    pts, wts = triangle_rule(degree).map_to(fine.face_corners)
+    pts, wts = triangle_rule(degree).map_to(rwg.fine.face_corners)
     m_vals, m_divs = _quadrature_tables(rwg, solution.m, pts, wts)
     j_vals, j_divs = _quadrature_tables(bc, solution.j, pts, wts)
+    # Per quadrature point y and current (m, j): v for the kernel, and
+    # div, y·div, v, y × v for the gradient kernel g, as with d = x - y,
+    # Σ g d div = x Σ g div - Σ g y div and Σ g d × v = x × Σ g v - Σ g y × v.
+    # A chunk of points then needs one exp and two matrix products.
+    y = pts.reshape(-1, 3)
+    v = np.stack([m_vals, j_vals], axis=-2).reshape(-1, 2, 3)
+    div = np.repeat(np.stack([m_divs, j_divs], -1), pts.shape[1], 0)[..., None]
+    potential_table = v.reshape(-1, 6)
+    gradient_table = np.concatenate(
+        [div, y[:, None] * div, v, np.cross(y[:, None], v)],
+        axis=-1).reshape(-1, 20)
+    w = wts.reshape(-1) / _FOUR_PI
 
     e_out = np.empty((len(points), 3), dtype=complex)
     h_out = np.empty((len(points), 3), dtype=complex)
     for start in range(0, len(points), _CHUNK):
-        block = points[start:start + _CHUNK]
-        d = block[:, None, None, :] - pts[None, :, :, :]
-        r = np.linalg.norm(d, axis=-1)
-        kernel = np.exp(1j * k * r) / (_FOUR_PI * r) * wts
-        grad = np.exp(1j * k * r) * (1j * k * r - 1.0) / (
-            _FOUR_PI * r**3) * wts
-
-        def smoothed(vals, divs):
-            pot = np.einsum("pfq,fqc->pc", kernel, vals)
-            charge = np.einsum("pfq,pfqc,f->pc", grad, d, divs)
-            curl = np.einsum("pfq,pfqc->pc", grad, np.cross(d, vals[None]))
-            return pot, charge, curl
-
-        m_pot, m_charge, m_curl = smoothed(m_vals, m_divs)
-        j_pot, j_charge, j_curl = smoothed(j_vals, j_divs)
-        e_out[start:start + _CHUNK] = (
-            (1j / k) * (k * k * j_pot + j_charge) - m_curl)
-        h_out[start:start + _CHUNK] = (
-            j_curl + (1j / k) * (k * k * m_pot + m_charge)) / ETA0
+        x = points[start:start + _CHUNK]
+        r2 = np.zeros((len(x), len(y)))
+        for c in range(3):
+            r2 += np.subtract.outer(x[:, c], y[:, c]) ** 2
+        r = np.sqrt(r2)
+        inv_r = 1.0 / r
+        kernel = np.exp(1j * k * r) * (w * inv_r)
+        grad = kernel * (1j * k * inv_r - inv_r * inv_r)
+        pot = (kernel @ potential_table).reshape(-1, 2, 3)
+        sums = (grad @ gradient_table).reshape(-1, 2, 10)
+        charge = x[:, None] * sums[..., :1] - sums[..., 1:4]
+        curl = np.cross(x[:, None], sums[..., 4:7]) - sums[..., 7:10]
+        scalar = (1j / k) * (k * k * pot + charge)
+        e_out[start:start + _CHUNK] = scalar[:, 1] - curl[:, 0]
+        h_out[start:start + _CHUNK] = (curl[:, 1] + scalar[:, 0]) / ETA0
     return e_out, h_out
-
-
-def radiate_currents(solution, rwg, bc, points, degree: int = 4):
-    """Field samples of a solution at exterior points."""
-    points = np.asarray(points, dtype=np.float64)
-    e, h = radiate_arrays(solution, rwg, bc, points, degree)
-    return [FieldSample(point=p, E=ev, H=hv)
-            for p, ev, hv in zip(points, e, h)]
 
 
 @dataclass(frozen=True)
@@ -170,13 +169,14 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
     surface_radius = float(
         np.linalg.norm(rwg.mesh.vertices - center, axis=1).max())
     directions = fibonacci_directions(n_points)
-    errors = []
-    for offset in radii:
-        points = center + (surface_radius + offset * wavelength) * directions
-        e_rec, _ = radiate_arrays(solution, rwg, bc, points, degree)
-        e_ref, _ = field_arrays(source, points)
-        errors.append(np.linalg.norm(e_rec - e_ref)
-                      / np.linalg.norm(e_ref))
+    sphere_radii = surface_radius + radii * wavelength
+    points = (center + sphere_radii[:, None, None] * directions).reshape(-1, 3)
+    e_rec, _ = radiate_arrays(solution, rwg, bc, points, degree)
+    e_ref, _ = field_arrays(source, points)
+    shape = (len(radii), n_points, 3)
+    shells = zip(e_rec.reshape(shape), e_ref.reshape(shape))
+    errors = [np.linalg.norm(rec - ref) / np.linalg.norm(ref)
+              for rec, ref in shells]
     return ErrorCurve(radii=radii, errors=np.asarray(errors),
                       formulation=solution.formulation)
 

@@ -48,6 +48,8 @@ ETA0 = 376.730313668
 
 _FOUR_PI = 4.0 * math.pi
 _KINDS = ("single", "hyper", "double")
+# Near pairs per batch; its temporaries set the pipeline's peak memory.
+_NEAR_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -395,7 +397,6 @@ def _apply_near(out, reqs, test, flt, fls, pairs, touching, k, floor, opts):
     kinds_present = set()
     for _, kinds in reqs:
         kinds_present.update(kinds)
-    batch = 2048
     tiers = (
         (pairs[touching], opts.static_subdivisions,
          opts.double_outer_subdivisions, opts.double_inner_subdivisions),
@@ -410,8 +411,8 @@ def _apply_near(out, reqs, test, flt, fls, pairs, touching, k, floor, opts):
 
         if kinds_present & {"single", "hyper"}:
             m = np.empty((len(tp), 4, 4), dtype=np.complex128)
-            for b0 in range(0, len(tp), batch):
-                b1 = min(b0 + batch, len(tp))
+            for b0 in range(0, len(tp), _NEAR_BATCH):
+                b1 = min(b0 + _NEAR_BATCH, len(tp))
                 m[b0:b1] = _static_extraction_moments(
                     fine, tp[b0:b1], sq[b0:b1], k, opts, sdepth)
             tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
@@ -435,8 +436,8 @@ def _apply_near(out, reqs, test, flt, fls, pairs, touching, k, floor, opts):
             to = tp[off]
             so = sq[off]
             loc = np.empty((len(to), 3, 3), dtype=np.complex128)
-            for b0 in range(0, len(to), batch):
-                b1 = min(b0 + batch, len(to))
+            for b0 in range(0, len(to), _NEAR_BATCH):
+                b1 = min(b0 + _NEAR_BATCH, len(to))
                 loc[b0:b1] = _double_layer_local(
                     fine, to[b0:b1], so[b0:b1], k, floor, opts, odepth, idepth)
             swapped = loc.transpose(0, 2, 1)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from lovebem.dipole import DipoleSource, field_arrays, sample_measurement
-from lovebem.fields import (ErrorCurve, check_love_condition, error_curve,
-                            fibonacci_directions, radiate_arrays,
-                            radiate_currents, save_error_curve)
+from lovebem.fields import (_CHUNK, ErrorCurve, check_love_condition,
+                            error_curve, fibonacci_directions,
+                            radiate_arrays, save_error_curve)
 from lovebem.formulations import CurrentSolution
 from lovebem.mesh import generate_sphere_mesh
 from lovebem.operators import ETA0, FrequencyContext
-from lovebem.spaces import basis_pair, gram_matrix
+from lovebem.quadrature import triangle_rule
+from lovebem.spaces import basis_pair, evaluate_rt0, gram_matrix
 
 CTX = FrequencyContext(3.16e9)
 
@@ -42,6 +43,45 @@ def traced_pair(surface, source):
 
 def shell_points(radius, n=50):
     return radius * fibonacci_directions(n)
+
+
+def einsum_fields(solution, rwg, bc, points, degree=4):
+    """Reference radiation: the direct per-pair sums over ``d = x - y``.
+
+    Forms every (point, face, quadrature point) term explicitly, so it
+    shares no algebra with the table products of ``radiate_arrays``.
+    """
+    k = solution.wavenumber
+    fine = rwg.fine
+    pts, wts = triangle_rule(degree).map_to(fine.face_corners)
+
+    def tables(space, coeffs):
+        if coeffs is None:
+            return (np.zeros(pts.shape, dtype=complex),
+                    np.zeros(fine.n_faces, dtype=complex))
+        fine_coeffs = space.to_fine @ coeffs
+        values = evaluate_rt0(fine, fine_coeffs,
+                              np.arange(fine.n_faces)[:, None], pts)
+        divs = (fine.face_edge_signs / fine.face_areas[:, None]
+                * fine_coeffs[fine.face_edges]).sum(axis=1)
+        return values, divs
+
+    d = points[:, None, None, :] - pts[None, :, :, :]
+    r = np.linalg.norm(d, axis=-1)
+    kernel = np.exp(1j * k * r) / (4 * np.pi * r) * wts
+    grad = np.exp(1j * k * r) * (1j * k * r - 1.0) / (4 * np.pi * r**3) * wts
+
+    def smoothed(vals, divs):
+        pot = np.einsum("pfq,fqc->pc", kernel, vals)
+        charge = np.einsum("pfq,pfqc,f->pc", grad, d, divs)
+        curl = np.einsum("pfq,pfqc->pc", grad, np.cross(d, vals[None]))
+        return pot, charge, curl
+
+    m_pot, m_charge, m_curl = smoothed(*tables(rwg, solution.m))
+    j_pot, j_charge, j_curl = smoothed(*tables(bc, solution.j))
+    e = (1j / k) * (k * k * j_pot + j_charge) - m_curl
+    h = (j_curl + (1j / k) * (k * k * m_pot + m_charge)) / ETA0
+    return e, h
 
 
 class TestDirections:
@@ -113,16 +153,31 @@ class TestRadiation:
         with pytest.raises(ValueError, match="refined mesh"):
             radiate_arrays(traced_pair, rwg, other_bc, shell_points(0.2))
 
-    def test_sample_list_matches_arrays(self, surface, traced_pair):
+    @pytest.mark.parametrize("with_j", [True, False])
+    @pytest.mark.parametrize("radius", [0.2, 0.01],
+                             ids=["exterior", "interior"])
+    def test_matches_einsum_reference(self, surface, traced_pair, with_j,
+                                      radius):
         _, rwg, bc = surface
-        pts = shell_points(0.2, 7)
+        sol = CurrentSolution(m=traced_pair.m,
+                              j=traced_pair.j if with_j else None,
+                              wavenumber=CTX.wavenumber,
+                              formulation="projected", report=None)
+        pts = shell_points(radius, 40)
+        e, h = radiate_arrays(sol, rwg, bc, pts)
+        e_ref, h_ref = einsum_fields(sol, rwg, bc, pts)
+        np.testing.assert_allclose(e, e_ref, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(h, h_ref, rtol=1e-10, atol=0)
+
+    def test_chunks_match_separate_calls(self, surface, traced_pair):
+        _, rwg, bc = surface
+        pts = shell_points(0.2, 2 * _CHUNK + 44)
         e, h = radiate_arrays(traced_pair, rwg, bc, pts)
-        samples = radiate_currents(traced_pair, rwg, bc, pts)
-        assert len(samples) == 7
-        for i, sample in enumerate(samples):
-            assert np.array_equal(sample.point, pts[i])
-            assert np.array_equal(sample.E, e[i])
-            assert np.array_equal(sample.H, h[i])
+        cuts = [0, 100, _CHUNK + 7, len(pts)]
+        for a, b in zip(cuts, cuts[1:]):
+            e_part, h_part = radiate_arrays(traced_pair, rwg, bc, pts[a:b])
+            np.testing.assert_allclose(e[a:b], e_part, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(h[a:b], h_part, rtol=1e-12, atol=0)
 
 
 class TestAgainstSource:
@@ -210,6 +265,15 @@ class TestErrorCurve:
         assert curve.formulation == "projected"
         assert np.all(curve.errors < 5e-2)
         assert np.all(curve.errors > 1e-3)
+
+    def test_stacked_radii_match_single_radius_curves(self, surface, source,
+                                                     traced_pair):
+        _, rwg, bc = surface
+        radii = [1.0, 1.5, 3.0]
+        curve = error_curve(traced_pair, source, rwg, bc, radii, n_points=50)
+        single = [error_curve(traced_pair, source, rwg, bc, [r],
+                              n_points=50).errors[0] for r in radii]
+        np.testing.assert_allclose(curve.errors, single, rtol=1e-12, atol=0)
 
     def test_deterministic(self, surface, source, traced_pair):
         _, rwg, bc = surface
