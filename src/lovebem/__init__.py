@@ -17,18 +17,15 @@ _SUBMODULES = {
     "mesh": ["TriangleMesh", "BarycentricRefinement", "MeshError",
              "load_mesh", "generate_sphere_mesh", "barycentric_refine"],
     "operators": ["C0", "ETA0", "AssemblyOptions", "FrequencyContext",
-                  "assemble_blocks", "assemble_single_layer",
-                  "assemble_hypersingular", "assemble_double_layer",
-                  "assemble_efie", "assemble_radiation_blocks"],
+                  "assemble_blocks"],
     "projectors": ["ProjectorSet", "ScalingMap", "build_projectors",
                    "build_scaling", "verify_limit_property",
                    "save_norm_table"],
     "spaces": ["BasisSpace", "rwg_space", "basis_pair", "build_loop_star",
                "evaluate_rt0", "gram_matrix"],
     "tsvd": ["RegularizationPolicy", "SolveReport", "tsvd_solve",
-             "condition_at_threshold", "singular_spectrum", "save_spectrum"],
-    "dipole": ["DipoleSource", "FieldSample", "dipole_fields",
-               "field_arrays", "sample_measurement", "save_field_samples"],
+             "condition_at_threshold"],
+    "dipole": ["DipoleSource", "field_arrays", "sample_measurement"],
     "formulations": ["CurrentSolution", "SPSystem", "StabilizedSystem",
                      "assemble_calderon_interior", "build_sp_system",
                      "build_stabilized", "interior_coupling",

@@ -7,7 +7,6 @@ outgoing phase e^{+ikr}.  The moment is the current moment I*l in A*m.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +16,7 @@ from .operators import ETA0, FrequencyContext
 from .quadrature import triangle_rule
 from .spaces import BasisSpace, _face_basis
 
-__all__ = [
-    "DipoleSource", "FieldSample", "dipole_fields", "field_arrays",
-    "sample_measurement", "save_field_samples",
-]
+__all__ = ["DipoleSource", "field_arrays", "sample_measurement"]
 
 
 @dataclass(frozen=True)
@@ -44,22 +40,9 @@ class DipoleSource:
         object.__setattr__(self, "moment", moment)
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """E and H at one point."""
-
-    point: np.ndarray
-    E: np.ndarray
-    H: np.ndarray
-
-
 def field_arrays(src: DipoleSource, points: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """E and H arrays of shape ``(n, 3)`` at the given points.
-
-    This is the bulk evaluation path behind :func:`dipole_fields`;
-    downstream modules radiating to thousands of points use it directly.
-    """
+    """E and H arrays of shape ``(n, 3)`` at the given points."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     k = src.ctx.wavenumber
     d = points - src.position
@@ -79,14 +62,6 @@ def field_arrays(src: DipoleSource, points: np.ndarray
     h = (1j * k / (4.0 * np.pi)) * n_x_m * outer * (
         1.0 - 1.0 / (1j * k * r))[:, None]
     return e, h
-
-
-def dipole_fields(src: DipoleSource, points: np.ndarray) -> list[FieldSample]:
-    """Exact dipole fields at each point, as :class:`FieldSample` rows."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    e, h = field_arrays(src, points)
-    return [FieldSample(point=p, E=ev, H=hv)
-            for p, ev, hv in zip(points, e, h)]
 
 
 def _test_field(space: BasisSpace, values: np.ndarray,
@@ -126,20 +101,3 @@ def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
     h = _test_field(bc_test, h_flat.reshape(shape), wts, basis,
                     fine.face_edges, rotated)
     return e, h
-
-
-def save_field_samples(samples, path) -> None:
-    """Write field samples as CSV with split real/imaginary columns."""
-    header = ["x", "y", "z"]
-    for field in ("E", "H"):
-        for comp in "xyz":
-            header += [f"Re{field}{comp}", f"Im{field}{comp}"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for s in samples:
-            row = [repr(float(v)) for v in s.point]
-            for vec in (s.E, s.H):
-                for v in vec:
-                    row += [repr(float(v.real)), repr(float(v.imag))]
-            writer.writerow(row)

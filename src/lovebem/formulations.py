@@ -25,11 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .operators import (ETA0, assemble_blocks, assemble_double_layer,
-                        assemble_efie, assemble_radiation_blocks)
-from .projectors import build_projectors
-from .spaces import build_loop_star, gram_matrix
+from .operators import ETA0, assemble_blocks
+from .spaces import gram_matrix
 from .tsvd import SolveReport, tsvd_solve
+# Not called here; bound because the benchmark's traced run wraps them.
+from .projectors import build_projectors  # noqa: F401
+from .spaces import build_loop_star  # noqa: F401
 
 __all__ = [
     "CurrentSolution",
@@ -38,6 +39,7 @@ __all__ = [
     "assemble_calderon_interior",
     "build_sp_system",
     "build_stabilized",
+    "double_layer",
     "interior_coupling",
     "load_solution",
     "recover_electric_current",
@@ -59,56 +61,60 @@ def _wavenumber(ctx) -> float:
     return k
 
 
+def _efie(block, k):
+    """Combined field operator k * single + hyper / k of one request."""
+    return k * block["single"] + block["hyper"] / k
+
+
+def double_layer(rwg, bc, ctx, options=None):
+    """Primal-dual double layer of one surface, tested on itself."""
+    k = _wavenumber(ctx)
+    return assemble_blocks(rwg, [(bc, ("double",))], k, options)[0]["double"]
+
+
 def static_double_layer(rwg, bc, options=None):
     """Primal-dual double layer at the static wavenumber.
 
     It does not depend on the working frequency, so one block serves
     the decoupling correction of every wavenumber on the same mesh.
     """
-    return assemble_double_layer(rwg, bc, _STATIC_WAVENUMBER, options)
+    return double_layer(rwg, bc, _STATIC_WAVENUMBER, options)
 
 
-def interior_coupling(rwg, bc, ctx, options=None, projectors=None,
-                      dynamic_double=None, corrected=True,
-                      static_double=None):
+def _self_pass(rwg, bc, k, options):
+    """EFIE trace and double layer of one surface from one pass."""
+    blocks = assemble_blocks(
+        rwg, [(rwg, ("single", "hyper")), (bc, ("double",))], k, options)
+    return _efie(blocks[0], k), blocks[1]["double"]
+
+
+def interior_coupling(rwg, bc, dynamic_double, static_double, projectors,
+                      corrected=True):
     """Dual-tested interior trace block, cleaned for static decoupling.
 
     The block is half the rotated mixed Gram plus the primal-dual
-    double layer.  On a closed surface its static limit cannot couple
-    charge-carrying inputs to circulation test rows, but the near-pair
-    quadrature leaks a small such coupling, and that leak freezes the
-    low-frequency decay of the inverse around the quadrature error.
-    Subtracting the star-to-loop part of the statically assembled block
-    removes the leak while changing the matrix only within quadrature
-    error, since the subtracted term is exactly zero in exact
-    arithmetic.
+    double layer ``dynamic_double`` of the working wavenumber.  On a
+    closed surface its static limit cannot couple charge-carrying
+    inputs to circulation test rows, but the near-pair quadrature leaks
+    a small such coupling, and that leak freezes the low-frequency
+    decay of the inverse around the quadrature error.  Subtracting the
+    star-to-loop part of the statically assembled block
+    (``static_double``, from ``static_double_layer``) removes the leak
+    while changing the matrix only within quadrature error, since the
+    subtracted term is exactly zero in exact arithmetic.
 
     ``corrected=False`` skips that subtraction and returns the block
     exactly as assembled.  Systems built on the uncorrected block show
     the conditioning breakdown of the naive discretization at low
     frequency, which the sweep diagnostics report next to the scaled
     path.
-
-    ``dynamic_double`` accepts a preassembled double-layer block for
-    the working wavenumber so system builders do not pay for it twice;
-    ``static_double`` likewise takes the block of
-    ``static_double_layer``.
     """
-    k = _wavenumber(ctx)
-    dynamic = dynamic_double
-    if dynamic is None:
-        dynamic = assemble_double_layer(rwg, bc, k, options)
     half_gram = 0.5 * gram_matrix(rwg, bc, rotated=True).toarray()
     if not corrected:
-        return half_gram + dynamic
-    static = static_double
-    if static is None:
-        static = static_double_layer(rwg, bc, options)
+        return half_gram + dynamic_double
     ps = projectors
-    if ps is None:
-        ps = build_projectors(*build_loop_star(rwg.mesh))
-    leak = ps.onto_loops(ps.onto_stars((half_gram + static).T).T)
-    return half_gram + dynamic - leak
+    leak = ps.onto_loops(ps.onto_stars((half_gram + static_double).T).T)
+    return half_gram + dynamic_double - leak
 
 
 class SPSystem:
@@ -117,13 +123,13 @@ class SPSystem:
     Holds the radiation rows, the self-surface trace block and one
     factorization of the interior coupling shared by every solve and
     recovery.  ``apply`` composes the three factors on a coefficient
-    vector; ``dense`` materializes the composition for
-    pseudo-inversion.  ``trace_double``, when given, keeps the
+    vector; ``dense`` returns the composition, materialized at build
+    time for pseudo-inversion.  ``trace_double``, when given, keeps the
     self-surface double layer the coupling was built from.
     """
 
     def __init__(self, wavenumber, field_double, field_efie, trace_efie,
-                 coupling, materialize: bool = True, trace_double=None):
+                 coupling, trace_double=None):
         self.wavenumber = float(wavenumber)
         self.trace_double = trace_double
         self.field_double = np.asarray(field_double)
@@ -145,9 +151,8 @@ class SPSystem:
                 f"{self.coupling_condition:.2e}); the surface mesh is broken "
                 "or sits on an interior resonance")
         self._lu = sla.lu_factor(self.coupling)
-        self.matrix = None
-        if materialize:
-            self.matrix = self.dense()
+        recovered = self.inner_solve(self.trace_efie)
+        self._matrix = -self.field_double - self.field_efie @ recovered
 
     @property
     def n_unknowns(self) -> int:
@@ -168,32 +173,28 @@ class SPSystem:
         return -self.field_double @ coeffs - self.field_efie @ recovered
 
     def dense(self):
-        """Materialized system matrix, cached after the first call."""
-        if self.matrix is None:
-            recovered = self.inner_solve(self.trace_efie)
-            self.matrix = -self.field_double - self.field_efie @ recovered
-        return self.matrix
+        """Materialized system matrix."""
+        return self._matrix
 
 
-def build_sp_system(rwg, bc, bc_probe, ctx, options=None, projectors=None,
-                    materialize: bool = True,
-                    static_double=None) -> SPSystem:
+def build_sp_system(rwg, bc, bc_probe, ctx, projectors, static_double,
+                    options=None) -> SPSystem:
     """Assemble the single-current system for one working point.
 
     ``rwg`` and ``bc`` live on the radiating surface, ``bc_probe`` on
-    the measurement surface.  Set ``materialize=False`` to keep the
-    system in apply-only form when only matrix-vector products are
-    needed.  ``projectors`` and ``static_double`` pass prebuilt
-    frequency-independent inputs through to ``interior_coupling``.
+    the measurement surface.  ``projectors`` and ``static_double`` are
+    the frequency-independent inputs of ``interior_coupling``.  Runs
+    two tiled passes: the self pass on the radiating surface and the
+    radiation pass onto the probe tests.
     """
     k = _wavenumber(ctx)
-    blocks = assemble_radiation_blocks(rwg, bc, bc_probe, k, options)
-    coupling = interior_coupling(
-        rwg, bc, k, options=options, projectors=projectors,
-        dynamic_double=blocks["trace_double"], static_double=static_double)
-    return SPSystem(k, blocks["field_double"], blocks["field_efie"],
-                    blocks["trace_efie"], coupling, materialize=materialize,
-                    trace_double=blocks["trace_double"])
+    trace_efie, trace_double = _self_pass(rwg, bc, k, options)
+    rad = assemble_blocks(
+        bc_probe, [(rwg, ("double",)), (bc, ("single", "hyper"))], k, options)
+    coupling = interior_coupling(rwg, bc, trace_double, static_double,
+                                 projectors)
+    return SPSystem(k, rad[0]["double"], _efie(rad[1], k), trace_efie,
+                    coupling, trace_double=trace_double)
 
 
 @dataclass(frozen=True)
@@ -292,8 +293,8 @@ def solve_stabilized(stabilized: StabilizedSystem, e,
                            formulation="single-current scaled", report=report)
 
 
-def assemble_calderon_interior(rwg, bc, ctx, options=None, projectors=None,
-                               coupling=None, trace_efie=None):
+def assemble_calderon_interior(rwg, bc, ctx, coupling, trace_efie,
+                               options=None):
     """Interior field-identity map on stacked current coefficients.
 
     Acting on the stack ``(-m, j)`` of a radiating pair, the map
@@ -302,25 +303,18 @@ def assemble_calderon_interior(rwg, bc, ctx, options=None, projectors=None,
     Rows are Gram-normalized so the output lives in the same
     coefficient space as the input and the map can be iterated.
 
-    ``coupling`` and ``trace_efie`` accept preassembled self-surface
-    blocks; everything else is assembled here.
+    ``coupling`` and ``trace_efie`` are the self-surface blocks of the
+    single-current system; the dual-tested pass is assembled here.
     """
     k = _wavenumber(ctx)
-    w = coupling
-    if w is None:
-        w = interior_coupling(rwg, bc, k, options=options,
-                              projectors=projectors)
-    t = trace_efie
-    if t is None:
-        t = assemble_efie(rwg, rwg, k, options)
     dual_pass = assemble_blocks(
         bc, [(rwg, ("double",)), (bc, ("single", "hyper"))], k, options)
     double_primal = dual_pass[0]["double"]
-    efie_dual = k * dual_pass[1]["single"] + dual_pass[1]["hyper"] / k
+    efie_dual = _efie(dual_pass[1], k)
     gram = gram_matrix(rwg, bc, rotated=True).toarray()
     gram_dual = -gram.T
     top = np.hstack([0.5 * gram_dual + double_primal, -efie_dual])
-    bottom = np.hstack([t, w])
+    bottom = np.hstack([trace_efie, coupling])
     top = sla.solve(gram_dual, top)
     bottom = sla.solve(gram, bottom)
     return np.vstack([top, bottom])
@@ -333,9 +327,9 @@ def _check_weight(weight) -> float:
     return weight
 
 
-def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
-                        love_weight=None, options=None,
-                        projectors=None) -> CurrentSolution:
+def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
+                        static_double, love_weight=None,
+                        options=None) -> CurrentSolution:
     """Two-current reconstruction with weighted interior constraints.
 
     Solves the stacked radiation system for both currents at once,
@@ -344,7 +338,10 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
     ``e`` and ``h`` hold plain dual tests of the measured fields,
     <g_i, E> and <g_i, H>; the impedance scaling of ``h`` is applied
     here.  ``love_weight=None`` balances the spectral norms of the two
-    stacks, zero disables the constraint.
+    stacks, zero disables the constraint.  ``projectors`` and
+    ``static_double`` are the frequency-independent inputs of
+    ``interior_coupling``; the self-surface blocks come from the same
+    single pass ``build_sp_system`` makes.
     """
     k = _wavenumber(ctx)
     e = np.asarray(e)
@@ -358,13 +355,16 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
         bc_probe, [(rwg, ("double", "single", "hyper")),
                    (bc, ("double", "single", "hyper"))], k, options)
     double_primal = rad[0]["double"]
-    efie_primal = k * rad[0]["single"] + rad[0]["hyper"] / k
+    efie_primal = _efie(rad[0], k)
     double_dual = rad[1]["double"]
-    efie_dual = k * rad[1]["single"] + rad[1]["hyper"] / k
+    efie_dual = _efie(rad[1], k)
     radiation = np.block([[-double_primal, efie_dual],
                           [-efie_primal, -double_dual]])
+    trace_efie, trace_double = _self_pass(rwg, bc, k, options)
+    coupling = interior_coupling(rwg, bc, trace_double, static_double,
+                                 projectors)
     identity_map = assemble_calderon_interior(
-        rwg, bc, k, options=options, projectors=projectors)
+        rwg, bc, k, coupling, trace_efie, options=options)
     if weight is None:
         weight = _check_weight(np.linalg.norm(radiation, 2)
                                / np.linalg.norm(identity_map, 2))

@@ -291,19 +291,6 @@ class TriangleMesh:
             return fans
         return self._cached("vertex_fans", build)
 
-    def stats(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "n_faces": self.n_faces,
-            "euler_characteristic": self.n_vertices - self.n_edges
-                                    + self.n_faces,
-            "total_area": float(self.face_areas.sum()),
-            "min_edge": float(self.edge_lengths.min()),
-            "max_edge": float(self.edge_lengths.max()),
-            "signed_volume": self.signed_volume,
-        }
-
 
 def _repair_orientation(vertices, triangles) -> np.ndarray:
     """Make windings consistent (BFS) and outward (signed volume)."""

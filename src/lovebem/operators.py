@@ -28,7 +28,9 @@ from scipy.spatial import cKDTree
 
 from .mesh import TriangleMesh
 from .quadrature import static_moments, subdivide4, triangle_rule
-from .spaces import BasisSpace, gram_matrix
+from .spaces import BasisSpace
+# Not called here; bound because the benchmark's traced run wraps it.
+from .spaces import gram_matrix  # noqa: F401
 
 __all__ = [
     "C0",
@@ -36,11 +38,6 @@ __all__ = [
     "AssemblyOptions",
     "FrequencyContext",
     "assemble_blocks",
-    "assemble_double_layer",
-    "assemble_efie",
-    "assemble_hypersingular",
-    "assemble_radiation_blocks",
-    "assemble_single_layer",
 ]
 
 C0 = 299_792_458.0
@@ -599,56 +596,3 @@ def assemble_blocks(test, requests, k, options=None):
     if same:
         _apply_near(out, reqs, test, flt, fls, pairs, touching, k, floor, opts)
     return out
-
-
-def assemble_single_layer(test, source, k, options=None):
-    """Weighted vector-potential block i <f, G f'>."""
-    return assemble_blocks(test, [(source, ("single",))], k, options)[0]["single"]
-
-
-def assemble_hypersingular(test, source, k, options=None):
-    """Weighted scalar-potential block -i <div f, G div f'>."""
-    return assemble_blocks(test, [(source, ("hyper",))], k, options)[0]["hyper"]
-
-
-def assemble_double_layer(test, source, k, options=None):
-    """Kernel-gradient coupling -<f, (r - r') x f' g>."""
-    return assemble_blocks(test, [(source, ("double",))], k, options)[0]["double"]
-
-
-def assemble_efie(test, source, k, options=None):
-    """Combined field operator k * single + hyper / k.
-
-    Maps a scaled surface current to its tested tangential electric
-    field trace up to the impedance prefactor handled by callers.
-    """
-    res = assemble_blocks(test, [(source, ("single", "hyper"))], k, options)[0]
-    return k * res["single"] + res["hyper"] / k
-
-
-def assemble_radiation_blocks(rwg, bc, bc_probe, k, options=None):
-    """Five coupled blocks linking surface currents to remote field tests.
-
-    Runs two tiled passes: a self pass on the current-carrying surface
-    and a radiation pass onto the surface of ``bc_probe``.  The mixed
-    Gram is assembled with rotated tests so every block shares the same
-    row convention.
-
-    Returns
-    -------
-    dict
-        "trace_efie" and "trace_double" for the self-surface blocks,
-        "field_double" and "field_efie" for the probe-surface rows, and
-        the sparse "mixed_gram".
-    """
-    self_pass = assemble_blocks(
-        rwg, [(rwg, ("single", "hyper")), (bc, ("double",))], k, options)
-    rad_pass = assemble_blocks(
-        bc_probe, [(rwg, ("double",)), (bc, ("single", "hyper"))], k, options)
-    return {
-        "trace_efie": k * self_pass[0]["single"] + self_pass[0]["hyper"] / k,
-        "trace_double": self_pass[1]["double"],
-        "field_double": rad_pass[0]["double"],
-        "field_efie": k * rad_pass[1]["single"] + rad_pass[1]["hyper"] / k,
-        "mixed_gram": gram_matrix(rwg, bc, rotated=True),
-    }

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "RegularizationPolicy", "SolveReport", "tsvd_solve",
-    "condition_at_threshold", "singular_spectrum", "save_spectrum",
+    "condition_at_threshold",
 ]
 
 
@@ -90,17 +89,3 @@ def condition_at_threshold(matrix: np.ndarray,
     sigmas = np.linalg.svd(np.asarray(matrix), compute_uv=False)
     rank = _retained(sigmas, policy)
     return float(sigmas[0] / sigmas[rank - 1])
-
-
-def singular_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Singular values in descending order."""
-    return np.linalg.svd(np.asarray(matrix), compute_uv=False)
-
-
-def save_spectrum(sigmas: np.ndarray, path) -> None:
-    """Write a singular-value spectrum as a two-column CSV."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "sigma"])
-        for i, s in enumerate(np.asarray(sigmas)):
-            writer.writerow([i, repr(float(s))])

@@ -2,9 +2,7 @@
 import numpy as np
 import pytest
 
-from lovebem.dipole import (DipoleSource, FieldSample, dipole_fields,
-                            field_arrays, sample_measurement,
-                            save_field_samples)
+from lovebem.dipole import DipoleSource, field_arrays, sample_measurement
 from lovebem.mesh import generate_sphere_mesh
 from lovebem.operators import ETA0, FrequencyContext
 from lovebem.spaces import basis_pair
@@ -111,15 +109,6 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="coincides"):
             field_arrays(axial_source, np.zeros((1, 3)))
 
-    def test_sample_rows_match_arrays(self, tilted_source):
-        pts = np.array([[0.05, 0.01, -0.02], [0.0, 0.1, 0.0]])
-        samples = dipole_fields(tilted_source, pts)
-        e, h = field_arrays(tilted_source, pts)
-        assert all(isinstance(s, FieldSample) for s in samples)
-        for i, s in enumerate(samples):
-            assert np.array_equal(s.E, e[i])
-            assert np.array_equal(s.H, h[i])
-
 
 class TestMeasurement:
     def test_scene_radius_value(self):
@@ -152,19 +141,3 @@ class TestMeasurement:
         other = generate_sphere_mesh(0.2, 0.1)
         with pytest.raises(ValueError, match="surface"):
             sample_measurement(axial_source, other, bc)
-
-
-class TestFieldDump:
-    def test_csv_roundtrip(self, tilted_source, tmp_path):
-        pts = np.array([[0.05, 0.01, -0.02], [0.0, 0.1, 0.0]])
-        samples = dipole_fields(tilted_source, pts)
-        path = tmp_path / "fields.csv"
-        save_field_samples(samples, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("x,y,z,ReEx,ImEx")
-        assert len(lines) == 3
-        first = np.array([float(v) for v in lines[1].split(",")])
-        expect = np.r_[pts[0],
-                       np.c_[samples[0].E.real, samples[0].E.imag].ravel(),
-                       np.c_[samples[0].H.real, samples[0].H.imag].ravel()]
-        assert np.array_equal(first, expect)

@@ -1,4 +1,5 @@
 """Experiment pipelines: config validation, artifacts, sweep and CLI."""
+import csv
 import json
 from contextlib import contextmanager
 
@@ -46,10 +47,12 @@ def sp_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def baseline_run(tmp_path_factory):
+def baseline_run(tmp_path_factory, count_assembly):
     cfg = gate_config(tmp_path_factory.mktemp("baseline"),
                       formulation="baseline-love")
-    return cfg, run_reconstruction(cfg)
+    with cold_plans(), count_assembly() as calls:
+        paths = run_reconstruction(cfg)
+    return cfg, paths, calls
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +71,7 @@ def read_commented_csv(path):
     with open(path) as handle:
         lines = handle.read().splitlines()
     header_meta = json.loads(lines[0][2:])
-    rows = [line.split(",") for line in lines[1:] if line]
+    rows = [row for row in csv.reader(lines[1:]) if row]
     return header_meta, rows[0], rows[1:]
 
 
@@ -239,7 +242,7 @@ class TestReconstruction:
             assert open(path, "rb").read() == before[name]
 
     def test_baseline_doubles_unknowns(self, baseline_run):
-        _, paths = baseline_run
+        _, paths, _ = baseline_run
         with open(paths["solve_report"]) as handle:
             report = json.load(handle)
         assert report["formulation"] == "baseline-love"
@@ -248,9 +251,25 @@ class TestReconstruction:
         assert report["rank"] == 240
 
     def test_baseline_still_reconstructs(self, baseline_run):
-        _, paths = baseline_run
+        _, paths, _ = baseline_run
         _, _, rows = read_commented_csv(paths["error_curve"])
         assert all(float(row[1]) < 5e-2 for row in rows)
+
+    def test_baseline_shares_the_plan(self, baseline_run):
+        _, _, calls = baseline_run
+        # The plan's static pass, then the radiation pass, the self pass
+        # the single-current system also makes, and the dual-tested pass.
+        assert calls.count(1e-30) == 1
+        assert len(calls) == 4
+
+    def test_baseline_bad_weight_fails_before_assembly(self, tmp_path,
+                                                       count_assembly):
+        cfg = gate_config(tmp_path, formulation="baseline-love",
+                          love_weight=-1.0)
+        with cold_plans(), count_assembly() as calls:
+            with pytest.raises(StageError, match="love_weight"):
+                run_reconstruction(cfg)
+        assert calls == []
 
     def test_sweep_config_cannot_reconstruct(self, tmp_path):
         cfg = gate_config(tmp_path, frequency=None)
@@ -270,12 +289,14 @@ class TestFrequencySweep:
         cfg, path, _ = mini_sweep
         meta, header, rows = read_commented_csv(path)
         assert meta["config_hash"] == cfg.config_hash
-        assert header == ["frequency_hz", "kappa_stabilized", "kappa_raw"]
+        assert header == ["frequency_hz", "kappa_stabilized", "kappa_raw",
+                          "error"]
         assert [float(row[0]) for row in rows] == list(cfg.sweep)
-        values = np.array([[float(cell) for cell in row[1:]]
+        values = np.array([[float(cell) for cell in row[1:3]]
                            for row in rows])
         assert np.all(np.isfinite(values))
         assert np.all(values >= 1.0)
+        assert [row[3] for row in rows] == [""] * len(rows)
 
     def test_raw_and_stabilized_paths_differ(self, mini_sweep):
         _, path, _ = mini_sweep
@@ -290,6 +311,34 @@ class TestFrequencySweep:
         # per point; the uncorrected block reuses the self pass.
         assert calls.count(1e-30) == 1
         assert len(calls) == 1 + 2 * len(cfg.sweep)
+
+    def test_failed_point_names_its_error(self, tmp_path, monkeypatch):
+        real = experiments.condition_at_threshold
+        calls = []
+
+        def flaky(matrix, policy):
+            # Two calls per point: the third is the middle point's first.
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("synthetic breakdown, mid sweep")
+            return real(matrix, policy)
+
+        monkeypatch.setattr(experiments, "condition_at_threshold", flaky)
+        cfg = ExperimentConfig(surface_edge=0.04, probe_offset=0.12,
+                               probe_offset_unit="m", probe_edge=0.06,
+                               probe_edge_unit="m", frequency=None,
+                               sweep=(1e6, 1e8, 3.16e9),
+                               output_dir=str(tmp_path))
+        with cold_plans():
+            _, header, rows = read_commented_csv(run_frequency_sweep(cfg))
+        assert header[-1] == "error"
+        failed = rows[1]
+        assert np.isnan(float(failed[1])) and np.isnan(float(failed[2]))
+        assert failed[3] == ("FloatingPointError: synthetic breakdown, "
+                             "mid sweep")
+        for row in (rows[0], rows[2]):
+            assert np.all(np.isfinite([float(row[1]), float(row[2])]))
+            assert row[3] == ""
 
     def test_short_sweep_rejected(self, tmp_path):
         cfg = ExperimentConfig(sweep=(1e6, 1e7), frequency=None,

@@ -6,13 +6,13 @@ from lovebem.dipole import DipoleSource, sample_measurement
 from lovebem.formulations import (CurrentSolution, SPSystem,
                                   StabilizedSystem,
                                   assemble_calderon_interior, build_sp_system,
-                                  build_stabilized, interior_coupling,
-                                  load_solution, recover_electric_current,
-                                  save_solution, solve_baseline_love,
-                                  solve_sp, solve_stabilized)
+                                  build_stabilized, double_layer,
+                                  interior_coupling, load_solution,
+                                  recover_electric_current, save_solution,
+                                  solve_baseline_love, solve_sp,
+                                  solve_stabilized, static_double_layer)
 from lovebem.mesh import generate_sphere_mesh
-from lovebem.operators import (ETA0, FrequencyContext, assemble_double_layer,
-                               assemble_efie)
+from lovebem.operators import ETA0, FrequencyContext
 from lovebem.projectors import build_projectors, build_scaling
 from lovebem.spaces import basis_pair, build_loop_star, gram_matrix
 from lovebem.tsvd import RegularizationPolicy, SolveReport
@@ -43,9 +43,17 @@ def scene():
 
 
 @pytest.fixture(scope="module")
-def system(scene):
+def fixed(scene):
+    """Frequency-independent inputs: (projectors, static double layer)."""
+    gamma, rwg, bc, _, _, _, _, _ = scene
+    return (build_projectors(*build_loop_star(gamma)),
+            static_double_layer(rwg, bc))
+
+
+@pytest.fixture(scope="module")
+def system(scene, fixed):
     _, rwg, bc, _, bc_m, _, _, _ = scene
-    return build_sp_system(rwg, bc, bc_m, CTX)
+    return build_sp_system(rwg, bc, bc_m, CTX, *fixed)
 
 
 @pytest.fixture(scope="module")
@@ -73,42 +81,45 @@ def calderon(system, scene):
 
 
 @pytest.fixture(scope="module")
-def maps(scene):
-    gamma, _, _, mesh_m, _, _, _, _ = scene
-    ps = build_projectors(*build_loop_star(gamma))
+def maps(scene, fixed):
+    _, _, _, mesh_m, _, _, _, _ = scene
+    ps = fixed[0]
     ps_m = build_projectors(*build_loop_star(mesh_m))
     return build_scaling(ps, ps_m, CTX), ps, ps_m
 
 
 @pytest.fixture(scope="module")
-def baseline(scene):
+def baseline(scene, fixed):
     _, rwg, bc, _, bc_m, _, e, h = scene
-    return solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY)
+    return solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY, *fixed)
 
 
 class TestInteriorCoupling:
     def test_well_conditioned_on_sphere(self, system):
         assert system.coupling_condition < 50.0
 
-    def test_deterministic(self, scene):
+    def test_deterministic(self, scene, system, fixed):
+        # A second static pass rebuilds the system's block bit for bit.
         _, rwg, bc, _, _, _, _, _ = scene
-        first = interior_coupling(rwg, bc, CTX)
-        second = interior_coupling(rwg, bc, CTX)
-        assert np.array_equal(first, second)
+        static = static_double_layer(rwg, bc)
+        assert np.array_equal(static, fixed[1])
+        block = interior_coupling(rwg, bc, system.trace_double, static,
+                                  fixed[0])
+        assert np.array_equal(block, system.coupling)
 
-    def test_accepts_preassembled_double_layer(self, scene, system):
+    def test_accepts_preassembled_double_layer(self, scene, system, fixed):
         _, rwg, bc, _, _, _, _, _ = scene
-        dynamic = assemble_double_layer(rwg, bc, CTX.wavenumber)
-        block = interior_coupling(rwg, bc, CTX, dynamic_double=dynamic)
+        dynamic = double_layer(rwg, bc, CTX)
+        block = interior_coupling(rwg, bc, dynamic, fixed[1], fixed[0])
         assert np.array_equal(block, system.coupling)
         # The self pass's double layer equals the standalone one bit
         # for bit, so sweeps may reuse it for the uncorrected block.
         assert np.array_equal(system.trace_double, dynamic)
 
-    def test_rejects_bad_wavenumber(self, scene):
-        _, rwg, bc, _, _, _, _, _ = scene
+    def test_rejects_bad_wavenumber(self, scene, fixed):
+        _, rwg, bc, _, bc_m, _, _, _ = scene
         with pytest.raises(ValueError, match="wavenumber"):
-            interior_coupling(rwg, bc, -1.0)
+            build_sp_system(rwg, bc, bc_m, -1.0, *fixed)
 
 
 class TestSPSystem:
@@ -122,13 +133,6 @@ class TestSPSystem:
         rng = np.random.default_rng(3)
         x = random_complex(rng, system.n_unknowns)
         assert rel(system.apply(x), system.dense() @ x) < 1e-12
-
-    def test_lazy_materialization(self, scene):
-        _, rwg, bc, _, bc_m, _, _, _ = scene
-        lazy = build_sp_system(rwg, bc, bc_m, CTX, materialize=False)
-        assert lazy.matrix is None
-        dense = lazy.dense()
-        assert lazy.matrix is dense
 
     def test_rejects_singular_coupling(self):
         blocks = np.zeros((3, 2)), np.zeros((3, 2))
@@ -273,11 +277,6 @@ class TestInteriorIdentityMap:
         defect = np.linalg.norm(calderon @ calderon - calderon)
         assert defect / np.linalg.norm(calderon) < 0.1
 
-    def test_assembles_own_blocks(self, scene, calderon):
-        _, rwg, bc, _, _, _, _, _ = scene
-        standalone = assemble_calderon_interior(rwg, bc, CTX)
-        assert rel(standalone, calderon) < 1e-12
-
 
 class TestBaseline:
     def test_shapes_and_tag(self, baseline, scene):
@@ -293,25 +292,26 @@ class TestBaseline:
     def test_matches_projected_trace(self, baseline, exact_pair):
         assert rel(baseline.m, exact_pair[0]) < 0.3
 
-    def test_zero_weight_still_solves(self, scene):
+    def test_zero_weight_still_solves(self, scene, fixed):
         _, rwg, bc, _, bc_m, _, e, h = scene
-        sol = solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY,
+        sol = solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY, *fixed,
                                   love_weight=0.0)
         assert np.all(np.isfinite(sol.m)) and np.all(np.isfinite(sol.j))
 
     @pytest.mark.parametrize("weight", [-1.0, np.inf, np.nan])
-    def test_rejects_bad_weight(self, scene, weight, count_assembly):
+    def test_rejects_bad_weight(self, scene, fixed, weight, count_assembly):
         _, rwg, bc, _, bc_m, _, e, h = scene
         with count_assembly() as calls:
             with pytest.raises(ValueError, match="love_weight"):
                 solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY,
-                                    love_weight=weight)
+                                    *fixed, love_weight=weight)
         assert calls == []
 
-    def test_rejects_mismatched_data(self, scene):
+    def test_rejects_mismatched_data(self, scene, fixed):
         _, rwg, bc, _, bc_m, _, e, _ = scene
         with pytest.raises(ValueError, match="probe"):
-            solve_baseline_love(rwg, bc, bc_m, CTX, e, np.zeros(3), POLICY)
+            solve_baseline_love(rwg, bc, bc_m, CTX, e, np.zeros(3), POLICY,
+                                *fixed)
 
 
 class TestSerialization:

@@ -11,8 +11,9 @@ class TestReaders:
         assert octahedron.n_vertices == 6
         assert octahedron.n_edges == 12
         assert octahedron.n_faces == 8
-        s = octahedron.stats()
-        assert s["euler_characteristic"] == 2
+        euler = (octahedron.n_vertices - octahedron.n_edges
+                 + octahedron.n_faces)
+        assert euler == 2
 
     def test_gmsh_matches_off(self, octahedron):
         m = load_mesh(OCTAHEDRON_GMSH)
@@ -80,9 +81,10 @@ class TestSphere:
 
     def test_level_one(self, small_sphere):
         assert small_sphere.n_edges == 120
-        s = small_sphere.stats()
-        assert s["euler_characteristic"] == 2
-        assert s["max_edge"] <= 1.5 * 0.02
+        euler = (small_sphere.n_vertices - small_sphere.n_edges
+                 + small_sphere.n_faces)
+        assert euler == 2
+        assert small_sphere.edge_lengths.max() <= 1.5 * 0.02
 
     def test_fine_request(self):
         m = generate_sphere_mesh(0.04, 0.003)

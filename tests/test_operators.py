@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from lovebem.mesh import TriangleMesh, generate_sphere_mesh
 from lovebem.operators import (C0, AssemblyOptions, FrequencyContext,
-                               assemble_blocks, assemble_double_layer,
-                               assemble_efie, assemble_hypersingular,
-                               assemble_single_layer)
+                               assemble_blocks)
 from lovebem.quadrature import singular_patch_points, subdivide4, triangle_rule
 from lovebem.spaces import BasisSpace, basis_pair, build_loop_star
 
@@ -213,22 +211,14 @@ class TestStructure:
     def test_loops_annihilate_hypersingular(self, coarse_sphere_pair):
         rwg, _ = coarse_sphere_pair
         loops, _ = build_loop_star(rwg.mesh)
-        mat = assemble_hypersingular(rwg, rwg, 1.3)
+        mat = assemble_blocks(rwg, [(rwg, ("hyper",))], 1.3)[0]["hyper"]
         ratio = np.linalg.norm(mat @ loops.toarray()) / np.linalg.norm(mat)
         assert ratio < 1e-12
 
-    def test_efie_combines_single_and_hyper(self, coarse_sphere_pair):
-        rwg, _ = coarse_sphere_pair
-        k = 1.3
-        combined = assemble_efie(rwg, rwg, k)
-        single = assemble_single_layer(rwg, rwg, k)
-        hyper = assemble_hypersingular(rwg, rwg, k)
-        np.testing.assert_array_equal(combined, k * single + hyper / k)
-
     def test_assembly_is_deterministic(self, coarse_sphere_pair):
         rwg, bc = coarse_sphere_pair
-        first = assemble_double_layer(rwg, bc, 1.3)
-        second = assemble_double_layer(rwg, bc, 1.3)
+        first = assemble_blocks(rwg, [(bc, ("double",))], 1.3)[0]["double"]
+        second = assemble_blocks(rwg, [(bc, ("double",))], 1.3)[0]["double"]
         np.testing.assert_array_equal(first, second)
 
 
@@ -238,8 +228,8 @@ class TestGeometryHandling:
         near = TriangleMesh.from_arrays(
             base.vertices + np.array([2.2, 0.0, 0.0]), base.triangles)
         with pytest.raises(ValueError, match="too close"):
-            assemble_single_layer(
-                identity_space(base), [identity_space(near)][0], 1.3)
+            assemble_blocks(identity_space(base),
+                            [(identity_space(near), ("single",))], 1.3)
 
     @settings(max_examples=8, deadline=None)
     @given(angle=st.floats(-3.0, 3.0),

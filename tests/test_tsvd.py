@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lovebem.tsvd import (RegularizationPolicy, condition_at_threshold,
-                          save_spectrum, singular_spectrum, tsvd_solve)
+                          tsvd_solve)
 
 
 def random_complex(rng, shape):
@@ -164,17 +164,3 @@ class TestInvariants:
         _, tight = tsvd_solve(a, np.ones(6), RegularizationPolicy(t2))
         _, loose = tsvd_solve(a, np.ones(6), RegularizationPolicy(t1))
         assert loose.rank >= tight.rank
-
-
-class TestSpectrumDump:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        a = random_complex(rng, (6, 4))
-        sigmas = singular_spectrum(a)
-        assert np.all(np.diff(sigmas) <= 0)
-        path = tmp_path / "spectrum.csv"
-        save_spectrum(sigmas, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,sigma"
-        parsed = np.array([float(line.split(",")[1]) for line in lines[1:]])
-        assert np.array_equal(parsed, sigmas)
