@@ -21,15 +21,14 @@ _SUBMODULES = {
     "projectors": ["ProjectorSet", "ScalingMap", "build_projectors",
                    "build_scaling", "verify_limit_property",
                    "save_norm_table"],
-    "spaces": ["BasisSpace", "rwg_space", "basis_pair", "build_loop_star",
+    "spaces": ["BasisSpace", "basis_pair", "build_loop_star",
                "evaluate_rt0", "gram_matrix"],
     "tsvd": ["RegularizationPolicy", "SolveReport", "tsvd_solve",
              "condition_at_threshold"],
     "dipole": ["DipoleSource", "field_arrays", "sample_measurement"],
     "formulations": ["CurrentSolution", "SPSystem", "StabilizedSystem",
                      "assemble_calderon_interior", "build_sp_system",
-                     "build_stabilized", "interior_coupling",
-                     "load_solution", "recover_electric_current",
+                     "interior_coupling", "recover_electric_current",
                      "save_solution", "solve_baseline_love", "solve_sp",
                      "solve_stabilized"],
     "fields": ["ErrorCurve", "check_love_condition", "error_curve",

@@ -22,7 +22,7 @@ import logging
 import math
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +33,12 @@ from . import __version__, operators
 from .dipole import DipoleSource, field_arrays, sample_measurement
 from .fields import (check_love_condition, error_curve,
                      fibonacci_directions, save_error_curve)
-from .formulations import (SPSystem, build_sp_system, build_stabilized,
-                           assemble_calderon_interior, double_layer,
-                           interior_coupling, recover_electric_current,
-                           save_solution, solve_baseline_love, solve_sp,
-                           solve_stabilized, static_double_layer)
+from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
+                           assemble_calderon_interior, check_love_weight,
+                           double_layer, interior_coupling,
+                           recover_electric_current, save_solution,
+                           solve_baseline_love, solve_sp, solve_stabilized,
+                           static_double_layer)
 from .mesh import generate_sphere_mesh, load_mesh
 from .operators import ETA0, AssemblyOptions, FrequencyContext, gram_matrix
 from .projectors import (ScalingMap, build_projectors, build_scaling,
@@ -102,14 +103,6 @@ def _positive(raw, key, stage="config"):
     if not (math.isfinite(value) and value > 0.0):
         raise StageError(stage, f"{key} must be positive and finite")
     return value
-
-
-def _love_weight(raw, stage="config"):
-    weight = float(raw)
-    if not (math.isfinite(weight) and weight >= 0.0):
-        raise StageError(
-            stage, "love_weight must be a finite nonnegative scalar")
-    return weight
 
 
 def _pick_unit(section, base, default):
@@ -231,7 +224,8 @@ class ExperimentConfig:
                     + ", ".join(FORMULATIONS))
             kwargs["formulation"] = raw["formulation"]
         if "love_weight" in raw and raw["love_weight"] is not None:
-            kwargs["love_weight"] = _love_weight(raw["love_weight"])
+            with _stage("config"):
+                kwargs["love_weight"] = check_love_weight(raw["love_weight"])
         if "output_dir" in raw:
             kwargs["output_dir"] = str(raw["output_dir"])
         if "curve_radii" in raw:
@@ -419,7 +413,7 @@ class OperatorPlan:
         if self._stabilized is None:
             maps = build_scaling(self.surface.projectors,
                                  self.probe.projectors, self.ctx)
-            stabilized = build_stabilized(self.system, *maps)
+            stabilized = StabilizedSystem(self.system, *maps)
             _freeze(stabilized.matrix())
             self._stabilized = stabilized
         return self._stabilized
@@ -503,10 +497,10 @@ def _solve_scene(cfg: ExperimentConfig, scene: _Scene):
                                   rotated=False)
     policy = cfg.policy()
     if cfg.formulation == "baseline-love":
-        # An explicit weight is checked before the static pass can run.
-        if cfg.love_weight is not None:
-            _love_weight(cfg.love_weight, stage="solve")
         with _stage("solve"):
+            # An explicit weight is checked before the static pass runs.
+            if cfg.love_weight is not None:
+                check_love_weight(cfg.love_weight)
             solution = solve_baseline_love(
                 surface.rwg, surface.bc, probe.bc, ctx, e, h, policy,
                 surface.projectors, surface.static_double(),
@@ -546,9 +540,8 @@ def run_reconstruction(cfg: ExperimentConfig) -> dict:
                             [shift + r for r in cfg.curve_radii],
                             n_points=cfg.curve_points)
         interior = (0.25 * cfg.surface_radius) * fibonacci_directions(50)
-        residual = check_love_condition(solution, rwg, bc, interior)
-        residual_without_j = check_love_condition(
-            replace(solution, j=None), rwg, bc, interior)
+        residual, residual_without_j = check_love_condition(
+            solution, rwg, bc, interior)
     with _stage("write"):
         paths = {
             "currents": out / "currents.csv",
@@ -600,7 +593,9 @@ def run_frequency_sweep(cfg: ExperimentConfig) -> str:
     probe placement metrically.  A failure at a single frequency is
     logged and written as a NaN row whose last column, ``error``, names
     the exception; the sweep continues.  Rows that succeed leave
-    ``error`` empty.
+    ``error`` empty.  Surfaces too close for the radiation pass fail
+    every frequency alike, so that is checked once, before any pass,
+    and raises a ``StageError`` tagged ``assembly`` instead.
     """
     if cfg.sweep is None or len(cfg.sweep) < 3:
         raise StageError("config", "sweep length must be at least 3")
@@ -611,6 +606,9 @@ def run_frequency_sweep(cfg: ExperimentConfig) -> str:
     out = _out_dir(cfg)
     scene = _build_scene(cfg, cfg.sweep[-1])
     surface = scene.surface
+    with _stage("assembly"):
+        operators.check_clearance(scene.probe.bc.fine, surface.rwg.fine,
+                                  AssemblyOptions())
     policy = cfg.policy()
     rows = []
     for frequency in cfg.sweep:

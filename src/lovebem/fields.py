@@ -33,6 +33,8 @@ __all__ = [
 _FOUR_PI = 4.0 * math.pi
 # Points per kernel block; a (128, 2880) complex kernel is about 6 MB.
 _CHUNK = 128
+# Polynomial degree of the product rule on the refined mesh.
+_DEGREE = 4
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -46,7 +48,7 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _quadrature_tables(space, coeffs, pts, wts):
+def _quadrature_tables(space, coeffs, pts):
     """Current values and face divergences at mapped quadrature points."""
     fine = space.fine
     if coeffs is None:
@@ -74,13 +76,11 @@ def _reject_near(mesh, points):
                 "surface; near-surface evaluation is unsupported")
 
 
-def radiate_arrays(solution, rwg, bc, points, degree: int = 4):
-    """Electric and magnetic fields of a solution at exterior points.
+def _radiate(solution, rwg, bc, points):
+    """E of ``m`` and of ``j``, and the total H, at exterior points.
 
-    ``solution.m`` radiates through the magnetic-current potentials in
-    the RWG space, ``solution.j`` through the scaled electric-current
-    potentials in the BC space; a missing ``j`` contributes nothing.
-    Returns two complex arrays of shape ``(n_points, 3)``.
+    Also returns the current values and weights at the quadrature
+    points the fields were radiated from, as ``(m_vals, j_vals, wts)``.
     """
     if rwg.fine is not bc.fine:
         raise ValueError("spaces must share the same refined mesh")
@@ -89,9 +89,9 @@ def radiate_arrays(solution, rwg, bc, points, degree: int = 4):
         raise ValueError("points must have shape (n, 3)")
     _reject_near(rwg.mesh, points)
     k = float(solution.wavenumber)
-    pts, wts = triangle_rule(degree).map_to(rwg.fine.face_corners)
-    m_vals, m_divs = _quadrature_tables(rwg, solution.m, pts, wts)
-    j_vals, j_divs = _quadrature_tables(bc, solution.j, pts, wts)
+    pts, wts = triangle_rule(_DEGREE).map_to(rwg.fine.face_corners)
+    m_vals, m_divs = _quadrature_tables(rwg, solution.m, pts)
+    j_vals, j_divs = _quadrature_tables(bc, solution.j, pts)
     # Per quadrature point y and current (m, j): v for the kernel, and
     # div, y·div, v, y × v for the gradient kernel g, as with d = x - y,
     # Σ g d div = x Σ g div - Σ g y div and Σ g d × v = x × Σ g v - Σ g y × v.
@@ -105,7 +105,8 @@ def radiate_arrays(solution, rwg, bc, points, degree: int = 4):
         axis=-1).reshape(-1, 20)
     w = wts.reshape(-1) / _FOUR_PI
 
-    e_out = np.empty((len(points), 3), dtype=complex)
+    e_m = np.empty((len(points), 3), dtype=complex)
+    e_j = np.empty((len(points), 3), dtype=complex)
     h_out = np.empty((len(points), 3), dtype=complex)
     for start in range(0, len(points), _CHUNK):
         x = points[start:start + _CHUNK]
@@ -121,9 +122,22 @@ def radiate_arrays(solution, rwg, bc, points, degree: int = 4):
         charge = x[:, None] * sums[..., :1] - sums[..., 1:4]
         curl = np.cross(x[:, None], sums[..., 4:7]) - sums[..., 7:10]
         scalar = (1j / k) * (k * k * pot + charge)
-        e_out[start:start + _CHUNK] = scalar[:, 1] - curl[:, 0]
+        e_m[start:start + _CHUNK] = -curl[:, 0]
+        e_j[start:start + _CHUNK] = scalar[:, 1]
         h_out[start:start + _CHUNK] = (curl[:, 1] + scalar[:, 0]) / ETA0
-    return e_out, h_out
+    return e_m, e_j, h_out, (m_vals, j_vals, wts)
+
+
+def radiate_arrays(solution, rwg, bc, points):
+    """Electric and magnetic fields of a solution at exterior points.
+
+    ``solution.m`` radiates through the magnetic-current potentials in
+    the RWG space, ``solution.j`` through the scaled electric-current
+    potentials in the BC space; a missing ``j`` contributes nothing.
+    Returns two complex arrays of shape ``(n_points, 3)``.
+    """
+    e_m, e_j, h, _ = _radiate(solution, rwg, bc, points)
+    return e_j + e_m, h
 
 
 @dataclass(frozen=True)
@@ -153,7 +167,7 @@ def _surface_center(mesh):
 
 
 def error_curve(solution, source: DipoleSource, rwg, bc, radii,
-                n_points: int = 200, degree: int = 4) -> ErrorCurve:
+                n_points: int = 200) -> ErrorCurve:
     """Relative L2 field error on concentric evaluation spheres.
 
     ``radii`` are offsets from the surface in wavelengths; every sphere
@@ -171,7 +185,7 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
     directions = fibonacci_directions(n_points)
     sphere_radii = surface_radius + radii * wavelength
     points = (center + sphere_radii[:, None, None] * directions).reshape(-1, 3)
-    e_rec, _ = radiate_arrays(solution, rwg, bc, points, degree)
+    e_rec, _ = radiate_arrays(solution, rwg, bc, points)
     e_ref, _ = field_arrays(source, points)
     shape = (len(radii), n_points, 3)
     shells = zip(e_rec.reshape(shape), e_ref.reshape(shape))
@@ -181,24 +195,26 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
                       formulation=solution.formulation)
 
 
-def check_love_condition(solution, rwg, bc, interior_points,
-                         degree: int = 4) -> float:
+def check_love_condition(solution, rwg, bc, interior_points):
     """Worst interior field leak relative to the surface current level.
 
     Radiates the pair onto points strictly inside the surface and
     normalizes the largest field magnitude by the area-weighted mean
     current magnitude on the surface, so a zero return means the pair
-    radiates nothing inward at the sampled points.
+    radiates nothing inward at the sampled points.  Returns
+    ``(residual, residual_without_j)`` from one evaluation: the leak of
+    the pair, and the leak of ``m`` alone, normalized as if ``j`` were
+    missing.
     """
-    e_in, _ = radiate_arrays(solution, rwg, bc, interior_points, degree)
-    fine = rwg.fine
-    pts, wts = triangle_rule(degree).map_to(fine.face_corners)
-    m_vals, _ = _quadrature_tables(rwg, solution.m, pts, wts)
-    j_vals, _ = _quadrature_tables(bc, solution.j, pts, wts)
+    e_m, e_j, _, (m_vals, j_vals, wts) = _radiate(solution, rwg, bc,
+                                                  interior_points)
     area = wts.sum()
     mean_m = float((np.linalg.norm(m_vals, axis=2) * wts).sum() / area)
     mean_j = float((np.linalg.norm(j_vals, axis=2) * wts).sum() / area)
-    level = max(mean_m, mean_j)
+    return (_leak(e_j + e_m, max(mean_m, mean_j)), _leak(e_m, mean_m))
+
+
+def _leak(e_in, level):
     if level == 0.0:
         return 0.0
     return float(np.linalg.norm(e_in, axis=1).max() / level)

@@ -38,10 +38,9 @@ __all__ = [
     "StabilizedSystem",
     "assemble_calderon_interior",
     "build_sp_system",
-    "build_stabilized",
+    "check_love_weight",
     "double_layer",
     "interior_coupling",
-    "load_solution",
     "recover_electric_current",
     "save_solution",
     "solve_baseline_love",
@@ -122,10 +121,10 @@ class SPSystem:
 
     Holds the radiation rows, the self-surface trace block and one
     factorization of the interior coupling shared by every solve and
-    recovery.  ``apply`` composes the three factors on a coefficient
-    vector; ``dense`` returns the composition, materialized at build
-    time for pseudo-inversion.  ``trace_double``, when given, keeps the
-    self-surface double layer the coupling was built from.
+    recovery.  ``dense`` returns the composition of the three factors,
+    materialized at build time for pseudo-inversion.  ``trace_double``,
+    when given, keeps the self-surface double layer the coupling was
+    built from.
     """
 
     def __init__(self, wavenumber, field_double, field_efie, trace_efie,
@@ -165,12 +164,6 @@ class SPSystem:
     def inner_solve(self, rhs):
         """Solve the interior coupling block for one or many right sides."""
         return sla.lu_solve(self._lu, np.asarray(rhs))
-
-    def apply(self, coeffs):
-        """Field-test response of magnetic current coefficients."""
-        coeffs = np.asarray(coeffs)
-        recovered = self.inner_solve(self.trace_efie @ coeffs)
-        return -self.field_double @ coeffs - self.field_efie @ recovered
 
     def dense(self):
         """Materialized system matrix."""
@@ -249,7 +242,7 @@ class StabilizedSystem:
     The unknown map rebalances the current coefficients and the test
     map the measurement rows; solving the scaled system and mapping
     back reproduces the plain solution whenever both paths are well
-    conditioned.
+    conditioned.  The scaled matrix is materialized at build time.
     """
 
     def __init__(self, base: SPSystem, unknown_map, test_map):
@@ -260,20 +253,12 @@ class StabilizedSystem:
         self.base = base
         self.unknown_map = unknown_map
         self.test_map = test_map
-        self._matrix = None
+        scaled_cols = unknown_map.apply(base.dense().T).T
+        self._matrix = test_map.apply(scaled_cols)
 
     def matrix(self):
-        """Materialized scaled system, cached after the first call."""
-        if self._matrix is None:
-            scaled_cols = self.unknown_map.apply(self.base.dense().T).T
-            self._matrix = self.test_map.apply(scaled_cols)
+        """Materialized scaled system."""
         return self._matrix
-
-
-def build_stabilized(system: SPSystem, unknown_map,
-                     test_map) -> StabilizedSystem:
-    """Wrap a system with its low-frequency scaling pair."""
-    return StabilizedSystem(system, unknown_map, test_map)
 
 
 def solve_stabilized(stabilized: StabilizedSystem, e,
@@ -320,7 +305,8 @@ def assemble_calderon_interior(rwg, bc, ctx, coupling, trace_efie,
     return np.vstack([top, bottom])
 
 
-def _check_weight(weight) -> float:
+def check_love_weight(weight) -> float:
+    """The interior-constraint weight as a float, if finite and >= 0."""
     weight = float(weight)
     if not (math.isfinite(weight) and weight >= 0.0):
         raise ValueError("love_weight must be a finite nonnegative scalar")
@@ -350,7 +336,7 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
     if e.shape != (n_tests,) or h.shape != (n_tests,):
         raise ValueError("measurement vectors do not match the probe space")
     # An explicit weight is checked before any assembly pass runs.
-    weight = None if love_weight is None else _check_weight(love_weight)
+    weight = None if love_weight is None else check_love_weight(love_weight)
     rad = assemble_blocks(
         bc_probe, [(rwg, ("double", "single", "hyper")),
                    (bc, ("double", "single", "hyper"))], k, options)
@@ -366,8 +352,8 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
     identity_map = assemble_calderon_interior(
         rwg, bc, k, coupling, trace_efie, options=options)
     if weight is None:
-        weight = _check_weight(np.linalg.norm(radiation, 2)
-                               / np.linalg.norm(identity_map, 2))
+        weight = check_love_weight(np.linalg.norm(radiation, 2)
+                                   / np.linalg.norm(identity_map, 2))
     stacked = np.vstack([radiation, weight * identity_map])
     rhs = np.concatenate([e, ETA0 * h, np.zeros(2 * rwg.n_dofs)])
     x, report = tsvd_solve(stacked, rhs, policy)
@@ -379,8 +365,7 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
 def save_solution(solution: CurrentSolution, path, extra=None) -> None:
     """Write a solution as CSV with a JSON provenance comment line.
 
-    ``extra`` merges additional provenance keys into the header; the
-    loader ignores keys it does not know.
+    ``extra`` merges additional provenance keys into the header.
     """
     meta = {
         "wavenumber": solution.wavenumber,
@@ -407,23 +392,3 @@ def save_solution(solution: CurrentSolution, path, extra=None) -> None:
                 writer.writerow(
                     [i, repr(float(mv.real)), repr(float(mv.imag)),
                      repr(float(jv.real)), repr(float(jv.imag))])
-
-
-def load_solution(path) -> CurrentSolution:
-    """Read back a saved solution, provenance included."""
-    with open(path) as handle:
-        header = handle.readline()
-        if not header.startswith("# "):
-            raise ValueError("missing provenance header")
-        meta = json.loads(header[2:])
-        rows = list(csv.reader(handle))
-    wide = len(rows[0]) == 5
-    data = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
-    m = data[:, 0] + 1j * data[:, 1]
-    j = data[:, 2] + 1j * data[:, 3] if wide else None
-    report = SolveReport(
-        sigma_max=float(meta["sigma_max"]), sigma_cut=float(meta["sigma_cut"]),
-        rank=int(meta["rank"]), condition=float(meta["condition"]),
-        residual=float(meta["residual"]))
-    return CurrentSolution(m=m, j=j, wavenumber=float(meta["wavenumber"]),
-                           formulation=str(meta["formulation"]), report=report)

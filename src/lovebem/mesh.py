@@ -238,12 +238,6 @@ class TriangleMesh:
             return sha.hexdigest()
         return self._cached("digest", build)
 
-    @property
-    def signed_volume(self) -> float:
-        c = self.face_corners
-        return float(np.einsum("ij,ij->", c[:, 0],
-                               np.cross(c[:, 1], c[:, 2])) / 6.0)
-
     def vertex_fans(self):
         """Cyclic edge/face ordering around every vertex.
 
@@ -345,36 +339,15 @@ def _repair_orientation(vertices, triangles) -> np.ndarray:
 
 # -- file readers ----------------------------------------------------
 
-def load_mesh(source, fmt: str | None = None) -> TriangleMesh:
-    """Read a mesh from an OFF or Gmsh v2 ASCII file.
+def load_mesh(source) -> TriangleMesh:
+    """Read a mesh from an OFF file.
 
-    Parameters
-    ----------
-    source : str or Path
-        Path to the file, or the file content itself (anything that
-        contains a newline is treated as content).
-    fmt : {"off", "gmsh"}, optional
-        Forced format; inferred from the content when omitted.
+    ``source`` is a path, or the file content itself (anything that
+    contains a newline is treated as content).
     """
-    text = _read_source(source)
-    if fmt is None:
-        head = text.lstrip()
-        if head.startswith("$MeshFormat"):
-            fmt = "gmsh"
-        elif head.upper().startswith("OFF"):
-            fmt = "off"
-        else:
-            raise MeshError("cannot infer mesh format "
-                            "(expected OFF or Gmsh v2 ASCII)")
-    fmt = fmt.lower()
-    if fmt == "off":
-        vertices, triangles = _parse_off(text)
-    elif fmt == "gmsh":
-        vertices, triangles = _parse_gmsh(text)
-    else:
-        raise MeshError(f"unknown mesh format {fmt!r}")
+    vertices, triangles = _parse_off(_read_source(source))
     mesh = TriangleMesh.from_arrays(vertices, triangles)
-    logger.debug("loaded %s mesh: %d vertices, %d faces", fmt,
+    logger.debug("loaded OFF mesh: %d vertices, %d faces",
                  mesh.n_vertices, mesh.n_faces)
     return mesh
 
@@ -420,52 +393,6 @@ def _parse_off(text):
     return verts, np.array(tris)
 
 
-def _parse_gmsh(text):
-    lines = iter(text.splitlines())
-
-    def seek(tag):
-        for line in lines:
-            if line.strip() == tag:
-                return True
-        return False
-
-    try:
-        if not seek("$MeshFormat"):
-            raise MeshError("missing $MeshFormat section")
-        version = next(lines).split()
-        if not version or not version[0].startswith("2"):
-            raise MeshError("only Gmsh v2 ASCII is supported")
-        if not seek("$Nodes"):
-            raise MeshError("missing $Nodes section")
-        n_nodes = int(next(lines))
-        ids, coords = [], []
-        for _ in range(n_nodes):
-            parts = next(lines).split()
-            ids.append(int(parts[0]))
-            coords.append([float(x) for x in parts[1:4]])
-        id_map = {node_id: i for i, node_id in enumerate(ids)}
-        if not seek("$Elements"):
-            raise MeshError("missing $Elements section")
-        n_elem = int(next(lines))
-        tris = []
-        for _ in range(n_elem):
-            parts = [int(x) for x in next(lines).split()]
-            etype, n_tags = parts[1], parts[2]
-            nodes = parts[3 + n_tags:]
-            if etype == 2:
-                tris.append([id_map[n] for n in nodes])
-            elif etype in (1, 15):
-                continue  # lines and points are allowed and skipped
-            else:
-                raise MeshError(f"unsupported element type {etype}, "
-                                "triangles only")
-    except (StopIteration, ValueError, IndexError, KeyError) as exc:
-        raise MeshError(f"malformed Gmsh file: {exc}") from None
-    if not tris:
-        raise MeshError("no triangles in Gmsh file")
-    return np.array(coords), np.array(tris)
-
-
 # -- sphere generator ------------------------------------------------
 
 def _icosahedron():
@@ -485,9 +412,8 @@ def _icosahedron():
     return verts, faces
 
 
-def generate_sphere_mesh(radius: float, target_edge_length: float,
-                         level_cap: int = MAX_SPHERE_LEVEL
-                         ) -> TriangleMesh:
+def generate_sphere_mesh(radius: float,
+                         target_edge_length: float) -> TriangleMesh:
     """Icosahedral-subdivision sphere mesh.
 
     The subdivision level is the smallest one whose longest edge does
@@ -498,7 +424,7 @@ def generate_sphere_mesh(radius: float, target_edge_length: float,
     ------
     MeshError
         If the target length is outside ``(0, radius]`` or would need a
-        subdivision level beyond ``level_cap``.
+        subdivision level beyond ``MAX_SPHERE_LEVEL``.
     """
     if not (radius > 0):
         raise MeshError("radius must be positive")
@@ -508,9 +434,9 @@ def generate_sphere_mesh(radius: float, target_edge_length: float,
     estimate = _ICOSA_EDGE_UNIT * radius
     level = max(0, int(np.ceil(np.log2(estimate / allowed))))
     while True:
-        if level > level_cap:
+        if level > MAX_SPHERE_LEVEL:
             raise MeshError(
-                f"subdivision level {level} exceeds cap {level_cap} "
+                f"subdivision level {level} exceeds cap {MAX_SPHERE_LEVEL} "
                 f"for target edge length {target_edge_length}")
         verts, faces = _subdivided_icosphere(level)
         mesh = TriangleMesh.from_arrays(radius * verts, faces)
@@ -570,10 +496,6 @@ class BarycentricRefinement:
     def midpoint_vertex(self, edge_id) -> np.ndarray:
         """Refined vertex index of a parent edge midpoint."""
         return self.midpoint_offset + np.asarray(edge_id)
-
-    def centroid_vertex(self, face_id) -> np.ndarray:
-        """Refined vertex index of a parent face centroid."""
-        return self.centroid_offset + np.asarray(face_id)
 
 
 def barycentric_refine(mesh: TriangleMesh) -> BarycentricRefinement:

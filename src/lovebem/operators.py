@@ -38,6 +38,7 @@ __all__ = [
     "AssemblyOptions",
     "FrequencyContext",
     "assemble_blocks",
+    "check_clearance",
 ]
 
 C0 = 299_792_458.0
@@ -58,10 +59,6 @@ class FrequencyContext:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.frequency) and self.frequency > 0.0):
             raise ValueError("frequency must be positive and finite")
-
-    @classmethod
-    def from_wavenumber(cls, wavenumber: float) -> "FrequencyContext":
-        return cls(wavenumber * C0 / (2.0 * math.pi))
 
     @property
     def angular_frequency(self) -> float:
@@ -264,7 +261,12 @@ def _near_lookup(pairs: np.ndarray, n: int) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def _validate_separation(fine_t, fine_s, options):
+def check_clearance(fine_t, fine_s, options):
+    """Reject surfaces too close for far-only cross-surface quadrature.
+
+    Raises ``ValueError`` when the face gap between the refined meshes
+    is below ``options.separation_factor`` face diameters.
+    """
     tree = cKDTree(fine_s.face_centroids)
     dist, _ = tree.query(fine_t.face_centroids, k=1)
     reach = 0.5 * (fine_t.face_diameters.max() + fine_s.face_diameters.max())
@@ -494,7 +496,7 @@ def assemble_blocks(test, requests, k, options=None):
     fine_t = test.fine
     same = fine_t is fine_s
     if not same:
-        _validate_separation(fine_t, fine_s, opts)
+        check_clearance(fine_t, fine_s, opts)
 
     rule = triangle_rule(opts.regular_degree)
     pts_t, wts_t = rule.map_to(fine_t.face_corners)

@@ -5,9 +5,8 @@ Three ingredients used by the operator assembler:
 * symmetric Gauss rules in barycentric form (weights sum to one, scaled
   by the physical area on mapping),
 * collapsed tensor rules: Gauss-Legendre squares mapped onto a triangle
-  with the Jacobian vanishing at one chosen vertex, which both supplies
-  arbitrary-order rules and serves as a Duffy-style transform for
-  integrands with a 1/R singularity at that vertex,
+  with the Jacobian vanishing at its first vertex, which supply the
+  orders above the bundled symmetric rules,
 * closed-form evaluations of the static potentials int 1/R dA' and
   int r'/R dA' over a flat triangle for an arbitrary observation point
   (the edge-wise log/arctan construction for polygonal domains).
@@ -84,13 +83,13 @@ def _standard_rules():
 
 
 @lru_cache(maxsize=None)
-def collapsed_rule(n: int, singular_vertex: int = 0) -> TriangleRule:
+def collapsed_rule(n: int) -> TriangleRule:
     """Tensor Gauss-Legendre rule collapsed onto the triangle.
 
     ``n * n`` positive-weight points, polynomially exact to degree
-    ``n - 1``.  The mapping Jacobian vanishes at ``singular_vertex``,
-    so the rule integrates 1/R singularities rooted at that vertex
-    accurately (Duffy transform).
+    ``n - 1``.  The mapping Jacobian vanishes at the first vertex, so
+    the rule also integrates 1/R singularities rooted there accurately
+    (Duffy transform).
     """
     x, w = np.polynomial.legendre.leggauss(n)
     x = 0.5 * (x + 1.0)
@@ -100,10 +99,7 @@ def collapsed_rule(n: int, singular_vertex: int = 0) -> TriangleRule:
     lam = np.stack([1.0 - u, u * (1.0 - v), u * v],
                    axis=-1).reshape(-1, 3)
     weights = (2.0 * u * wu * wv).ravel()
-    # column j of the result must be barycentric coordinate j, with the
-    # collapse point moved onto the requested vertex
-    cols = np.roll(np.arange(3), singular_vertex)
-    return TriangleRule(lam[:, cols], weights)
+    return TriangleRule(lam, weights)
 
 
 def triangle_rule(degree: int) -> TriangleRule:
@@ -200,33 +196,3 @@ def static_moments(corners: np.ndarray, obs: np.ndarray):
     i0 = i0 - abs_h * beta
     i1 = i1_perp + rho * i0[..., None]
     return i0, i1
-
-
-def singular_patch_points(corners: np.ndarray, obs: np.ndarray,
-                          n: int = 16):
-    """High-order quadrature for 1/R-type integrands on one triangle.
-
-    Fans the triangle about the in-plane projection of ``obs`` and puts
-    a vertex-collapsed rule on each (signed) sub-triangle, so the rule
-    stays accurate when ``obs`` lies on or near the patch.  Intended as
-    an oracle / reference integrator, not a production path.
-
-    Returns cartesian ``points (m, 3)`` and signed ``weights (m,)``.
-    """
-    c = np.asarray(corners, dtype=np.float64)
-    r = np.asarray(obs, dtype=np.float64)
-    nv = np.cross(c[1] - c[0], c[2] - c[0])
-    nhat = nv / np.linalg.norm(nv)
-    rho = r - np.dot(r - c[0], nhat) * nhat
-    rule = collapsed_rule(n, singular_vertex=0)
-    pts_all, wts_all = [], []
-    for i in range(3):
-        sub = np.stack([rho, c[i], c[(i + 1) % 3]])
-        sign = np.sign(np.dot(np.cross(sub[1] - sub[0],
-                                       sub[2] - sub[0]), nhat))
-        if sign == 0:
-            continue
-        pts, wts = rule.map_to(sub)
-        pts_all.append(pts)
-        wts_all.append(sign * wts)
-    return np.concatenate(pts_all), np.concatenate(wts_all)

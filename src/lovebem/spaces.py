@@ -30,7 +30,6 @@ __all__ = [
     "evaluate_rt0",
     "gram_matrix",
     "refinement_matrix",
-    "rwg_space",
 ]
 
 
@@ -59,17 +58,6 @@ class BasisSpace:
     @property
     def n_dofs(self) -> int:
         return self.to_fine.shape[1]
-
-    def fine_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
-        """Fine-mesh RWG coefficients of an expansion in this space."""
-        return self.to_fine @ np.asarray(coeffs)
-
-
-def rwg_space(mesh: TriangleMesh,
-              refinement: BarycentricRefinement | None = None) -> BasisSpace:
-    """RWG space on ``mesh``, expressed on its barycentric refinement."""
-    ref = barycentric_refine(mesh) if refinement is None else refinement
-    return BasisSpace("rwg", mesh, ref.mesh, refinement_matrix(ref))
 
 
 def basis_pair(mesh: TriangleMesh) -> tuple[BasisSpace, BasisSpace]:

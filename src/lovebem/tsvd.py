@@ -14,20 +14,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegularizationPolicy:
-    """Relative truncation rule: retain singular values >= threshold * max.
-
-    ``rank_cap`` optionally limits the retained rank regardless of the
-    threshold.
-    """
+    """Relative truncation rule: retain singular values >= threshold * max."""
 
     threshold: float = 1e-6
-    rank_cap: int | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie strictly between 0 and 1")
-        if self.rank_cap is not None and self.rank_cap < 1:
-            raise ValueError("rank_cap must be at least 1 when given")
 
 
 @dataclass(frozen=True)
@@ -44,10 +37,7 @@ class SolveReport:
 def _retained(sigmas: np.ndarray, policy: RegularizationPolicy) -> int:
     if sigmas.size == 0 or sigmas[0] == 0.0:
         raise ValueError("matrix is zero; nothing survives the threshold")
-    rank = int(np.count_nonzero(sigmas >= policy.threshold * sigmas[0]))
-    if policy.rank_cap is not None:
-        rank = min(rank, policy.rank_cap)
-    return rank
+    return int(np.count_nonzero(sigmas >= policy.threshold * sigmas[0]))
 
 
 def tsvd_solve(matrix: np.ndarray, rhs: np.ndarray,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lovebem import TriangleMesh, generate_sphere_mesh
+from lovebem.quadrature import collapsed_rule
 
 OCTAHEDRON_OFF = """\
 OFF
@@ -24,35 +25,6 @@ OFF
 3 3 1 5
 3 0 3 5
 """
-
-OCTAHEDRON_GMSH = """\
-$MeshFormat
-2.2 0 8
-$EndMeshFormat
-$Nodes
-6
-1 1 0 0
-2 -1 0 0
-3 0 1 0
-4 0 -1 0
-5 0 0 1
-6 0 0 -1
-$EndNodes
-$Elements
-10
-1 15 2 0 1 1
-2 1 2 0 1 1 2
-3 2 2 0 1 1 3 5
-4 2 2 0 1 3 2 5
-5 2 2 0 1 2 4 5
-6 2 2 0 1 4 1 5
-7 2 2 0 1 3 1 6
-8 2 2 0 1 2 3 6
-9 2 2 0 1 4 2 6
-10 2 2 0 1 1 4 6
-$EndElements
-"""
-
 
 def make_torus_mesh(n: int = 4, m: int = 4) -> TriangleMesh:
     """Genus-one grid torus, used to exercise the genus check."""
@@ -74,6 +46,34 @@ def make_torus_mesh(n: int = 4, m: int = 4) -> TriangleMesh:
             d = i * m + (j + 1) % m
             tris += [[a, b, c], [a, c, d]]
     return TriangleMesh(np.array(verts), np.array(tris))
+
+
+def singular_patch_points(corners, obs, n=16):
+    """Reference quadrature for 1/R-type integrands on one triangle.
+
+    Fans the triangle about the in-plane projection of ``obs`` and puts
+    a vertex-collapsed rule on each (signed) sub-triangle, so the rule
+    stays accurate when ``obs`` lies on or near the patch.
+
+    Returns cartesian ``points (m, 3)`` and signed ``weights (m,)``.
+    """
+    c = np.asarray(corners, dtype=np.float64)
+    r = np.asarray(obs, dtype=np.float64)
+    nv = np.cross(c[1] - c[0], c[2] - c[0])
+    nhat = nv / np.linalg.norm(nv)
+    rho = r - np.dot(r - c[0], nhat) * nhat
+    rule = collapsed_rule(n)
+    pts_all, wts_all = [], []
+    for i in range(3):
+        sub = np.stack([rho, c[i], c[(i + 1) % 3]])
+        sign = np.sign(np.dot(np.cross(sub[1] - sub[0],
+                                       sub[2] - sub[0]), nhat))
+        if sign == 0:
+            continue
+        pts, wts = rule.map_to(sub)
+        pts_all.append(pts)
+        wts_all.append(sign * wts)
+    return np.concatenate(pts_all), np.concatenate(wts_all)
 
 
 @pytest.fixture(scope="session")

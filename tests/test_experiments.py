@@ -19,6 +19,12 @@ from lovebem.operators import AssemblyOptions
 GATE_GEOMETRY = {"surface_edge": 0.02, "probe_edge_m": 0.055}
 SWEEP_GEOMETRY = {"surface_edge": 0.02, "probe_offset_m": 0.07,
                   "probe_edge_m": 0.03}
+# A probe too close to the surface for the radiation pass.
+TOO_CLOSE_SWEEP = {
+    "geometry": {"surface_edge": 0.04, "probe_offset_m": 0.15,
+                 "probe_edge_m": 0.1},
+    "frequency_sweep": [1e9, 2e9, 3e9],
+}
 
 
 def gate_config(out_dir, **overrides):
@@ -93,6 +99,12 @@ class TestConfigParsing:
         with pytest.raises(StageError, match="surface_radius"):
             ExperimentConfig.from_dict(
                 {"geometry": {"surface_radius": -0.04}})
+
+    @pytest.mark.parametrize("weight", [-1.0, "inf", "nan"])
+    def test_bad_love_weight_rejected(self, weight):
+        with pytest.raises(StageError, match="love_weight") as info:
+            ExperimentConfig.from_dict({"love_weight": weight})
+        assert info.value.stage == "config"
 
     def test_sweep_must_ascend(self):
         with pytest.raises(StageError, match="ascending"):
@@ -340,6 +352,17 @@ class TestFrequencySweep:
             assert np.all(np.isfinite([float(row[1]), float(row[2])]))
             assert row[3] == ""
 
+    def test_too_close_probe_fails_before_assembly(self, tmp_path,
+                                                   count_assembly):
+        cfg = ExperimentConfig.from_dict(
+            {**TOO_CLOSE_SWEEP, "output_dir": str(tmp_path)})
+        with cold_plans(), count_assembly() as calls:
+            with pytest.raises(StageError, match="too close") as info:
+                run_frequency_sweep(cfg)
+        assert info.value.stage == "assembly"
+        assert calls == []
+        assert not (tmp_path / "condition_sweep.csv").exists()
+
     def test_short_sweep_rejected(self, tmp_path):
         cfg = ExperimentConfig(sweep=(1e6, 1e7), frequency=None,
                                probe_offset=0.07, probe_offset_unit="m",
@@ -491,6 +514,17 @@ class TestCli:
                          "--out", str(tmp_path)])
         assert code == 2
         assert "at least 3" in capsys.readouterr().err
+
+    def test_sweep_too_close_exits_with_assembly_code(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TOO_CLOSE_SWEEP))
+        with cold_plans():
+            code = cli.main(["sweep", "--config", str(path),
+                             "--out", str(tmp_path)])
+        assert code == 4
+        assert "error [assembly]" in capsys.readouterr().err
+        assert not (tmp_path / "condition_sweep.csv").exists()
 
     def test_reconstruct_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Field radiation of recovered currents and the error diagnostics."""
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,23 +214,29 @@ class TestAgainstSource:
 class TestLoveCondition:
     def test_traced_pair_is_quiet_inside(self, surface, traced_pair):
         _, rwg, bc = surface
-        assert check_love_condition(traced_pair, rwg, bc,
-                                    shell_points(0.01)) < 0.1
+        residual, _ = check_love_condition(traced_pair, rwg, bc,
+                                           shell_points(0.01))
+        assert residual < 0.1
 
     def test_dropping_j_breaks_the_condition(self, surface, traced_pair):
         _, rwg, bc = surface
         broken = CurrentSolution(m=traced_pair.m, j=None,
                                  wavenumber=CTX.wavenumber,
                                  formulation="projected", report=None)
-        assert check_love_condition(broken, rwg, bc,
-                                    shell_points(0.01)) > 0.5
+        residual, _ = check_love_condition(broken, rwg, bc,
+                                           shell_points(0.01))
+        assert residual > 0.5
+        _, without_j = check_love_condition(traced_pair, rwg, bc,
+                                            shell_points(0.01))
+        assert without_j == residual
 
     def test_zero_solution_returns_zero(self, surface):
         _, rwg, bc = surface
         sol = CurrentSolution(m=np.zeros(rwg.n_dofs), j=None,
                               wavenumber=CTX.wavenumber,
                               formulation="projected", report=None)
-        assert check_love_condition(sol, rwg, bc, shell_points(0.01)) == 0.0
+        assert check_love_condition(sol, rwg, bc,
+                                    shell_points(0.01)) == (0.0, 0.0)
 
     def test_scale_invariant(self, surface, traced_pair):
         _, rwg, bc = surface
@@ -240,6 +247,29 @@ class TestLoveCondition:
         first = check_love_condition(traced_pair, rwg, bc, pts)
         second = check_love_condition(scaled, rwg, bc, pts)
         assert first == pytest.approx(second, rel=1e-12)
+
+    def test_one_pass_matches_two_radiations(self, surface, traced_pair):
+        # Both residuals come from one evaluation; the reference radiates
+        # the pair and m alone separately and normalizes each the same way.
+        _, rwg, bc = surface
+        pts = shell_points(0.01)
+        fine = rwg.fine
+        quad, wts = triangle_rule(4).map_to(fine.face_corners)
+        faces = np.arange(fine.n_faces)[:, None]
+
+        def mean_level(space, coeffs):
+            values = evaluate_rt0(fine, space.to_fine @ coeffs, faces, quad)
+            return float((np.linalg.norm(values, axis=2) * wts).sum()
+                         / wts.sum())
+
+        mean_m = mean_level(rwg, traced_pair.m)
+        mean_j = mean_level(bc, traced_pair.j)
+        e_pair, _ = radiate_arrays(traced_pair, rwg, bc, pts)
+        e_m, _ = radiate_arrays(replace(traced_pair, j=None), rwg, bc, pts)
+        expected = (
+            float(np.linalg.norm(e_pair, axis=1).max() / max(mean_m, mean_j)),
+            float(np.linalg.norm(e_m, axis=1).max() / mean_m))
+        assert check_love_condition(traced_pair, rwg, bc, pts) == expected
 
 
 class TestErrorCurve:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lovebem.mesh import generate_sphere_mesh
-from lovebem.operators import FrequencyContext
+from lovebem.operators import C0, FrequencyContext
 from lovebem.projectors import (ProjectorSet, ScalingMap, build_projectors,
                                 build_scaling, save_norm_table,
                                 verify_limit_property)
@@ -112,7 +112,7 @@ class TestProjectorAlgebra:
 
 class TestScalingMaps:
     def test_build_scaling_sides(self, sphere_set):
-        ctx = FrequencyContext.from_wavenumber(2.0)
+        ctx = FrequencyContext(2.0 * C0 / (2.0 * np.pi))
         unknown, test = build_scaling(sphere_set, sphere_set, ctx)
         assert unknown.scaled_range == "stars"
         assert test.scaled_range == "loops"

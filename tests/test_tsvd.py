@@ -23,16 +23,11 @@ class TestPolicy:
     def test_defaults(self):
         policy = RegularizationPolicy()
         assert policy.threshold == 1e-6
-        assert policy.rank_cap is None
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 2.0])
     def test_rejects_bad_threshold(self, tau):
         with pytest.raises(ValueError):
             RegularizationPolicy(threshold=tau)
-
-    def test_rejects_bad_cap(self):
-        with pytest.raises(ValueError):
-            RegularizationPolicy(rank_cap=0)
 
 
 class TestSolve:
@@ -76,14 +71,6 @@ class TestSolve:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             tsvd_solve(np.eye(3), np.ones(4))
-
-    def test_rank_cap(self):
-        a = np.diag([1.0, 1e-3, 1e-9])
-        x, report = tsvd_solve(a, np.ones(3),
-                               RegularizationPolicy(threshold=1e-12,
-                                                    rank_cap=1))
-        assert report.rank == 1
-        np.testing.assert_allclose(x, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_matches_lstsq_at_full_rank(self):
         rng = np.random.default_rng(8)
