@@ -98,8 +98,16 @@ def _stage(name: str):
         raise StageError(name, f"{type(err).__name__}: {err}") from err
 
 
+def _number(raw, key, convert=float):
+    try:
+        return convert(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise StageError(
+            "config", f"{key} must be a number, not {raw!r}") from None
+
+
 def _positive(raw, key, stage="config"):
-    value = float(raw)
+    value = _number(raw, key)
     if not (math.isfinite(value) and value > 0.0):
         raise StageError(stage, f"{key} must be positive and finite")
     return value
@@ -128,9 +136,10 @@ def _parse_moment(entries):
             if len(entry) != 2:
                 raise StageError(
                     "config", "complex moment components are [re, im] pairs")
-            moment[axis] = float(entry[0]) + 1j * float(entry[1])
+            moment[axis] = (_number(entry[0], "dipole moment")
+                            + 1j * _number(entry[1], "dipole moment"))
         else:
-            moment[axis] = float(entry)
+            moment[axis] = _number(entry, "dipole moment")
     if not np.all(np.isfinite(moment.view(np.float64))):
         raise StageError("config", "dipole moment must be finite")
     if np.linalg.norm(moment) == 0.0:
@@ -205,7 +214,8 @@ class ExperimentConfig:
             kwargs.setdefault("frequency", None)
         dipole = raw.get("dipole", {})
         if "position" in dipole:
-            position = np.asarray(dipole["position"], dtype=np.float64)
+            with _stage("config"):
+                position = np.asarray(dipole["position"], dtype=np.float64)
             if position.shape != (3,) or not np.all(np.isfinite(position)):
                 raise StageError(
                     "config", "dipole position must be three finite numbers")
@@ -236,7 +246,7 @@ class ExperimentConfig:
                     "config", "curve_radii must be sorted ascending")
             kwargs["curve_radii"] = radii
         if "curve_points" in raw:
-            points = int(raw["curve_points"])
+            points = _number(raw["curve_points"], "curve_points", int)
             if points < 1:
                 raise StageError("config", "curve_points must be positive")
             kwargs["curve_points"] = points
@@ -493,6 +503,8 @@ def _solve_scene(cfg: ExperimentConfig, scene: _Scene):
     """Measurement sampling, system build and solve for one scene."""
     ctx, surface, probe = scene.ctx, scene.surface, scene.probe
     with _stage("assembly"):
+        operators.check_clearance(probe.bc.fine, surface.rwg.fine,
+                                  AssemblyOptions())
         e, h = sample_measurement(scene.src, probe.mesh, probe.bc,
                                   rotated=False)
     policy = cfg.policy()

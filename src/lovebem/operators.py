@@ -161,10 +161,20 @@ class _Factors:
 
 # -- tiled far-field moments -----------------------------------------
 
-def _moment_table(vals, phi_t_T, phi_s):
-    """Batched 4x4 monomial moments from kernel values (I, J, q, p)."""
-    left = np.matmul(phi_t_T[:, None], vals)
-    return np.matmul(left, phi_s[None])
+def _moment_table(vals, phi_t, phi_s):
+    """4x4 monomial moments of a kernel tile as two GEMM-shaped products.
+
+    ``vals`` holds the kernel in its natural (I*q, J*p) layout, rows
+    test points face by face and columns source points face by face;
+    ``phi_t`` is (I, q, 4) and ``phi_s`` is (J, p, 4).  Returns the view
+    m[i, j] = phi_t[i].T @ vals[i*q:(i+1)*q, j*p:(j+1)*p] @ phi_s[j] of
+    shape (I, J, 4, 4).
+    """
+    n_i, q, _ = phi_t.shape
+    n_j, p, _ = phi_s.shape
+    left = np.matmul(phi_t.transpose(0, 2, 1), vals.reshape(n_i, q, n_j * p))
+    m = np.matmul(left.reshape(n_i * 4, n_j, p).transpose(1, 0, 2), phi_s)
+    return m.reshape(n_j, n_i, 4, 4).transpose(1, 0, 2, 3)
 
 
 def _helmholtz_combos(m4):
@@ -536,7 +546,7 @@ def assemble_blocks(test, requests, k, options=None):
     p = pts_s.shape[1]
     for i0 in range(0, nt, tile):
         i1 = min(i0 + tile, nt)
-        ft_T = np.ascontiguousarray(phi_t[i0:i1].transpose(0, 2, 1))
+        ft = phi_t[i0:i1]
         xt = pts_t[i0:i1].reshape(-1, 3)
         w = {}
         for ri, (space, kinds) in enumerate(reqs):
@@ -563,11 +573,9 @@ def assemble_blocks(test, requests, k, options=None):
             if need_helm:
                 vals = phase / (_FOUR_PI * safe)
                 vals[~live] = 0.0
-                vals = np.ascontiguousarray(
-                    vals.reshape(shape4).transpose(0, 2, 1, 3))
                 if zr is not None and zr.size:
-                    vals[zr, zc] = 0.0
-                tr, sv, svp, s0 = _helmholtz_combos(_moment_table(vals, ft_T, fs))
+                    vals.reshape(shape4)[zr, :, zc] = 0.0
+                tr, sv, svp, s0 = _helmholtz_combos(_moment_table(vals, ft, fs))
                 del vals
                 for ri, (space, kinds) in enumerate(reqs):
                     if "single" in kinds:
@@ -577,11 +585,9 @@ def assemble_blocks(test, requests, k, options=None):
             if need_grad:
                 vals = phase * (1j * k * safe - 1.0) / (_FOUR_PI * safe**3)
                 vals[~live] = 0.0
-                vals = np.ascontiguousarray(
-                    vals.reshape(shape4).transpose(0, 2, 1, 3))
                 if zr is not None and zr.size:
-                    vals[zr, zc] = 0.0
-                w9, d3 = _gradient_combos(_moment_table(vals, ft_T, fs))
+                    vals.reshape(shape4)[zr, :, zc] = 0.0
+                w9, d3 = _gradient_combos(_moment_table(vals, ft, fs))
                 del vals
                 for ri, (space, kinds) in enumerate(reqs):
                     if "double" in kinds:

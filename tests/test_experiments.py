@@ -20,11 +20,10 @@ GATE_GEOMETRY = {"surface_edge": 0.02, "probe_edge_m": 0.055}
 SWEEP_GEOMETRY = {"surface_edge": 0.02, "probe_offset_m": 0.07,
                   "probe_edge_m": 0.03}
 # A probe too close to the surface for the radiation pass.
-TOO_CLOSE_SWEEP = {
-    "geometry": {"surface_edge": 0.04, "probe_offset_m": 0.15,
-                 "probe_edge_m": 0.1},
-    "frequency_sweep": [1e9, 2e9, 3e9],
-}
+TOO_CLOSE_GEOMETRY = {"surface_edge": 0.04, "probe_offset_m": 0.15,
+                      "probe_edge_m": 0.1}
+TOO_CLOSE_SWEEP = {"geometry": TOO_CLOSE_GEOMETRY,
+                   "frequency_sweep": [1e9, 2e9, 3e9]}
 
 
 def gate_config(out_dir, **overrides):
@@ -105,6 +104,24 @@ class TestConfigParsing:
         with pytest.raises(StageError, match="love_weight") as info:
             ExperimentConfig.from_dict({"love_weight": weight})
         assert info.value.stage == "config"
+
+    @pytest.mark.parametrize("raw", [
+        {"threshold": "abc"},
+        {"curve_points": "x"},
+        {"geometry": {"surface_radius": "r"}},
+        {"dipole": {"moment": ["a", 0, 1]}},
+        {"curve_radii": [None]},
+    ])
+    def test_non_numbers_are_config_errors(self, raw, tmp_path, capsys):
+        with pytest.raises(StageError, match="must be a number") as info:
+            ExperimentConfig.from_dict(raw)
+        assert info.value.stage == "config"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["reconstruct", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "error [config]" in capsys.readouterr().err
 
     def test_sweep_must_ascend(self):
         with pytest.raises(StageError, match="ascending"):
@@ -282,6 +299,21 @@ class TestReconstruction:
             with pytest.raises(StageError, match="love_weight"):
                 run_reconstruction(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("formulation", ["sp", "baseline-love"])
+    def test_too_close_probe_exits_before_assembly(
+            self, formulation, tmp_path, capsys, count_assembly):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"geometry": TOO_CLOSE_GEOMETRY,
+                                    "frequency": 2e9,
+                                    "formulation": formulation}))
+        with cold_plans(), count_assembly() as calls:
+            code = cli.main(["reconstruct", "--config", str(path),
+                             "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "error [assembly]" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "run" / "currents.csv").exists()
 
     def test_sweep_config_cannot_reconstruct(self, tmp_path):
         cfg = gate_config(tmp_path, frequency=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lovebem.mesh import TriangleMesh, generate_sphere_mesh
 from lovebem.operators import (C0, AssemblyOptions, FrequencyContext,
+                               _moment_table, _near_face_pairs,
                                assemble_blocks)
 from lovebem.quadrature import subdivide4, triangle_rule
 from lovebem.spaces import BasisSpace, basis_pair, build_loop_star
@@ -255,6 +256,46 @@ class TestGeometryHandling:
             identity_space(moved), [(identity_space(moved), KINDS)], k)[0]
         for kind in KINDS:
             assert rel(got[kind], ref[kind]) < 1e-10
+
+
+class TestTiling:
+    @pytest.mark.parametrize("n_i, q, n_j, p",
+                             [(5, 3, 7, 4), (1, 6, 2, 1), (4, 1, 1, 7)])
+    def test_moment_table_matches_einsum(self, n_i, q, n_j, p):
+        rng = np.random.default_rng(n_i + 10 * q + 100 * n_j + 1000 * p)
+        phi_t = rng.standard_normal((n_i, q, 4))
+        phi_s = rng.standard_normal((n_j, p, 4))
+        vals = (rng.standard_normal((n_i * q, n_j * p))
+                + 1j * rng.standard_normal((n_i * q, n_j * p)))
+        got = _moment_table(vals, phi_t, phi_s)
+        ref = np.einsum("iaq,iqjp,jpb->ijab", phi_t.transpose(0, 2, 1),
+                        vals.reshape(n_i, q, n_j, p), phi_s)
+        assert got.shape == (n_i, n_j, 4, 4)
+        assert rel(got, ref) < 1e-14
+
+    def test_ragged_tiles_on_one_surface(self):
+        # 80 faces in tiles of 37, 37 and 6, with near pairs that
+        # straddle tile edges and so get zeroed off the tile diagonal
+        mesh = generate_sphere_mesh(1.0, 0.55)
+        pairs, _ = _near_face_pairs(mesh, AssemblyOptions())
+        assert np.any(pairs[:, 0] // 37 != pairs[:, 1] // 37)
+        space = identity_space(mesh)
+        ref = assemble_blocks(space, [(space, KINDS)], 1.3)[0]
+        got = assemble_blocks(space, [(space, KINDS)], 1.3,
+                              AssemblyOptions(tile_size=37))[0]
+        for kind in KINDS:
+            assert rel(got[kind], ref[kind]) < 1e-12
+
+    def test_ragged_tiles_across_surfaces(self):
+        base = generate_sphere_mesh(1.0, 0.55)
+        other = TriangleMesh.from_arrays(
+            base.vertices + np.array([5.0, 0.0, 0.0]), base.triangles)
+        test, src = identity_space(base), identity_space(other)
+        ref = assemble_blocks(test, [(src, KINDS)], 1.3)[0]
+        got = assemble_blocks(test, [(src, KINDS)], 1.3,
+                              AssemblyOptions(tile_size=37))[0]
+        for kind in KINDS:
+            assert rel(got[kind], ref[kind]) < 1e-12
 
 
 class TestQuadratureDefaults:
