@@ -39,11 +39,12 @@ from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
                            recover_electric_current, save_solution,
                            solve_baseline_love, solve_sp, solve_stabilized,
                            static_double_layer)
-from .mesh import generate_sphere_mesh, load_mesh
+from .mesh import (barycentric_refine, generate_sphere_mesh, load_mesh,
+                   unit_icosphere)
 from .operators import ETA0, AssemblyOptions, FrequencyContext, gram_matrix
 from .projectors import (ScalingMap, build_projectors, build_scaling,
                          save_norm_table, verify_limit_property)
-from .spaces import basis_pair, build_loop_star
+from .spaces import BasisSpace, basis_pair, build_loop_star
 from .tsvd import RegularizationPolicy, condition_at_threshold
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "GeometryPlan",
     "OperatorPlan",
     "OperatorPlans",
+    "ShapePlan",
     "StageError",
     "dump_operator",
     "load_config",
@@ -339,11 +341,11 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 # collaborators through this module's names, which keeps the calls
 # visible at the module boundaries perfbench/tracing.py wraps.
 
-# Operator plans kept; geometry plans keep twice as many, since every
-# operator plan names two meshes.  The least recently used goes first.
-# One plan serves repeated requests on one (geometry, wavenumber) pair;
-# each kept plan holds about 6 MB at 120 unknowns and 480 tests, which
-# requests that never repeat carry as dead weight.
+# Operator plans kept; geometry and shape plans keep twice as many,
+# since every operator plan names two of each.  The least recently used
+# goes first.  One plan serves repeated requests on one (geometry,
+# wavenumber) pair; each kept plan holds about 6 MB at 120 unknowns and
+# 480 tests, which requests that never repeat carry as dead weight.
 PLAN_BOUND = 1
 
 
@@ -360,19 +362,20 @@ def _options(options):
     return AssemblyOptions() if options is None else options
 
 
-class GeometryPlan:
-    """Work that depends only on the contents of one mesh.
+class ShapePlan:
+    """Work that depends only on the shape of one icosphere level.
 
-    Holds the mesh object later stages must use, since identity checks
-    reject an equal but distinct mesh, and its RWG/BC pair.  The
-    loop/star projectors and the static double layer (one per options
-    value) are built on first use.  ``coupling`` builds the corrected
-    interior block of one wavenumber on them without keeping it.
+    Everything here is built on the unit sphere of the level: the RWG
+    and BC coefficient maps (fluxes, so free of scale), the loop/star
+    projectors (connectivity only) and, on first use per options value,
+    the static double layer, which is dimensionless for unit-flux
+    functions.  Since no scaled mesh ever reaches it, every sphere of
+    the level gets the same bits, whatever the order of requests.
     """
 
-    def __init__(self, mesh):
-        self.mesh = mesh
-        self.rwg, self.bc = basis_pair(mesh)
+    def __init__(self, level: int):
+        self.mesh = unit_icosphere(level)
+        self.rwg, self.bc = basis_pair(self.mesh)
         _freeze(self.rwg.to_fine, self.bc.to_fine)
         self._projectors = None
         self._static = {}
@@ -393,11 +396,44 @@ class GeometryPlan:
             self._static[options] = block
         return self._static[options]
 
+
+class GeometryPlan:
+    """One generated sphere mesh, with the shape work of its level.
+
+    Holds the mesh later stages must use, since identity checks reject
+    an equal but distinct mesh, and its RWG/BC pair: the barycentric
+    refinement of the mesh with the shape's coefficient maps.  The
+    projectors and the static double layer are the shape's.
+    ``coupling`` builds the corrected interior block of one wavenumber
+    without keeping it.
+    """
+
+    def __init__(self, key, mesh, shape: ShapePlan):
+        self.key, self.mesh, self.shape = key, mesh, shape
+        fine = barycentric_refine(mesh).mesh
+        self.rwg = BasisSpace("rwg", mesh, fine, shape.rwg.to_fine)
+        self.bc = BasisSpace("bc", mesh, fine, shape.bc.to_fine)
+        self._cleared = set()
+
+    @property
+    def projectors(self):
+        return self.shape.projectors
+
+    def static_double(self, options=None):
+        return self.shape.static_double(options)
+
     def coupling(self, ctx, options=None):
         dynamic = double_layer(self.rwg, self.bc, ctx, options)
         return interior_coupling(self.rwg, self.bc, dynamic,
                                  self.static_double(options),
                                  self.projectors)
+
+    def check_clearance(self, probe: "GeometryPlan"):
+        """Raise unless ``probe`` clears this surface; once per probe."""
+        if probe.key not in self._cleared:
+            operators.check_clearance(probe.bc.fine, self.rwg.fine,
+                                      AssemblyOptions())
+            self._cleared.add(probe.key)
 
 
 class OperatorPlan:
@@ -430,14 +466,17 @@ class OperatorPlan:
 
 
 class OperatorPlans:
-    """Bounded LRU of geometry and operator plans, with hit counters.
+    """Bounded LRU of shape, geometry and operator plans, with hit counters.
 
-    Geometry plans are keyed on the mesh digest; operator plans on the
-    two mesh digests, the wavenumber and the assembly options.
+    Shape plans are keyed on the icosphere level; geometry plans on the
+    ``generate_sphere_mesh`` arguments (radius, target edge length), so
+    a hit generates no mesh; operator plans on the two geometry keys,
+    the wavenumber and the assembly options.
     """
 
     def __init__(self, bound: int = PLAN_BOUND):
-        self._bounds = {"geometry": 2 * bound, "operator": bound}
+        self._bounds = {"shape": 2 * bound, "geometry": 2 * bound,
+                        "operator": bound}
         self._entries = {level: OrderedDict() for level in self._bounds}
         self.hits = dict.fromkeys(self._bounds, 0)
         self.misses = dict.fromkeys(self._bounds, 0)
@@ -455,15 +494,24 @@ class OperatorPlans:
             entries.popitem(last=False)
         return entry
 
-    def geometry(self, mesh) -> GeometryPlan:
-        """Plan of a mesh; use its ``mesh``, not the argument, afterwards."""
-        return self._lookup("geometry", mesh.digest,
-                            lambda: GeometryPlan(mesh))
+    def shape(self, level: int) -> ShapePlan:
+        return self._lookup("shape", level, lambda: ShapePlan(level))
+
+    def geometry(self, radius: float, edge: float) -> GeometryPlan:
+        """Plan of ``generate_sphere_mesh(radius, edge)``."""
+        key = (float(radius), float(edge))
+
+        def build():
+            mesh = generate_sphere_mesh(radius, edge)
+            # generate_sphere_mesh makes 20 * 4**level faces.
+            level = round(math.log(mesh.n_faces / 20, 4))
+            return GeometryPlan(key, mesh, self.shape(level))
+        return self._lookup("geometry", key, build)
 
     def operator(self, surface: GeometryPlan, probe: GeometryPlan, ctx,
                  options=None) -> OperatorPlan:
         options = _options(options)
-        key = (surface.mesh.digest, probe.mesh.digest,
+        key = (surface.key, probe.key,
                float(getattr(ctx, "wavenumber", ctx)), options)
         return self._lookup("operator", key,
                             lambda: OperatorPlan(surface, probe, ctx,
@@ -488,11 +536,9 @@ class _Scene:
 def _build_scene(cfg: ExperimentConfig, frequency: float) -> _Scene:
     ctx = FrequencyContext(frequency)
     with _stage("mesh"):
-        gamma = generate_sphere_mesh(cfg.surface_radius, cfg.surface_edge)
         probe_radius = cfg.surface_radius + cfg.probe_offset_meters(ctx)
-        probe = generate_sphere_mesh(probe_radius,
-                                     cfg.probe_edge_meters(ctx))
-        surface, probe = PLANS.geometry(gamma), PLANS.geometry(probe)
+        surface = PLANS.geometry(cfg.surface_radius, cfg.surface_edge)
+        probe = PLANS.geometry(probe_radius, cfg.probe_edge_meters(ctx))
     if np.linalg.norm(cfg.dipole_position) >= cfg.surface_radius:
         raise StageError("config", "dipole must sit inside the surface")
     src = DipoleSource(cfg.dipole_position, cfg.dipole_moment, ctx)
@@ -503,8 +549,7 @@ def _solve_scene(cfg: ExperimentConfig, scene: _Scene):
     """Measurement sampling, system build and solve for one scene."""
     ctx, surface, probe = scene.ctx, scene.surface, scene.probe
     with _stage("assembly"):
-        operators.check_clearance(probe.bc.fine, surface.rwg.fine,
-                                  AssemblyOptions())
+        surface.check_clearance(probe)
         e, h = sample_measurement(scene.src, probe.mesh, probe.bc,
                                   rotated=False)
     policy = cfg.policy()
@@ -619,8 +664,7 @@ def run_frequency_sweep(cfg: ExperimentConfig) -> str:
     scene = _build_scene(cfg, cfg.sweep[-1])
     surface = scene.surface
     with _stage("assembly"):
-        operators.check_clearance(scene.probe.bc.fine, surface.rwg.fine,
-                                  AssemblyOptions())
+        surface.check_clearance(scene.probe)
     policy = cfg.policy()
     rows = []
     for frequency in cfg.sweep:
@@ -774,7 +818,7 @@ def _suite_scaling_roundtrip():
 
 def _suite_limit_property():
     """Loop-to-star coupling of the inner solve must vanish with k."""
-    plan = PLANS.geometry(generate_sphere_mesh(1.0, 0.55))
+    plan = PLANS.geometry(1.0, 0.55)
     wavenumbers = np.logspace(-6.0, 0.0, 7)
     inner_by_k = {k: plan.coupling(k) for k in wavenumbers}
     rows = verify_limit_property(plan.projectors, plan.projectors,

@@ -14,7 +14,6 @@ traverses the edge tail -> head (called the plus side) and
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from collections import deque
 from dataclasses import dataclass, field
@@ -223,21 +222,6 @@ class TriangleMesh:
             return fe, signs
         return self._cached("face_edge_tables", build)
 
-    @property
-    def digest(self) -> str:
-        """SHA-256 of the vertex and triangle arrays, shapes included.
-
-        Both arrays are read-only, so the digest is computed once and
-        identifies the mesh contents for memoized per-mesh work.
-        """
-        def build():
-            sha = hashlib.sha256()
-            for arr in (self.vertices, self.triangles):
-                sha.update(repr(arr.shape).encode())
-                sha.update(np.ascontiguousarray(arr).tobytes())
-            return sha.hexdigest()
-        return self._cached("digest", build)
-
     def vertex_fans(self):
         """Cyclic edge/face ordering around every vertex.
 
@@ -445,6 +429,15 @@ def generate_sphere_mesh(radius: float,
                          mesh.n_edges)
             return mesh
         level += 1
+
+
+def unit_icosphere(level: int) -> TriangleMesh:
+    """The unit sphere mesh that ``generate_sphere_mesh`` scales at ``level``.
+
+    Scaling changes no triangle, so work that depends only on the shape
+    of a generated sphere can be done once on this mesh.
+    """
+    return TriangleMesh.from_arrays(*_subdivided_icosphere(level))
 
 
 def _subdivided_icosphere(level):

@@ -57,23 +57,33 @@ def singular_patch_points(corners, obs, n=16):
 
     Returns cartesian ``points (m, 3)`` and signed ``weights (m,)``.
     """
+    pts, wts, _ = singular_fans(corners, np.asarray(obs)[None], n)
+    return pts, wts
+
+
+def singular_fans(corners, obs, n=16):
+    """``singular_patch_points`` for observation points ``obs (o, 3)``.
+
+    Returns the fans one after the other: ``points (m, 3)``, signed
+    ``weights (m,)`` and the row of ``obs`` each point belongs to.
+    """
     c = np.asarray(corners, dtype=np.float64)
     r = np.asarray(obs, dtype=np.float64)
     nv = np.cross(c[1] - c[0], c[2] - c[0])
     nhat = nv / np.linalg.norm(nv)
-    rho = r - np.dot(r - c[0], nhat) * nhat
-    rule = collapsed_rule(n)
-    pts_all, wts_all = [], []
-    for i in range(3):
-        sub = np.stack([rho, c[i], c[(i + 1) % 3]])
-        sign = np.sign(np.dot(np.cross(sub[1] - sub[0],
-                                       sub[2] - sub[0]), nhat))
-        if sign == 0:
-            continue
-        pts, wts = rule.map_to(sub)
-        pts_all.append(pts)
-        wts_all.append(sign * wts)
-    return np.concatenate(pts_all), np.concatenate(wts_all)
+    rho = r - ((r - c[0]) @ nhat)[:, None] * nhat
+    # Sub-triangle i of every fan is (rho, c[i], c[i + 1]).
+    fan = np.empty((len(r), 3, 3, 3))
+    fan[:, :, 0] = rho[:, None]
+    fan[:, :, 1] = c
+    fan[:, :, 2] = c[[1, 2, 0]]
+    sign = np.sign(np.cross(fan[:, :, 1] - fan[:, :, 0],
+                            fan[:, :, 2] - fan[:, :, 0]) @ nhat)
+    pts, wts = collapsed_rule(n).map_to(fan)
+    keep = sign != 0
+    owner = np.repeat(np.nonzero(keep)[0], wts.shape[-1])
+    return (pts[keep].reshape(-1, 3),
+            (sign[..., None] * wts)[keep].reshape(-1), owner)
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,10 @@ from lovebem.experiments import (ExperimentConfig, OperatorPlans,
                                  StageError, dump_operator, load_config,
                                  run_frequency_sweep, run_property_suite,
                                  run_reconstruction)
-from lovebem.mesh import TriangleMesh, generate_sphere_mesh
+from lovebem.formulations import static_double_layer
+from lovebem.mesh import generate_sphere_mesh
 from lovebem.operators import AssemblyOptions
+from lovebem.spaces import basis_pair
 
 GATE_GEOMETRY = {"surface_edge": 0.02, "probe_edge_m": 0.055}
 SWEEP_GEOMETRY = {"surface_edge": 0.02, "probe_offset_m": 0.07,
@@ -55,9 +57,9 @@ def sp_run(tmp_path_factory):
 def baseline_run(tmp_path_factory, count_assembly):
     cfg = gate_config(tmp_path_factory.mktemp("baseline"),
                       formulation="baseline-love")
-    with cold_plans(), count_assembly() as calls:
+    with cold_plans() as plans, count_assembly() as calls:
         paths = run_reconstruction(cfg)
-    return cfg, paths, calls
+    return cfg, paths, calls, plans
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +273,7 @@ class TestReconstruction:
             assert open(path, "rb").read() == before[name]
 
     def test_baseline_doubles_unknowns(self, baseline_run):
-        _, paths, _ = baseline_run
+        _, paths, _, _ = baseline_run
         with open(paths["solve_report"]) as handle:
             report = json.load(handle)
         assert report["formulation"] == "baseline-love"
@@ -280,12 +282,12 @@ class TestReconstruction:
         assert report["rank"] == 240
 
     def test_baseline_still_reconstructs(self, baseline_run):
-        _, paths, _ = baseline_run
+        _, paths, _, _ = baseline_run
         _, _, rows = read_commented_csv(paths["error_curve"])
         assert all(float(row[1]) < 5e-2 for row in rows)
 
     def test_baseline_shares_the_plan(self, baseline_run):
-        _, _, calls = baseline_run
+        _, _, calls, _ = baseline_run
         # The plan's static pass, then the radiation pass, the self pass
         # the single-current system also makes, and the dual-tested pass.
         assert calls.count(1e-30) == 1
@@ -576,11 +578,20 @@ class TestCli:
             assert json.load(handle)["formulation"] == "sp"
 
 
-def small_pair(plans, octahedron, scale=1.0):
-    """Geometry plans of a unit octahedron and a far 120-edge probe."""
-    surface = TriangleMesh(scale * octahedron.vertices, octahedron.triangles)
-    return (plans.geometry(surface),
-            plans.geometry(generate_sphere_mesh(30.0, 20.0)))
+def small_pair(plans):
+    """Geometry plans of a 30-edge unit sphere and a far 120-edge probe."""
+    return plans.geometry(1.0, 1.0), plans.geometry(30.0, 20.0)
+
+
+def artifact_bytes(paths):
+    return {name: open(path, "rb").read() for name, path in paths.items()}
+
+
+@pytest.fixture
+def stub_operator_plans(monkeypatch):
+    """Operator plans that build nothing, for tests of keys and bounds."""
+    monkeypatch.setattr(experiments, "OperatorPlan",
+                        lambda surface, probe, ctx, options: object())
 
 
 class TestOperatorPlans:
@@ -593,66 +604,147 @@ class TestOperatorPlans:
                                 "sp-stabilized"):
                 cfg = gate_config(tmp_path / formulation,
                                   formulation=formulation)
-                paths = run_reconstruction(cfg)
                 artifacts.setdefault(formulation, []).append(
-                    {name: open(path, "rb").read()
-                     for name, path in paths.items()})
+                    artifact_bytes(run_reconstruction(cfg)))
                 assert len(calls) == 3
-        assert plans.misses == {"geometry": 2, "operator": 1}
-        assert plans.hits == {"geometry": 6, "operator": 3}
+        assert plans.misses == {"shape": 2, "geometry": 2, "operator": 1}
+        assert plans.hits == {"shape": 0, "geometry": 6, "operator": 3}
         for miss, hit in artifacts.values():
             assert hit == miss
 
-    def test_keys_cover_wavenumber_options_and_contents(self, octahedron):
+    def test_keys_cover_wavenumber_options_and_contents(
+            self, stub_operator_plans):
         plans = OperatorPlans(bound=4)
-        surface, probe = small_pair(plans, octahedron)
+        surface, probe = small_pair(plans)
         first = plans.operator(surface, probe, 1.0)
         assert plans.operator(surface, probe, 1.0) is first
         assert plans.operator(surface, probe, 1.1) is not first
         assert plans.operator(surface, probe, 1.0,
                               AssemblyOptions(regular_degree=3)) \
             is not first
-        moved, _ = small_pair(plans, octahedron, scale=1.01)
-        assert moved.mesh.vertices.shape == surface.mesh.vertices.shape
-        assert moved is not surface
-        assert plans.operator(moved, probe, 1.0) is not first
-        # Equal contents find the plan, which keeps its own mesh object.
-        again, _ = small_pair(plans, octahedron)
+        # A new radius or edge length is a new geometry of the same shape.
+        for moved in (plans.geometry(1.01, 1.0), plans.geometry(1.0, 0.9)):
+            assert moved is not surface
+            assert moved.shape is surface.shape
+            assert plans.operator(moved, probe, 1.0) is not first
+        again, _ = small_pair(plans)
         assert again is surface
-        assert plans.hits == {"geometry": 3, "operator": 1}
-        assert plans.misses == {"geometry": 3, "operator": 4}
+        assert plans.hits == {"shape": 2, "geometry": 2, "operator": 1}
+        assert plans.misses == {"shape": 2, "geometry": 4, "operator": 5}
 
-    def test_lru_evicts_at_bound(self, octahedron):
+    def test_lru_evicts_at_bound(self, stub_operator_plans):
         plans = OperatorPlans(bound=1)
-        meshes = [TriangleMesh(scale * octahedron.vertices,
-                               octahedron.triangles)
-                  for scale in (1.0, 1.01, 1.02)]
-        first = plans.geometry(meshes[0])
-        plans.geometry(meshes[1])
-        assert plans.geometry(meshes[0]) is first
-        plans.geometry(meshes[2])
-        assert len(plans) == 2
-        assert plans.geometry(meshes[0]) is first
-        plans.geometry(meshes[1])
+        first = plans.geometry(1.0, 1.0)
+        plans.geometry(1.01, 1.0)
+        assert plans.geometry(1.0, 1.0) is first
+        plans.geometry(1.02, 1.0)
+        assert len(plans) == 3
+        assert plans.geometry(1.0, 1.0) is first
+        plans.geometry(1.01, 1.0)
         assert plans.misses["geometry"] == 4
-        probe = plans.geometry(generate_sphere_mesh(30.0, 20.0))
+        level0 = first.shape
+        plans.shape(1)
+        assert plans.shape(0) is level0
+        plans.shape(2)
+        assert len(plans) == 4
+        assert plans.shape(0) is level0
+        plans.shape(1)
+        assert plans.misses["shape"] == 4
+        probe = plans.geometry(30.0, 20.0)
         low = plans.operator(first, probe, 1.0)
         plans.operator(first, probe, 1.1)
-        assert len(plans) == 3
+        assert len(plans) == 5
         assert plans.operator(first, probe, 1.0) is not low
         assert plans.misses["operator"] == 3
 
-    def test_cached_arrays_are_read_only(self, octahedron):
+    def test_cached_arrays_are_read_only(self):
         plans = OperatorPlans()
-        surface, probe = small_pair(plans, octahedron)
+        surface, probe = small_pair(plans)
         plan = plans.operator(surface, probe, 1.0)
         system = plan.system
         for arr in (system.dense(), system.coupling, system.trace_efie,
                     system.field_double, system.field_efie,
-                    system.trace_double, surface.static_double(),
+                    system.trace_double, surface.shape.static_double(),
                     plan.stabilized.matrix()):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.0
-        for matrix in (surface.rwg.to_fine, surface.projectors.loops):
+        for matrix in (surface.rwg.to_fine, surface.bc.to_fine,
+                       surface.shape.projectors.loops,
+                       surface.shape.projectors.stars):
             with pytest.raises(ValueError, match="read-only"):
                 matrix.data[0] = 0.0
+
+
+@pytest.fixture(scope="module")
+def shape_runs(tmp_path_factory, baseline_run, count_assembly):
+    """An sp and a baseline-love request, each cold and after the other.
+
+    The sp request (another radius and frequency than ``baseline_run``)
+    runs cold in a fresh store, then ``baseline_run``'s request follows
+    it there.  The sp request then follows ``baseline_run`` in that
+    fixture's store.  Both warm requests count their passes.
+    """
+    sp_cfg = gate_config(tmp_path_factory.mktemp("shape-sp"),
+                         surface_radius=0.045, frequency=2.5e9,
+                         formulation="sp")
+    baseline_cfg, baseline_paths, _, baseline_plans = baseline_run
+    cold = {"baseline-love": artifact_bytes(baseline_paths)}
+    warm, calls = {}, {}
+    with cold_plans() as sp_plans:
+        cold["sp"] = artifact_bytes(run_reconstruction(sp_cfg))
+        with count_assembly() as calls["baseline-love"]:
+            warm["baseline-love"] = artifact_bytes(
+                run_reconstruction(baseline_cfg))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "PLANS", baseline_plans)
+        with count_assembly() as calls["sp"]:
+            warm["sp"] = artifact_bytes(run_reconstruction(sp_cfg))
+    return cold, warm, calls, (sp_plans, baseline_plans)
+
+
+class TestShapePlans:
+    @pytest.mark.parametrize("formulation", ["sp", "baseline-love"])
+    def test_warm_shape_repeats_cold_bytes(self, shape_runs, formulation):
+        cold, warm, _, _ = shape_runs
+        assert warm[formulation] == cold[formulation]
+
+    def test_new_radius_skips_the_static_pass(self, shape_runs):
+        _, _, calls, stores = shape_runs
+        # sp: the self and radiation passes; baseline-love: the radiation
+        # pass of both currents, the self pass and the dual-tested pass.
+        assert len(calls["sp"]) == 2
+        assert len(calls["baseline-love"]) == 3
+        assert 1e-30 not in calls["sp"] + calls["baseline-love"]
+        for store in stores:
+            assert store.misses["shape"] == 2
+            assert store.hits["shape"] == 2
+
+    def test_shape_work_matches_scaled_meshes(self):
+        plans = OperatorPlans()
+        for radius in (0.035, 0.045):
+            geometry = plans.geometry(radius, 0.02)
+            mesh = generate_sphere_mesh(radius, 0.02)
+            np.testing.assert_array_equal(geometry.shape.mesh.triangles,
+                                          mesh.triangles)
+            rwg, bc = basis_pair(mesh)
+            for direct, shared, owned in ((rwg, geometry.rwg,
+                                           geometry.shape.rwg),
+                                          (bc, geometry.bc,
+                                           geometry.shape.bc)):
+                assert shared.to_fine is owned.to_fine
+                assert abs(direct.to_fine - shared.to_fine).max() <= 1e-14
+            direct = static_double_layer(rwg, bc)
+            shared = geometry.static_double()
+            assert (np.linalg.norm(shared - direct)
+                    <= 1e-12 * np.linalg.norm(direct))
+        assert plans.misses["shape"] == 1
+
+    def test_level_boundary_misses_the_shape(self):
+        plans = OperatorPlans()
+        small = plans.geometry(0.04, 0.02)
+        large = plans.geometry(0.06, 0.02)
+        assert (small.mesh.n_faces, large.mesh.n_faces) == (80, 320)
+        assert large.shape is not small.shape
+        assert plans.geometry(0.045, 0.02).shape is small.shape
+        assert plans.misses["shape"] == 2
+        assert plans.hits["shape"] == 1

@@ -11,7 +11,7 @@ from lovebem.operators import (C0, AssemblyOptions, FrequencyContext,
                                assemble_blocks)
 from lovebem.quadrature import subdivide4, triangle_rule
 from lovebem.spaces import BasisSpace, basis_pair, build_loop_star
-from conftest import singular_patch_points
+from conftest import singular_fans
 
 FOUR_PI = 4.0 * np.pi
 KINDS = ("single", "hyper", "double")
@@ -37,81 +37,98 @@ def rel(a, b):
 
 # -- brute-force reference quadrature --------------------------------
 
-def refined_points(mesh, face, depth, degree):
-    kids = mesh.face_corners[face]
+def refined_points(mesh, faces, depth, degree):
+    """Subdivided product-rule points (S, m, 3) and weights (S, m)."""
+    kids = mesh.face_corners[faces]
     for _ in range(depth):
-        kids = subdivide4(kids).reshape(-1, 3, 3)
-    if kids.ndim == 2:
-        kids = kids[None]
+        kids = subdivide4(kids).reshape(len(faces), -1, 3, 3)
     pts, wts = triangle_rule(degree).map_to(kids)
-    return pts.reshape(-1, 3), wts.reshape(-1)
+    return pts.reshape(len(faces), -1, 3), wts.reshape(len(faces), -1)
 
 
-def rt0_at(mesh, face, pts):
-    corners = mesh.vertices[mesh.triangles[face]]
-    scale = mesh.face_edge_signs[face] / (2.0 * mesh.face_areas[face])
-    return scale[None, :, None] * (pts[:, None, :] - corners[None, :, :])
+def rt0_at(mesh, faces, pts):
+    """Local RT0 values (S, m, 3 local, 3 xyz) at points (S, m, 3)."""
+    corners = mesh.vertices[mesh.triangles[faces]]
+    scale = mesh.face_edge_signs[faces] / (2.0 * mesh.face_areas[faces])[
+        :, None]
+    return scale[:, None, :, None] * (pts[:, :, None, :]
+                                      - corners[:, None, :, :])
 
 
-def brute_pair(mesh_t, t, mesh_s, s, k, depth, degree):
-    xo, wo = refined_points(mesh_t, t, depth, degree)
-    yi, wi = refined_points(mesh_s, s, depth, degree)
-    fa = rt0_at(mesh_t, t, xo)
-    fb = rt0_at(mesh_s, s, yi)
-    rvec = xo[:, None, :] - yi[None, :, :]
+def brute_pairs(mesh_t, t, mesh_s, sources, k, depth, degree):
+    """Local (S, 3, 3) blocks of test face ``t`` against source faces."""
+    xo, wo = refined_points(mesh_t, [t], depth, degree)
+    yi, wi = refined_points(mesh_s, sources, depth, degree)
+    fa = rt0_at(mesh_t, [t], xo)[0]
+    fb = rt0_at(mesh_s, sources, yi)
+    rvec = xo[:, :, None, :] - yi[:, None, :, :]
     rr = np.linalg.norm(rvec, axis=-1)
-    ww = wo[:, None] * wi[None, :]
+    ww = wo[:, :, None] * wi[:, None, :]
     phase = np.exp(1j * k * rr)
     g1 = phase / (FOUR_PI * rr) * ww
-    dot = np.einsum("oac,pbc,op->ab", fa, fb, g1)
+    dot = np.einsum("oac,spbc,sop->sab", fa, fb, g1, optimize=True)
     qt = mesh_t.face_edge_signs[t] / mesh_t.face_areas[t]
-    qs = mesh_s.face_edge_signs[s] / mesh_s.face_areas[s]
-    chg = np.outer(qt, qs) * g1.sum()
+    qs = (mesh_s.face_edge_signs[sources]
+          / mesh_s.face_areas[sources][:, None])
+    chg = qt[None, :, None] * qs[:, None, :] * g1.sum(axis=(1, 2))[
+        :, None, None]
     g2 = phase * (1j * k * rr - 1.0) / (FOUR_PI * rr**3) * ww
-    crossed = np.cross(rvec[:, :, None, :], fb[None, :, :, :])
-    dbl = np.einsum("oac,opbc,op->ab", fa, crossed, g2)
+    # fa . ((x - y) x fb) = (fa x x) . fb - fa . (y x fb): no cross
+    # product over all (S, O, P) point pairs is formed.
+    dbl = (np.einsum("oac,sop,spbc->sab", np.cross(fa, xo[0, :, None, :]),
+                     g2, fb, optimize=True)
+           - np.einsum("oac,sop,spbc->sab", fa, g2,
+                       np.cross(yi[:, :, None, :], fb), optimize=True))
     return dot, chg, dbl
 
 
 def brute_self(mesh, t, k, depth, degree, n_fan):
-    xo, wo = refined_points(mesh, t, depth, degree)
-    fa = rt0_at(mesh, t, xo)
+    xo, wo = refined_points(mesh, [t], depth, degree)
+    xo, wo = xo[0], wo[0]
+    fa = rt0_at(mesh, [t], xo[None])[0]
     qt = mesh.face_edge_signs[t] / mesh.face_areas[t]
     corners = mesh.face_corners[t]
-    dot = np.zeros((3, 3), dtype=np.complex128)
-    chg = 0.0 + 0.0j
-    for o in range(len(xo)):
-        yi, wi = singular_patch_points(corners, xo[o], n=n_fan)
-        rr = np.linalg.norm(yi - xo[o], axis=1)
-        g1 = np.exp(1j * k * rr) / (FOUR_PI * rr) * wi
-        fb = rt0_at(mesh, t, yi)
-        dot += wo[o] * np.einsum("ac,pbc,p->ab", fa[o], fb, g1)
-        chg += wo[o] * g1.sum()
+    yi, wi, owner = singular_fans(corners, xo, n=n_fan)
+    rr = np.linalg.norm(yi - xo[owner], axis=1)
+    g1 = np.exp(1j * k * rr) / (FOUR_PI * rr) * wi * wo[owner]
+    fb = rt0_at(mesh, [t], yi[None])[0]
+    starts = np.searchsorted(owner, np.arange(len(xo)))
+    tested = np.add.reduceat(fb * g1[:, None, None], starts)
+    dot = np.einsum("oac,obc->ab", fa, tested, optimize=True)
     zero = np.zeros((3, 3), dtype=np.complex128)
-    return dot, np.outer(qt, qt) * chg, zero
+    return dot, np.outer(qt, qt) * g1.sum(), zero
 
 
 def brute_matrices(mesh_t, mesh_s, k, depth, degree, self_fan=16):
-    """Reference fine-edge matrices; near and self pairs get deeper rules."""
+    """Reference fine-edge matrices; near and self pairs get deeper rules.
+
+    Each test face meets its source faces in at most three batches: the
+    self pair, the faces sharing a vertex with it (one level deeper)
+    and the rest.
+    """
     same = mesh_t is mesh_s
     out = {kind: np.zeros((mesh_t.n_edges, mesh_s.n_edges), np.complex128)
            for kind in KINDS}
-    verts_t = [set(tri) for tri in np.asarray(mesh_t.triangles)]
-    verts_s = [set(tri) for tri in np.asarray(mesh_s.triangles)]
     for t in range(mesh_t.n_faces):
         et = mesh_t.face_edges[t]
-        for s in range(mesh_s.n_faces):
-            es = mesh_s.face_edges[s]
-            if same and t == s:
-                dot, chg, dbl = brute_self(mesh_t, t, k, 2, degree, self_fan)
-            else:
-                share = same and bool(verts_t[t] & verts_s[s])
-                dot, chg, dbl = brute_pair(
-                    mesh_t, t, mesh_s, s, k, depth + 1 if share else depth,
-                    degree)
-            out["single"][np.ix_(et, es)] += 1j * dot
-            out["hyper"][np.ix_(et, es)] += -1j * chg
-            out["double"][np.ix_(et, es)] += -dbl
+        depths = np.full(mesh_s.n_faces, depth)
+        batches = []
+        if same:
+            touching = np.isin(mesh_s.triangles, mesh_t.triangles[t])
+            depths[touching.any(axis=1)] += 1
+            depths[t] = -1
+            dot, chg, dbl = brute_self(mesh_t, t, k, 2, degree, self_fan)
+            batches.append(([t], (dot[None], chg[None], dbl[None])))
+        for d in (depth, depth + 1):
+            sources = np.flatnonzero(depths == d)
+            if sources.size:
+                batches.append((sources, brute_pairs(
+                    mesh_t, t, mesh_s, sources, k, d, degree)))
+        for sources, (dot, chg, dbl) in batches:
+            index = (et[None, :, None], mesh_s.face_edges[sources][:, None])
+            np.add.at(out["single"], index, 1j * dot)
+            np.add.at(out["hyper"], index, -1j * chg)
+            np.add.at(out["double"], index, -dbl)
     return out
 
 
