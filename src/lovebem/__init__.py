@@ -28,6 +28,7 @@ _SUBMODULES = {
     "dipole": ["DipoleSource", "field_arrays", "sample_measurement"],
     "formulations": ["CurrentSolution", "SPSystem", "StabilizedSystem",
                      "assemble_calderon_interior", "build_sp_system",
+                     "calderon_blocks",
                      "interior_coupling", "recover_electric_current",
                      "save_solution", "solve_baseline_love", "solve_sp",
                      "solve_stabilized"],

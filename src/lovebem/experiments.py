@@ -34,11 +34,11 @@ from .dipole import DipoleSource, field_arrays, sample_measurement
 from .fields import (check_love_condition, error_curve,
                      fibonacci_directions, save_error_curve)
 from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
-                           assemble_calderon_interior, check_love_weight,
-                           double_layer, interior_coupling,
-                           recover_electric_current, save_solution,
-                           solve_baseline_love, solve_sp, solve_stabilized,
-                           static_double_layer)
+                           assemble_calderon_interior, calderon_blocks,
+                           check_love_weight, double_layer,
+                           interior_coupling, recover_electric_current,
+                           save_solution, solve_baseline_love, solve_sp,
+                           solve_stabilized, static_double_layer)
 from .mesh import (barycentric_refine, generate_sphere_mesh, load_mesh,
                    unit_icosphere)
 from .operators import ETA0, AssemblyOptions, FrequencyContext, gram_matrix
@@ -880,9 +880,9 @@ def _suite_interior_identity():
                            probe_edge_unit="m", formulation="sp")
     scene = _build_scene(cfg, cfg.frequency)
     solution, system = _solve_scene(cfg, scene)
+    rwg, bc = scene.surface.rwg, scene.surface.bc
     identity_map = assemble_calderon_interior(
-        scene.surface.rwg, scene.surface.bc, scene.ctx,
-        coupling=system.coupling, trace_efie=system.trace_efie)
+        rwg, bc, system.coupling, calderon_blocks(rwg, bc, scene.ctx))
     stack = np.concatenate([-solution.m, solution.j])
     recovered = float(np.linalg.norm(identity_map @ stack)
                       / np.linalg.norm(stack))

@@ -21,6 +21,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,11 +34,13 @@ from .projectors import build_projectors  # noqa: F401
 from .spaces import build_loop_star  # noqa: F401
 
 __all__ = [
+    "CalderonBlocks",
     "CurrentSolution",
     "SPSystem",
     "StabilizedSystem",
     "assemble_calderon_interior",
     "build_sp_system",
+    "calderon_blocks",
     "check_love_weight",
     "double_layer",
     "interior_coupling",
@@ -80,11 +83,45 @@ def static_double_layer(rwg, bc, options=None):
     return double_layer(rwg, bc, _STATIC_WAVENUMBER, options)
 
 
+def _self_requests(rwg, bc):
+    """RWG-tested EFIE trace of RWG sources and double layer of BC ones."""
+    return [(rwg, ("single", "hyper")), (bc, ("double",))]
+
+
 def _self_pass(rwg, bc, k, options):
     """EFIE trace and double layer of one surface from one pass."""
-    blocks = assemble_blocks(
-        rwg, [(rwg, ("single", "hyper")), (bc, ("double",))], k, options)
+    blocks = assemble_blocks(rwg, _self_requests(rwg, bc), k, options)
     return _efie(blocks[0], k), blocks[1]["double"]
+
+
+class CalderonBlocks(NamedTuple):
+    """Same-surface blocks of one wavenumber for the interior identity.
+
+    ``trace_efie`` and ``trace_double`` are the self pass's blocks;
+    ``dual_double`` is the BC-tested double layer of RWG sources and
+    ``dual_efie`` the BC-tested EFIE of BC sources.
+    """
+
+    trace_efie: np.ndarray
+    trace_double: np.ndarray
+    dual_double: np.ndarray
+    dual_efie: np.ndarray
+
+
+def calderon_blocks(rwg, bc, ctx, options=None) -> CalderonBlocks:
+    """Self-pass and dual-tested blocks of one surface from one pass.
+
+    RWG and BC functions live on one barycentric refinement, so all
+    four blocks fold the same fine-face kernel moments; the self-pass
+    blocks equal those of ``build_sp_system`` bit for bit.
+    """
+    k = _wavenumber(ctx)
+    blocks = assemble_blocks(
+        rwg, _self_requests(rwg, bc) + [(rwg, ("double",), bc),
+                                        (bc, ("single", "hyper"), bc)],
+        k, options)
+    return CalderonBlocks(_efie(blocks[0], k), blocks[1]["double"],
+                          blocks[2]["double"], _efie(blocks[3], k))
 
 
 def interior_coupling(rwg, bc, dynamic_double, static_double, projectors,
@@ -278,8 +315,7 @@ def solve_stabilized(stabilized: StabilizedSystem, e,
                            formulation="single-current scaled", report=report)
 
 
-def assemble_calderon_interior(rwg, bc, ctx, coupling, trace_efie,
-                               options=None):
+def assemble_calderon_interior(rwg, bc, coupling, blocks: CalderonBlocks):
     """Interior field-identity map on stacked current coefficients.
 
     Acting on the stack ``(-m, j)`` of a radiating pair, the map
@@ -288,18 +324,13 @@ def assemble_calderon_interior(rwg, bc, ctx, coupling, trace_efie,
     Rows are Gram-normalized so the output lives in the same
     coefficient space as the input and the map can be iterated.
 
-    ``coupling`` and ``trace_efie`` are the self-surface blocks of the
-    single-current system; the dual-tested pass is assembled here.
+    ``coupling`` is the interior coupling block of the single-current
+    system and ``blocks`` comes from ``calderon_blocks``.
     """
-    k = _wavenumber(ctx)
-    dual_pass = assemble_blocks(
-        bc, [(rwg, ("double",)), (bc, ("single", "hyper"))], k, options)
-    double_primal = dual_pass[0]["double"]
-    efie_dual = _efie(dual_pass[1], k)
     gram = gram_matrix(rwg, bc, rotated=True).toarray()
     gram_dual = -gram.T
-    top = np.hstack([0.5 * gram_dual + double_primal, -efie_dual])
-    bottom = np.hstack([trace_efie, coupling])
+    top = np.hstack([0.5 * gram_dual + blocks.dual_double, -blocks.dual_efie])
+    bottom = np.hstack([blocks.trace_efie, coupling])
     top = sla.solve(gram_dual, top)
     bottom = sla.solve(gram, bottom)
     return np.vstack([top, bottom])
@@ -326,8 +357,9 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
     here.  ``love_weight=None`` balances the spectral norms of the two
     stacks, zero disables the constraint.  ``projectors`` and
     ``static_double`` are the frequency-independent inputs of
-    ``interior_coupling``; the self-surface blocks come from the same
-    single pass ``build_sp_system`` makes.
+    ``interior_coupling``.  Two passes run: the radiation pass onto the
+    probe tests and ``calderon_blocks``, whose self-surface blocks are
+    the ones ``build_sp_system`` makes.
     """
     k = _wavenumber(ctx)
     e = np.asarray(e)
@@ -346,11 +378,10 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
     efie_dual = _efie(rad[1], k)
     radiation = np.block([[-double_primal, efie_dual],
                           [-efie_primal, -double_dual]])
-    trace_efie, trace_double = _self_pass(rwg, bc, k, options)
-    coupling = interior_coupling(rwg, bc, trace_double, static_double,
+    blocks = calderon_blocks(rwg, bc, k, options)
+    coupling = interior_coupling(rwg, bc, blocks.trace_double, static_double,
                                  projectors)
-    identity_map = assemble_calderon_interior(
-        rwg, bc, k, coupling, trace_efie, options=options)
+    identity_map = assemble_calderon_interior(rwg, bc, coupling, blocks)
     if weight is None:
         weight = check_love_weight(np.linalg.norm(radiation, 2)
                                    / np.linalg.norm(identity_map, 2))

@@ -11,8 +11,14 @@ storing a fine-by-fine matrix.
 Face pairs closer than a few diameters, and every self pair, are
 excluded from the tiled pass and integrated separately: the weakly
 singular Helmholtz kernel by static extraction with closed-form inner
-integrals, the kernel gradient by subdivided product rules.  The
-double-layer self term vanishes identically on flat faces.
+integrals, the kernel gradient by subdivided product rules over
+per-face tables.  The double-layer term of two coplanar faces (a self
+pair, or two children of one parent face) vanishes identically and is
+skipped.
+
+A request may name its own test space on the same refined mesh, so
+blocks tested by RWG and by BC functions of one surface come from one
+sweep over the kernel.
 
 Sign conventions follow the exp(-i omega t) time dependence with the
 outgoing Green function exp(+ikR) / (4 pi R).
@@ -48,6 +54,8 @@ _FOUR_PI = 4.0 * math.pi
 _KINDS = ("single", "hyper", "double")
 # Near pairs per batch; its temporaries set the pipeline's peak memory.
 _NEAR_BATCH = 256
+# Plane offset, in face diameters, below which two faces count as coplanar.
+_COPLANAR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -302,16 +310,74 @@ def _subdivided_rule(corners: np.ndarray, depth: int, degree: int):
     return pts.reshape(lead, -1, 3), wts.reshape(lead, -1)
 
 
-def _static_extraction_moments(fine, tp, sq, k, opts, depth):
+class _NearTables:
+    """Per-face tables of the near-pair sweep on one refined mesh.
+
+    Subdivided rules, weighted monomials and the RT0 tables of the
+    double layer depend only on the face and the subdivision depth, so
+    each is built once, on first use, and gathered per pair.
+    """
+
+    def __init__(self, fine: TriangleMesh, degree: int) -> None:
+        self.fine = fine
+        self.degree = degree
+        self._built = {}
+
+    def _get(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def rule(self, depth):
+        """Points (n, q, 3) and weights (n, q) per face at ``depth``."""
+        return self._get(("rule", depth), lambda: _subdivided_rule(
+            self.fine.face_corners, depth, self.degree))
+
+    def monomials(self, depth):
+        """Weighted monomials (x, y, z, 1) of ``rule(depth)``."""
+        return self._get(("monomials", depth),
+                         lambda: _weighted_monomials(*self.rule(depth)))
+
+    def rt0(self, depth, outer):
+        """RT0 tables of the double layer at the points of ``rule(depth)``.
+
+        Returns the face's three RT0 functions f_a(r), shape
+        (n, q, 3, 3), and f_a x r for the outer face of a pair or
+        r x f_a for the inner one.
+        """
+        def build():
+            fine = self.fine
+            pts = self.rule(depth)[0][:, :, None, :]
+            scale = fine.face_edge_signs / (2.0 * fine.face_areas[:, None])
+            f = scale[:, None, :, None] * (
+                pts - fine.face_corners[:, None, :, :])
+            return f, np.cross(f, pts) if outer else np.cross(pts, f)
+        return self._get(("rt0", depth, outer), build)
+
+
+def _coplanar(fine: TriangleMesh, tp: np.ndarray,
+              sq: np.ndarray) -> np.ndarray:
+    """Mask of the pairs whose source face lies in the test face's plane.
+
+    Every corner of face ``sq`` must sit within ``_COPLANAR_TOL``
+    diameters of face ``tp`` off its plane; a self pair is coplanar.
+    """
+    normal = fine.face_normals[tp]
+    offset = fine.face_corners[sq] - fine.face_centroids[tp][:, None, :]
+    height = np.abs(np.einsum("pc,pvc->pv", normal, offset)).max(axis=1)
+    return height <= _COPLANAR_TOL * fine.face_diameters[tp]
+
+
+def _static_extraction_moments(tables, tp, sq, k, depth):
     """Full 4x4 Helmholtz moments for near face pairs.
 
     The 1/R part integrates in closed form over the source face, the
     constant ik / (4 pi) part uses exact linear moments, and the smooth
     remainder falls to a plain product rule.
     """
-    op_, ow = _subdivided_rule(
-        fine.face_corners[tp], depth, opts.near_degree)
-    phi_out = _weighted_monomials(op_, ow)
+    fine = tables.fine
+    op_ = tables.rule(depth)[0][tp]
+    phi_out = tables.monomials(depth)[tp]
     src = fine.face_corners[sq]
     stat0, stat1 = static_moments(src[:, None, :, :], op_)
     ist = np.concatenate([stat1, stat0[..., None]], axis=-1)
@@ -325,37 +391,27 @@ def _static_extraction_moments(fine, tp, sq, k, opts, depth):
         [area_s[:, None] * fine.face_centroids[sq], area_s[:, None]], axis=1)
     m = m + (1j * k / _FOUR_PI) * mom_t[:, :, None] * mom_s[:, None, :]
 
-    ip, iw = triangle_rule(opts.near_degree).map_to(src)
-    phi_in = _weighted_monomials(ip, iw)
+    ip = tables.rule(0)[0][sq]
     kern = _smooth_remainder(_pairwise_distance(op_, ip), k)
-    m = m + np.matmul(phi_out.transpose(0, 2, 1), np.matmul(kern, phi_in))
+    m = m + np.matmul(phi_out.transpose(0, 2, 1),
+                      np.matmul(kern, tables.monomials(0)[sq]))
     return m
 
 
-def _double_layer_local(fine, tp, sq, k, floor, opts, outer_depth, inner_depth):
+def _double_layer_local(tables, tp, sq, k, floor, outer_depth, inner_depth):
     """Contracted fine RT0 double-layer blocks for close pairs.
 
     Returns loc[b, a, c] = int int f_a . [(r - r') x f_c] g(R), with
-    basis signs and areas folded in.  Callers must not pass coincident
-    faces; those vanish by coplanarity and are skipped upstream.
+    basis signs and areas folded in.  Callers skip coplanar pairs, self
+    pairs among them: there f_a, f_c and r - r' lie in one plane, so the
+    integrand vanishes identically.
     """
-    op_, ow = _subdivided_rule(
-        fine.face_corners[tp], outer_depth, opts.near_degree)
-    ip, iw = _subdivided_rule(
-        fine.face_corners[sq], inner_depth, opts.near_degree)
-
-    def basis(face_ids, pts):
-        corners = fine.vertices[fine.triangles[face_ids]]
-        scale = fine.face_edge_signs[face_ids] / (
-            2.0 * fine.face_areas[face_ids][:, None])
-        return scale[:, None, :, None] * (pts[:, :, None, :] - corners[:, None, :, :])
-
-    fa = basis(tp, op_)
-    fb = basis(sq, ip)
+    op_, ow = (t[tp] for t in tables.rule(outer_depth))
+    ip, iw = (t[sq] for t in tables.rule(inner_depth))
+    fa, ua = (t[tp] for t in tables.rt0(outer_depth, outer=True))
+    fb, vb = (t[sq] for t in tables.rt0(inner_depth, outer=False))
     # f_a . [(x - y) x f_b] = (f_a x x) . f_b - f_a . (y x f_b), so the
     # kernel couples small per-point tables through one batched product
-    ua = np.cross(fa, op_[:, :, None, :])
-    vb = np.cross(ip[:, :, None, :], fb)
     gw = _gradient_kernel(_pairwise_distance(op_, ip), k, floor)
     gw = gw * ow[:, :, None] * iw[:, None, :]
     b = len(tp)
@@ -368,6 +424,15 @@ def _double_layer_local(fine, tp, sq, k, floor, opts, outer_depth, inner_depth):
     loc = np.einsum("biax,bicx->bac",
                     gu.reshape(b, ni, 3, 3), fb, optimize=True) - loc
     return loc
+
+
+def _in_batches(n, shape, block):
+    """Stack ``block(rows)`` over slices of at most _NEAR_BATCH pairs."""
+    out = np.empty((n,) + shape, dtype=np.complex128)
+    for b0 in range(0, n, _NEAR_BATCH):
+        rows = slice(b0, min(b0 + _NEAR_BATCH, n))
+        out[rows] = block(rows)
+    return out
 
 
 def _sandwich(left_rows, z, right_rows):
@@ -401,11 +466,9 @@ def _near_double(test_space, src_space, fine, tp, sq, loc):
     return acc
 
 
-def _apply_near(out, reqs, test, flt, fls, pairs, touching, k, floor, opts):
-    fine = test.fine
-    kinds_present = set()
-    for _, kinds in reqs:
-        kinds_present.update(kinds)
+def _apply_near(out, reqs, fine, pairs, touching, k, floor, opts):
+    kinds_present = {kind for req in reqs for kind in req.kinds}
+    tables = _NearTables(fine, opts.near_degree)
     tiers = (
         (pairs[touching], opts.static_subdivisions,
          opts.double_outer_subdivisions, opts.double_inner_subdivisions),
@@ -419,58 +482,104 @@ def _apply_near(out, reqs, test, flt, fls, pairs, touching, k, floor, opts):
         off = tp != sq
 
         if kinds_present & {"single", "hyper"}:
-            m = np.empty((len(tp), 4, 4), dtype=np.complex128)
-            for b0 in range(0, len(tp), _NEAR_BATCH):
-                b1 = min(b0 + _NEAR_BATCH, len(tp))
-                m[b0:b1] = _static_extraction_moments(
-                    fine, tp[b0:b1], sq[b0:b1], k, opts, sdepth)
+            m = _in_batches(len(tp), (4, 4), lambda rows: (
+                _static_extraction_moments(
+                    tables, tp[rows], sq[rows], k, sdepth)))
             tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
             sv = m[:, :3, 3]
             svp = m[:, 3, :3]
             s0 = m[:, 3, 3]
-            for ri, (space, kinds) in enumerate(reqs):
-                fr = fls[ri]
-                if "single" in kinds:
+            for req, blocks in zip(reqs, out):
+                flt, fr = req.test_factors, req.factors
+                if "single" in req.kinds:
                     acc = _near_single(flt, fr, tp, sq, tr, sv, svp, s0)
                     acc = acc + _near_single(
                         flt, fr, sq[off], tp[off], tr[off], svp[off], sv[off], s0[off])
-                    out[ri]["single"] += 1j * acc.toarray()
-                if "hyper" in kinds:
+                    blocks["single"] += 1j * acc.toarray()
+                if "hyper" in req.kinds:
                     acc = _sandwich(flt.charge[tp], s0, fr.charge[sq])
                     acc = acc + _sandwich(
                         flt.charge[sq[off]], s0[off], fr.charge[tp[off]])
-                    out[ri]["hyper"] += -1j * acc.toarray()
+                    blocks["hyper"] += -1j * acc.toarray()
 
-        if "double" in kinds_present and off.any():
-            to = tp[off]
-            so = sq[off]
-            loc = np.empty((len(to), 3, 3), dtype=np.complex128)
-            for b0 in range(0, len(to), _NEAR_BATCH):
-                b1 = min(b0 + _NEAR_BATCH, len(to))
-                loc[b0:b1] = _double_layer_local(
-                    fine, to[b0:b1], so[b0:b1], k, floor, opts, odepth, idepth)
+        live = ~_coplanar(fine, tp, sq)
+        if "double" in kinds_present and live.any():
+            to = tp[live]
+            so = sq[live]
+            loc = _in_batches(len(to), (3, 3), lambda rows: (
+                _double_layer_local(
+                    tables, to[rows], so[rows], k, floor, odepth, idepth)))
             swapped = loc.transpose(0, 2, 1)
-            for ri, (space, kinds) in enumerate(reqs):
-                if "double" not in kinds:
+            for req, blocks in zip(reqs, out):
+                if "double" not in req.kinds:
                     continue
-                acc = _near_double(test, space, fine, to, so, loc)
-                acc = acc + _near_double(test, space, fine, so, to, swapped)
-                out[ri]["double"] += -1.0 * acc.toarray()
+                acc = _near_double(req.test, req.space, fine, to, so, loc)
+                acc = acc + _near_double(req.test, req.space, fine, so, to, swapped)
+                blocks["double"] += -1.0 * acc.toarray()
 
 
 # -- public assembly -------------------------------------------------
 
+@dataclass(frozen=True)
+class _Request:
+    space: BasisSpace
+    kinds: tuple
+    test: BasisSpace
+    factors: _Factors
+    test_factors: _Factors
+
+
+def _requests(test, requests):
+    """Validated requests, each with the sparse factors of both sides."""
+    factors = {}
+
+    def factors_of(space):
+        if id(space) not in factors:
+            factors[id(space)] = _Factors(space)
+        return factors[id(space)]
+
+    reqs = []
+    for request in requests:
+        if len(request) not in (2, 3):
+            raise ValueError(
+                "a request is (source, kinds) or (source, kinds, test)")
+        space, kinds = request[0], tuple(request[1])
+        own_test = request[2] if len(request) == 3 else test
+        if not kinds:
+            raise ValueError("each request needs at least one kind")
+        for kind in kinds:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown operator kind {kind!r}")
+        if own_test.fine is not test.fine:
+            raise ValueError(
+                "a request's test space must share the test's refined mesh")
+        reqs.append(_Request(space, kinds, own_test, factors_of(space),
+                             factors_of(own_test)))
+    if not reqs:
+        raise ValueError("no source requests given")
+    fine_s = reqs[0].space.fine
+    for req in reqs:
+        if req.space.fine is not fine_s:
+            raise ValueError("all source spaces must share one refined mesh")
+    return reqs
+
+
 def assemble_blocks(test, requests, k, options=None):
-    """Assemble layer-operator blocks between a test space and sources.
+    """Assemble layer-operator blocks between test spaces and sources.
 
     Parameters
     ----------
     test : BasisSpace
-        Space whose functions test the fields.
-    requests : sequence of (BasisSpace, kinds)
+        Space whose functions test the fields, unless a request names
+        its own.
+    requests : sequence of (BasisSpace, kinds) or (BasisSpace, kinds, test)
         Source spaces with the operator kinds wanted for each, where
-        kinds is a subset of {"single", "hyper", "double"}.  All source
-        spaces must live on one common refined mesh.
+        kinds is a subset of {"single", "hyper", "double"}, and
+        optionally the space that tests them instead of ``test``.  All
+        source spaces must live on one common refined mesh, and every
+        request's test space on ``test.fine``.  Kernel values, moment
+        tables and near-pair integrals are computed once for all
+        requests.
     k : float
         Wavenumber.
     options : AssemblyOptions, optional
@@ -479,8 +588,9 @@ def assemble_blocks(test, requests, k, options=None):
     -------
     list of dict
         One dict per request mapping kind to a dense complex matrix of
-        shape (test.n_dofs, source.n_dofs).  "single" is the weighted
-        vector potential i <f, G f'>, "hyper" the weighted scalar part
+        shape (test.n_dofs, source.n_dofs), with the request's own test
+        space if it names one.  "single" is the weighted vector
+        potential i <f, G f'>, "hyper" the weighted scalar part
         -i <div f, G div f'>, "double" the rotated kernel-gradient
         coupling -<f, (r - r') x f' g>.
     """
@@ -488,22 +598,9 @@ def assemble_blocks(test, requests, k, options=None):
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError("wavenumber must be positive and finite")
-    reqs = []
-    for space, kinds in requests:
-        kinds = tuple(kinds)
-        if not kinds:
-            raise ValueError("each request needs at least one kind")
-        for kind in kinds:
-            if kind not in _KINDS:
-                raise ValueError(f"unknown operator kind {kind!r}")
-        reqs.append((space, kinds))
-    if not reqs:
-        raise ValueError("no source requests given")
-    fine_s = reqs[0][0].fine
-    for space, _ in reqs:
-        if space.fine is not fine_s:
-            raise ValueError("all source spaces must share one refined mesh")
+    reqs = _requests(test, requests)
     fine_t = test.fine
+    fine_s = reqs[0].space.fine
     same = fine_t is fine_s
     if not same:
         check_clearance(fine_t, fine_s, opts)
@@ -522,15 +619,15 @@ def assemble_blocks(test, requests, k, options=None):
         float(np.max(np.sum(pts_s**2, axis=-1))), 1e-300))
     floor = 100.0 * math.sqrt(np.finfo(np.float64).eps) * rmax
 
-    need_helm = any(kind in ("single", "hyper") for _, kinds in reqs for kind in kinds)
-    need_grad = any(kind == "double" for _, kinds in reqs for kind in kinds)
+    need_helm = any(kind in ("single", "hyper")
+                    for req in reqs for kind in req.kinds)
+    need_grad = any("double" in req.kinds for req in reqs)
 
-    flt = _Factors(test)
-    fls = [_Factors(space) for space, _ in reqs]
     out = [
-        {kind: np.zeros((test.n_dofs, space.n_dofs), dtype=np.complex128)
-         for kind in kinds}
-        for space, kinds in reqs]
+        {kind: np.zeros((req.test.n_dofs, req.space.n_dofs),
+                        dtype=np.complex128)
+         for kind in req.kinds}
+        for req in reqs]
 
     if same:
         pairs, touching = _near_face_pairs(fine_t, opts)
@@ -548,14 +645,11 @@ def assemble_blocks(test, requests, k, options=None):
         i1 = min(i0 + tile, nt)
         ft = phi_t[i0:i1]
         xt = pts_t[i0:i1].reshape(-1, 3)
-        w = {}
-        for ri, (space, kinds) in enumerate(reqs):
-            nd = space.n_dofs
-            for kind in kinds:
-                count = 1 if kind == "hyper" else 4
-                w[ri, kind] = [
-                    np.zeros((i1 - i0, nd), dtype=np.complex128)
-                    for _ in range(count)]
+        w = [
+            {kind: [np.zeros((i1 - i0, req.space.n_dofs), dtype=np.complex128)
+                    for _ in range(1 if kind == "hyper" else 4)]
+             for kind in req.kinds}
+            for req in reqs]
         for j0 in range(0, ns, tile):
             j1 = min(j0 + tile, ns)
             ys = pts_s[j0:j1].reshape(-1, 3)
@@ -577,11 +671,13 @@ def assemble_blocks(test, requests, k, options=None):
                     vals.reshape(shape4)[zr, :, zc] = 0.0
                 tr, sv, svp, s0 = _helmholtz_combos(_moment_table(vals, ft, fs))
                 del vals
-                for ri, (space, kinds) in enumerate(reqs):
-                    if "single" in kinds:
-                        _push_single(w[ri, "single"], tr, sv, svp, s0, fls[ri], j0, j1)
-                    if "hyper" in kinds:
-                        w[ri, "hyper"][0] += np.asarray(s0 @ fls[ri].charge[j0:j1])
+                for req, acc in zip(reqs, w):
+                    if "single" in req.kinds:
+                        _push_single(acc["single"], tr, sv, svp, s0,
+                                     req.factors, j0, j1)
+                    if "hyper" in req.kinds:
+                        acc["hyper"][0] += np.asarray(
+                            s0 @ req.factors.charge[j0:j1])
             if need_grad:
                 vals = phase * (1j * k * safe - 1.0) / (_FOUR_PI * safe**3)
                 vals[~live] = 0.0
@@ -589,18 +685,19 @@ def assemble_blocks(test, requests, k, options=None):
                     vals.reshape(shape4)[zr, :, zc] = 0.0
                 w9, d3 = _gradient_combos(_moment_table(vals, ft, fs))
                 del vals
-                for ri, (space, kinds) in enumerate(reqs):
-                    if "double" in kinds:
-                        _push_double(w[ri, "double"], w9, d3, fls[ri], j0, j1)
-        for ri, (space, kinds) in enumerate(reqs):
-            if "single" in kinds:
-                out[ri]["single"] += 1j * _fold_left(flt, i0, i1, w[ri, "single"])
-            if "hyper" in kinds:
-                out[ri]["hyper"] += -1j * np.asarray(
-                    flt.charge[i0:i1].T @ w[ri, "hyper"][0])
-            if "double" in kinds:
-                out[ri]["double"] += -1.0 * _fold_left(flt, i0, i1, w[ri, "double"])
+                for req, acc in zip(reqs, w):
+                    if "double" in req.kinds:
+                        _push_double(acc["double"], w9, d3, req.factors, j0, j1)
+        for req, acc, blocks in zip(reqs, w, out):
+            flt = req.test_factors
+            if "single" in req.kinds:
+                blocks["single"] += 1j * _fold_left(flt, i0, i1, acc["single"])
+            if "hyper" in req.kinds:
+                blocks["hyper"] += -1j * np.asarray(
+                    flt.charge[i0:i1].T @ acc["hyper"][0])
+            if "double" in req.kinds:
+                blocks["double"] += -1.0 * _fold_left(flt, i0, i1, acc["double"])
 
     if same:
-        _apply_near(out, reqs, test, flt, fls, pairs, touching, k, floor, opts)
+        _apply_near(out, reqs, fine_t, pairs, touching, k, floor, opts)
     return out

@@ -288,10 +288,10 @@ class TestReconstruction:
 
     def test_baseline_shares_the_plan(self, baseline_run):
         _, _, calls, _ = baseline_run
-        # The plan's static pass, then the radiation pass, the self pass
-        # the single-current system also makes, and the dual-tested pass.
+        # The plan's static pass, then the radiation pass and one
+        # same-surface pass for the self and the dual-tested blocks.
         assert calls.count(1e-30) == 1
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_baseline_bad_weight_fails_before_assembly(self, tmp_path,
                                                        count_assembly):
@@ -711,9 +711,10 @@ class TestShapePlans:
     def test_new_radius_skips_the_static_pass(self, shape_runs):
         _, _, calls, stores = shape_runs
         # sp: the self and radiation passes; baseline-love: the radiation
-        # pass of both currents, the self pass and the dual-tested pass.
+        # pass of both currents and one pass for the self and the
+        # dual-tested blocks.
         assert len(calls["sp"]) == 2
-        assert len(calls["baseline-love"]) == 3
+        assert len(calls["baseline-love"]) == 2
         assert 1e-30 not in calls["sp"] + calls["baseline-love"]
         for store in stores:
             assert store.misses["shape"] == 2

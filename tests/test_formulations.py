@@ -9,6 +9,7 @@ from lovebem.dipole import DipoleSource, sample_measurement
 from lovebem.formulations import (CurrentSolution, SPSystem,
                                   StabilizedSystem,
                                   assemble_calderon_interior, build_sp_system,
+                                  calderon_blocks,
                                   double_layer, interior_coupling,
                                   recover_electric_current, save_solution,
                                   solve_baseline_love, solve_sp,
@@ -105,8 +106,8 @@ def exact_pair(scene):
 @pytest.fixture(scope="module")
 def calderon(system, scene):
     _, rwg, bc, _, _, _, _, _ = scene
-    return assemble_calderon_interior(rwg, bc, CTX, coupling=system.coupling,
-                                      trace_efie=system.trace_efie)
+    return assemble_calderon_interior(rwg, bc, system.coupling,
+                                      calderon_blocks(rwg, bc, CTX))
 
 
 @pytest.fixture(scope="module")

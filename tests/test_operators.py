@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from lovebem.mesh import TriangleMesh, generate_sphere_mesh
 from lovebem.operators import (C0, AssemblyOptions, FrequencyContext,
-                               _moment_table, _near_face_pairs,
+                               _coplanar, _double_layer_local,
+                               _moment_table, _near_face_pairs, _NearTables,
                                assemble_blocks)
 from lovebem.quadrature import subdivide4, triangle_rule
 from lovebem.spaces import BasisSpace, basis_pair, build_loop_star
@@ -239,6 +240,72 @@ class TestStructure:
         first = assemble_blocks(rwg, [(bc, ("double",))], 1.3)[0]["double"]
         second = assemble_blocks(rwg, [(bc, ("double",))], 1.3)[0]["double"]
         np.testing.assert_array_equal(first, second)
+
+
+class TestTestQualifiedRequests:
+    def test_merged_pass_matches_separate_calls(self, coarse_sphere_pair):
+        # the self and dual-tested blocks of one surface from one call
+        rwg, bc = coarse_sphere_pair
+        k = 1.3
+        merged = assemble_blocks(
+            rwg, [(rwg, ("single", "hyper")), (bc, ("double",)),
+                  (rwg, ("double",), bc), (bc, ("single", "hyper"), bc)], k)
+        separate = (
+            assemble_blocks(rwg, [(rwg, ("single", "hyper")),
+                                  (bc, ("double",))], k)
+            + assemble_blocks(bc, [(rwg, ("double",)),
+                                   (bc, ("single", "hyper"))], k))
+        assert sum(len(blocks) for blocks in separate) == 6
+        for got, want in zip(merged, separate):
+            assert set(got) == set(want)
+            for kind in want:
+                np.testing.assert_array_equal(got[kind], want[kind])
+
+    def test_rejects_test_space_on_another_refined_mesh(
+            self, coarse_sphere_pair):
+        rwg, _ = coarse_sphere_pair
+        # an equal mesh refined again is still another refined mesh
+        other = basis_pair(generate_sphere_mesh(1.0, 1.0))[1]
+        with pytest.raises(ValueError, match="refined mesh"):
+            assemble_blocks(rwg, [(rwg, ("single",), other)], 1.3)
+
+
+@pytest.fixture(scope="module")
+def refined_near(small_sphere):
+    """Near pairs of the refined 120-edge sphere: 480 fine faces."""
+    fine = basis_pair(small_sphere)[0].fine
+    pairs, touching = _near_face_pairs(fine, AssemblyOptions())
+    return fine, pairs[:, 0], pairs[:, 1], touching
+
+
+class TestCoplanarSkip:
+    def test_skips_exactly_the_same_parent_pairs(self, refined_near):
+        fine, tp, sq, touching = refined_near
+        skipped = _coplanar(fine, tp, sq) & (tp != sq)
+        # faces 6t .. 6t + 5 are the children of parent face t
+        same_parent = (tp // 6 == sq // 6) & (tp != sq)
+        np.testing.assert_array_equal(skipped, same_parent)
+        assert skipped.sum() == 1200
+        assert (touching & (tp != sq)).sum() == 3720
+        assert not np.any(skipped & ~touching)
+
+    def test_skipped_blocks_vanish(self, refined_near):
+        fine, tp, sq, touching = refined_near
+        opts = AssemblyOptions()
+        tables = _NearTables(fine, opts.near_degree)
+        coplanar = _coplanar(fine, tp, sq)
+
+        def largest(mask):
+            t, s = tp[mask], sq[mask]
+            return max(
+                np.abs(_double_layer_local(
+                    tables, t[b:b + 256], s[b:b + 256], 41.9, 1e-12,
+                    opts.double_outer_subdivisions,
+                    opts.double_inner_subdivisions)).max()
+                for b in range(0, len(t), 256))
+
+        off = touching & (tp != sq)
+        assert largest(off & coplanar) <= 1e-12 * largest(off & ~coplanar)
 
 
 class TestGeometryHandling:
