@@ -41,7 +41,8 @@ from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
                            solve_stabilized, static_double_layer)
 from .mesh import (barycentric_refine, generate_sphere_mesh, load_mesh,
                    unit_icosphere)
-from .operators import ETA0, AssemblyOptions, FrequencyContext, gram_matrix
+from .operators import (ETA0, AssemblyOptions, FrequencyContext, NearPlan,
+                        gram_matrix)
 from .projectors import (ScalingMap, build_projectors, build_scaling,
                          save_norm_table, verify_limit_property)
 from .spaces import BasisSpace, basis_pair, build_loop_star
@@ -368,9 +369,11 @@ class ShapePlan:
     Everything here is built on the unit sphere of the level: the RWG
     and BC coefficient maps (fluxes, so free of scale), the loop/star
     projectors (connectivity only) and, on first use per options value,
-    the static double layer, which is dimensionless for unit-flux
-    functions.  Since no scaled mesh ever reaches it, every sphere of
-    the level gets the same bits, whatever the order of requests.
+    the near plan (near pairs with their static integrals, which scale
+    by known powers of the radius) and the static double layer, which
+    is dimensionless for unit-flux functions.  Since no scaled mesh
+    ever reaches it, every sphere of the level gets the same bits,
+    whatever the order of requests.
     """
 
     def __init__(self, level: int):
@@ -378,6 +381,7 @@ class ShapePlan:
         self.rwg, self.bc = basis_pair(self.mesh)
         _freeze(self.rwg.to_fine, self.bc.to_fine)
         self._projectors = None
+        self._near = {}
         self._static = {}
 
     @property
@@ -388,10 +392,17 @@ class ShapePlan:
             self._projectors = ps
         return self._projectors
 
+    def near(self, options=None) -> NearPlan:
+        options = _options(options)
+        if options not in self._near:
+            self._near[options] = NearPlan(self.rwg.fine, options)
+        return self._near[options]
+
     def static_double(self, options=None):
         options = _options(options)
         if options not in self._static:
-            block = static_double_layer(self.rwg, self.bc, options)
+            block = static_double_layer(self.rwg, self.bc, options,
+                                        self.near(options))
             _freeze(block)
             self._static[options] = block
         return self._static[options]
@@ -403,7 +414,8 @@ class GeometryPlan:
     Holds the mesh later stages must use, since identity checks reject
     an equal but distinct mesh, and its RWG/BC pair: the barycentric
     refinement of the mesh with the shape's coefficient maps.  The
-    projectors and the static double layer are the shape's.
+    projectors, the near plan (scaled to the radius) and the static
+    double layer are the shape's.
     ``coupling`` builds the corrected interior block of one wavenumber
     without keeping it.
     """
@@ -419,11 +431,15 @@ class GeometryPlan:
     def projectors(self):
         return self.shape.projectors
 
+    def near(self, options=None) -> NearPlan:
+        return self.shape.near(options).scaled(self.key[0])
+
     def static_double(self, options=None):
         return self.shape.static_double(options)
 
     def coupling(self, ctx, options=None):
-        dynamic = double_layer(self.rwg, self.bc, ctx, options)
+        dynamic = double_layer(self.rwg, self.bc, ctx, options,
+                               self.near(options))
         return interior_coupling(self.rwg, self.bc, dynamic,
                                  self.static_double(options),
                                  self.projectors)
@@ -448,7 +464,8 @@ class OperatorPlan:
         self.surface, self.probe, self.ctx = surface, probe, ctx
         self.system = build_sp_system(
             surface.rwg, surface.bc, probe.bc, ctx, surface.projectors,
-            surface.static_double(options), options=options)
+            surface.static_double(options), options=options,
+            near=surface.near(options))
         system = self.system
         _freeze(system.field_double, system.field_efie, system.trace_efie,
                 system.trace_double, system.coupling, system.dense())
@@ -561,7 +578,7 @@ def _solve_scene(cfg: ExperimentConfig, scene: _Scene):
             solution = solve_baseline_love(
                 surface.rwg, surface.bc, probe.bc, ctx, e, h, policy,
                 surface.projectors, surface.static_double(),
-                love_weight=cfg.love_weight)
+                love_weight=cfg.love_weight, near=surface.near())
         return solution, None
     with _stage("assembly"):
         plan = PLANS.operator(surface, probe, ctx)
@@ -882,7 +899,8 @@ def _suite_interior_identity():
     solution, system = _solve_scene(cfg, scene)
     rwg, bc = scene.surface.rwg, scene.surface.bc
     identity_map = assemble_calderon_interior(
-        rwg, bc, system.coupling, calderon_blocks(rwg, bc, scene.ctx))
+        rwg, bc, system.coupling,
+        calderon_blocks(rwg, bc, scene.ctx, near=scene.surface.near()))
     stack = np.concatenate([-solution.m, solution.j])
     recovered = float(np.linalg.norm(identity_map @ stack)
                       / np.linalg.norm(stack))

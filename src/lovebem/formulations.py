@@ -68,19 +68,27 @@ def _efie(block, k):
     return k * block["single"] + block["hyper"] / k
 
 
-def double_layer(rwg, bc, ctx, options=None):
-    """Primal-dual double layer of one surface, tested on itself."""
+def double_layer(rwg, bc, ctx, options=None, near=None):
+    """Primal-dual double layer of one surface, tested on itself.
+
+    ``near``, here and in every same-surface pass below, is the
+    surface's ``NearPlan`` if one is kept; without it the pass builds
+    one for its own mesh.
+    """
     k = _wavenumber(ctx)
-    return assemble_blocks(rwg, [(bc, ("double",))], k, options)[0]["double"]
+    return assemble_blocks(rwg, [(bc, ("double",))], k, options,
+                           near=near)[0]["double"]
 
 
-def static_double_layer(rwg, bc, options=None):
+def static_double_layer(rwg, bc, options=None, near=None):
     """Primal-dual double layer at the static wavenumber.
 
     It does not depend on the working frequency, so one block serves
     the decoupling correction of every wavenumber on the same mesh.
+    Its near pairs fold the same static blocks as every dynamic pass
+    with the same ``near``.
     """
-    return double_layer(rwg, bc, _STATIC_WAVENUMBER, options)
+    return double_layer(rwg, bc, _STATIC_WAVENUMBER, options, near)
 
 
 def _self_requests(rwg, bc):
@@ -88,9 +96,10 @@ def _self_requests(rwg, bc):
     return [(rwg, ("single", "hyper")), (bc, ("double",))]
 
 
-def _self_pass(rwg, bc, k, options):
+def _self_pass(rwg, bc, k, options, near):
     """EFIE trace and double layer of one surface from one pass."""
-    blocks = assemble_blocks(rwg, _self_requests(rwg, bc), k, options)
+    blocks = assemble_blocks(rwg, _self_requests(rwg, bc), k, options,
+                             near=near)
     return _efie(blocks[0], k), blocks[1]["double"]
 
 
@@ -108,7 +117,8 @@ class CalderonBlocks(NamedTuple):
     dual_efie: np.ndarray
 
 
-def calderon_blocks(rwg, bc, ctx, options=None) -> CalderonBlocks:
+def calderon_blocks(rwg, bc, ctx, options=None,
+                    near=None) -> CalderonBlocks:
     """Self-pass and dual-tested blocks of one surface from one pass.
 
     RWG and BC functions live on one barycentric refinement, so all
@@ -119,7 +129,7 @@ def calderon_blocks(rwg, bc, ctx, options=None) -> CalderonBlocks:
     blocks = assemble_blocks(
         rwg, _self_requests(rwg, bc) + [(rwg, ("double",), bc),
                                         (bc, ("single", "hyper"), bc)],
-        k, options)
+        k, options, near=near)
     return CalderonBlocks(_efie(blocks[0], k), blocks[1]["double"],
                           blocks[2]["double"], _efie(blocks[3], k))
 
@@ -208,7 +218,7 @@ class SPSystem:
 
 
 def build_sp_system(rwg, bc, bc_probe, ctx, projectors, static_double,
-                    options=None) -> SPSystem:
+                    options=None, near=None) -> SPSystem:
     """Assemble the single-current system for one working point.
 
     ``rwg`` and ``bc`` live on the radiating surface, ``bc_probe`` on
@@ -218,7 +228,7 @@ def build_sp_system(rwg, bc, bc_probe, ctx, projectors, static_double,
     radiation pass onto the probe tests.
     """
     k = _wavenumber(ctx)
-    trace_efie, trace_double = _self_pass(rwg, bc, k, options)
+    trace_efie, trace_double = _self_pass(rwg, bc, k, options, near)
     rad = assemble_blocks(
         bc_probe, [(rwg, ("double",)), (bc, ("single", "hyper"))], k, options)
     coupling = interior_coupling(rwg, bc, trace_double, static_double,
@@ -346,7 +356,7 @@ def check_love_weight(weight) -> float:
 
 def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
                         static_double, love_weight=None,
-                        options=None) -> CurrentSolution:
+                        options=None, near=None) -> CurrentSolution:
     """Two-current reconstruction with weighted interior constraints.
 
     Solves the stacked radiation system for both currents at once,
@@ -378,7 +388,7 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
     efie_dual = _efie(rad[1], k)
     radiation = np.block([[-double_primal, efie_dual],
                           [-efie_primal, -double_dual]])
-    blocks = calderon_blocks(rwg, bc, k, options)
+    blocks = calderon_blocks(rwg, bc, k, options, near)
     coupling = interior_coupling(rwg, bc, blocks.trace_double, static_double,
                                  projectors)
     identity_map = assemble_calderon_interior(rwg, bc, coupling, blocks)

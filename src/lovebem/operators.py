@@ -9,12 +9,14 @@ product rule, and pushes them through the sparse factors without ever
 storing a fine-by-fine matrix.
 
 Face pairs closer than a few diameters, and every self pair, are
-excluded from the tiled pass and integrated separately: the weakly
-singular Helmholtz kernel by static extraction with closed-form inner
-integrals, the kernel gradient by subdivided product rules over
-per-face tables.  The double-layer term of two coplanar faces (a self
-pair, or two children of one parent face) vanishes identically and is
-skipped.
+excluded from the tiled pass and integrated separately, each kernel
+split into a static part and a k-dependent remainder.  The static
+parts (1/R with closed-form inner integrals, and the gradient of 1/R
+on subdivided product rules) depend only on the mesh, so a
+``NearPlan`` keeps them across calls and scales them to similar
+meshes; each call integrates the smooth remainders only.  The
+double-layer term of two coplanar faces (a self pair, or two children
+of one parent face) vanishes identically and is skipped.
 
 A request may name its own test space on the same refined mesh, so
 blocks tested by RWG and by BC functions of one surface come from one
@@ -25,6 +27,7 @@ outgoing Green function exp(+ikR) / (4 pi R).
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -43,6 +46,7 @@ __all__ = [
     "ETA0",
     "AssemblyOptions",
     "FrequencyContext",
+    "NearPlan",
     "assemble_blocks",
     "check_clearance",
 ]
@@ -88,6 +92,17 @@ class AssemblyOptions:
     The defaults balance accuracy against the cost of single-threaded
     assembly; doubling ``regular_degree`` or the subdivision depths is
     the cheap way to check convergence of a result.
+
+    ``regular_degree`` sets the far tiles' rule and ``near_degree`` the
+    rule on every subtriangle of a near pair.  The static near parts,
+    kept in a ``NearPlan``, follow ``static_subdivisions`` (outer depth
+    of the touching pairs' 1/R moments) and ``double_inner_subdivisions``
+    with ``double_outer_subdivisions`` (the touching pairs' static
+    double layer).  ``double_outer_subdivisions`` also sets the outer
+    depth of the touching pairs' k-dependent remainders, whose inner
+    rule is never subdivided.  Close pairs use depth 0 throughout.
+    ``near_distance_factor`` picks the near pairs; ``separation_factor``
+    bounds how close two surfaces may be.
     """
 
     regular_degree: int = 2
@@ -102,24 +117,57 @@ class AssemblyOptions:
 
 # -- kernels ---------------------------------------------------------
 
-def _gradient_kernel(r: np.ndarray, k: float, floor: float) -> np.ndarray:
-    live = r > floor
-    safe = np.where(live, r, 1.0)
-    vals = np.exp(1j * k * safe) * (1j * k * safe - 1.0) / (_FOUR_PI * safe**3)
-    vals[~live] = 0.0
-    return vals
+# Below x = kR = _SERIES_SWITCH the closed forms of the near-pair
+# remainders lose digits to cancellation, so Taylor series in x take
+# over; terms up to x**15 leave a relative error near 1e-15 there.
+_SERIES_SWITCH = 0.5
+_SMOOTH_SERIES = tuple(1j**m / math.factorial(m) for m in range(2, 16))
+_GRADIENT_SERIES = tuple(1j**m * (m - 1) / math.factorial(m)
+                         for m in range(2, 16))
+
+
+def _taylor(x, coeffs):
+    """sum_n coeffs[n] x**n by Horner's rule."""
+    acc = np.full(x.shape, coeffs[-1], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 def _smooth_remainder(r: np.ndarray, k: float) -> np.ndarray:
     """(exp(ikr) - 1 - ikr) / (4 pi r), series switched near zero."""
     x = k * r
-    small = x < 0.02
-    safe = np.where(small, 1.0, r)
-    direct = (np.exp(1j * k * safe) - 1.0 - 1j * k * safe) / (_FOUR_PI * safe)
-    xs = np.where(small, x, 0.0)
-    series = (k / _FOUR_PI) * (
-        -xs / 2.0 - 1j * xs**2 / 6.0 + xs**3 / 24.0 + 1j * xs**4 / 120.0)
-    return np.where(small, series, direct)
+    small = x < _SERIES_SWITCH
+    vals = np.empty(r.shape, dtype=np.complex128)
+    xs = x[small]
+    vals[small] = (k / _FOUR_PI) * xs * _taylor(xs, _SMOOTH_SERIES)
+    big = r[~small]
+    vals[~small] = ((np.exp(1j * k * big) - 1.0 - 1j * k * big)
+                    / (_FOUR_PI * big))
+    return vals
+
+
+def _static_gradient(r: np.ndarray, floor: float) -> np.ndarray:
+    """-1 / (4 pi r^3): the gradient kernel factor at k = 0."""
+    live = r > floor
+    safe = np.where(live, r, 1.0)
+    return np.where(live, -1.0 / (_FOUR_PI * safe**3), 0.0)
+
+
+def _gradient_remainder(r: np.ndarray, k: float, floor: float) -> np.ndarray:
+    """(exp(ikr) (ikr - 1) + 1) / (4 pi r^3): the gradient kernel factor
+    less its static part, series switched near zero."""
+    live = r > floor
+    x = k * r
+    small = live & (x < _SERIES_SWITCH)
+    big = live & ~small
+    vals = np.zeros(r.shape, dtype=np.complex128)
+    xs = x[small]
+    vals[small] = (k**3 / _FOUR_PI) * _taylor(xs, _GRADIENT_SERIES) / xs
+    rb = r[big]
+    vals[big] = ((np.exp(1j * k * rb) * (1j * k * rb - 1.0) + 1.0)
+                 / (_FOUR_PI * rb**3))
+    return vals
 
 
 def _pairwise_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -174,60 +222,63 @@ def _moment_table(vals, phi_t, phi_s):
 
     ``vals`` holds the kernel in its natural (I*q, J*p) layout, rows
     test points face by face and columns source points face by face;
-    ``phi_t`` is (I, q, 4) and ``phi_s`` is (J, p, 4).  Returns the view
-    m[i, j] = phi_t[i].T @ vals[i*q:(i+1)*q, j*p:(j+1)*p] @ phi_s[j] of
-    shape (I, J, 4, 4).
+    ``phi_t`` is (I, q, 4) and ``phi_s`` is (J, p, 4).  Returns
+    m[j, i] = phi_t[i].T @ vals[i*q:(i+1)*q, j*p:(j+1)*p] @ phi_s[j] of
+    shape (J, I, 4, 4), the layout the second product leaves.
     """
     n_i, q, _ = phi_t.shape
     n_j, p, _ = phi_s.shape
     left = np.matmul(phi_t.transpose(0, 2, 1), vals.reshape(n_i, q, n_j * p))
     m = np.matmul(left.reshape(n_i * 4, n_j, p).transpose(1, 0, 2), phi_s)
-    return m.reshape(n_j, n_i, 4, 4).transpose(1, 0, 2, 3)
+    return m.reshape(n_j, n_i, 4, 4)
 
+
+# The combinations below are contiguous (J, I) arrays, so the products
+# with the transposed sparse factors read them without a copy.
 
 def _helmholtz_combos(m4):
     tr = m4[..., 0, 0] + m4[..., 1, 1] + m4[..., 2, 2]
-    sv = m4[..., :3, 3]
-    svp = m4[..., 3, :3]
-    s0 = m4[..., 3, 3]
+    sv = [np.ascontiguousarray(m4[..., c, 3]) for c in range(3)]
+    svp = [np.ascontiguousarray(m4[..., 3, c]) for c in range(3)]
+    s0 = np.ascontiguousarray(m4[..., 3, 3])
     return tr, sv, svp, s0
 
 
 def _gradient_combos(m4):
-    w9 = np.stack((
-        m4[..., 1, 2] - m4[..., 2, 1],
-        m4[..., 2, 0] - m4[..., 0, 2],
-        m4[..., 0, 1] - m4[..., 1, 0]), axis=-1)
-    d3 = m4[..., :3, 3] - m4[..., 3, :3]
+    w9 = (m4[..., 1, 2] - m4[..., 2, 1],
+          m4[..., 2, 0] - m4[..., 0, 2],
+          m4[..., 0, 1] - m4[..., 1, 0])
+    d3 = tuple(m4[..., c, 3] - m4[..., 3, c] for c in range(3))
     return w9, d3
 
 
 def _push_single(w, tr, sv, svp, s0, f, j0, j1):
-    half = f.half[j0:j1]
-    w[0] += np.asarray(tr @ half)
+    """Fold a tile's single-layer combinations into (N, I) accumulators."""
+    half = f.half[j0:j1].T
+    w[0] += half @ tr
     for c in range(3):
-        corner = f.corner[c][j0:j1]
-        w[0] -= np.asarray(sv[..., c] @ corner)
-        w[1 + c] += np.asarray(s0 @ corner)
-        w[1 + c] -= np.asarray(svp[..., c] @ half)
+        corner = f.corner[c][j0:j1].T
+        w[0] -= corner @ sv[c]
+        w[1 + c] += corner @ s0
+        w[1 + c] -= half @ svp[c]
 
 
 def _push_double(w, w9, d3, f, j0, j1):
-    half = f.half[j0:j1]
-    corner = [f.corner[c][j0:j1] for c in range(3)]
+    half = f.half[j0:j1].T
+    corner = [f.corner[c][j0:j1].T for c in range(3)]
     for m in range(3):
-        w[0] += np.asarray(w9[..., m] @ corner[m])
-        w[1 + m] -= np.asarray(w9[..., m] @ half)
+        w[0] += corner[m] @ w9[m]
+        w[1 + m] -= half @ w9[m]
     # v_a . (D x v_b) couples corner weights on both sides
-    w[1] += np.asarray(d3[..., 1] @ corner[2]) - np.asarray(d3[..., 2] @ corner[1])
-    w[2] += np.asarray(d3[..., 2] @ corner[0]) - np.asarray(d3[..., 0] @ corner[2])
-    w[3] += np.asarray(d3[..., 0] @ corner[1]) - np.asarray(d3[..., 1] @ corner[0])
+    w[1] += (corner[2] @ d3[1]) - (corner[1] @ d3[2])
+    w[2] += (corner[0] @ d3[2]) - (corner[2] @ d3[0])
+    w[3] += (corner[1] @ d3[0]) - (corner[0] @ d3[1])
 
 
 def _fold_left(f, i0, i1, w):
-    out = f.half[i0:i1].T @ w[0]
+    out = f.half[i0:i1].T @ w[0].T
     for c in range(3):
-        out += f.corner[c][i0:i1].T @ w[1 + c]
+        out += f.corner[c][i0:i1].T @ w[1 + c].T
     return np.asarray(out)
 
 
@@ -311,11 +362,10 @@ def _subdivided_rule(corners: np.ndarray, depth: int, degree: int):
 
 
 class _NearTables:
-    """Per-face tables of the near-pair sweep on one refined mesh.
+    """Per-face rules and weighted monomials of one refined mesh.
 
-    Subdivided rules, weighted monomials and the RT0 tables of the
-    double layer depend only on the face and the subdivision depth, so
-    each is built once, on first use, and gathered per pair.
+    They depend only on the face and the subdivision depth, so each is
+    built once, on first use, and gathered per pair.
     """
 
     def __init__(self, fine: TriangleMesh, degree: int) -> None:
@@ -338,22 +388,6 @@ class _NearTables:
         return self._get(("monomials", depth),
                          lambda: _weighted_monomials(*self.rule(depth)))
 
-    def rt0(self, depth, outer):
-        """RT0 tables of the double layer at the points of ``rule(depth)``.
-
-        Returns the face's three RT0 functions f_a(r), shape
-        (n, q, 3, 3), and f_a x r for the outer face of a pair or
-        r x f_a for the inner one.
-        """
-        def build():
-            fine = self.fine
-            pts = self.rule(depth)[0][:, :, None, :]
-            scale = fine.face_edge_signs / (2.0 * fine.face_areas[:, None])
-            f = scale[:, None, :, None] * (
-                pts - fine.face_corners[:, None, :, :])
-            return f, np.cross(f, pts) if outer else np.cross(pts, f)
-        return self._get(("rt0", depth, outer), build)
-
 
 def _coplanar(fine: TriangleMesh, tp: np.ndarray,
               sq: np.ndarray) -> np.ndarray:
@@ -368,29 +402,38 @@ def _coplanar(fine: TriangleMesh, tp: np.ndarray,
     return height <= _COPLANAR_TOL * fine.face_diameters[tp]
 
 
-def _static_extraction_moments(tables, tp, sq, k, depth):
-    """Full 4x4 Helmholtz moments for near face pairs.
+def _static_moments(tables, tp, sq, depth):
+    """4x4 moments of 1 / (4 pi R) for near face pairs.
 
-    The 1/R part integrates in closed form over the source face, the
-    constant ik / (4 pi) part uses exact linear moments, and the smooth
-    remainder falls to a plain product rule.
+    The inner integral over the source face is closed-form at the
+    points of the test face's rule of ``depth``.
     """
-    fine = tables.fine
     op_ = tables.rule(depth)[0][tp]
     phi_out = tables.monomials(depth)[tp]
-    src = fine.face_corners[sq]
+    src = tables.fine.face_corners[sq]
     stat0, stat1 = static_moments(src[:, None, :, :], op_)
     ist = np.concatenate([stat1, stat0[..., None]], axis=-1)
-    m = np.matmul(phi_out.transpose(0, 2, 1), ist) / _FOUR_PI
+    return np.matmul(phi_out.transpose(0, 2, 1), ist) / _FOUR_PI
 
+
+def _helmholtz_moments(tables, tp, sq, k, depth, static):
+    """Full 4x4 Helmholtz moments for near face pairs.
+
+    ``static`` holds the 1/R part; the constant ik / (4 pi) part uses
+    exact linear moments, and the smooth remainder falls to the test
+    face's rule of ``depth`` against the plain source rule.
+    """
+    fine = tables.fine
     area_t = fine.face_areas[tp]
     area_s = fine.face_areas[sq]
     mom_t = np.concatenate(
         [area_t[:, None] * fine.face_centroids[tp], area_t[:, None]], axis=1)
     mom_s = np.concatenate(
         [area_s[:, None] * fine.face_centroids[sq], area_s[:, None]], axis=1)
-    m = m + (1j * k / _FOUR_PI) * mom_t[:, :, None] * mom_s[:, None, :]
+    m = static + (1j * k / _FOUR_PI) * mom_t[:, :, None] * mom_s[:, None, :]
 
+    op_ = tables.rule(depth)[0][tp]
+    phi_out = tables.monomials(depth)[tp]
     ip = tables.rule(0)[0][sq]
     kern = _smooth_remainder(_pairwise_distance(op_, ip), k)
     m = m + np.matmul(phi_out.transpose(0, 2, 1),
@@ -398,21 +441,36 @@ def _static_extraction_moments(tables, tp, sq, k, depth):
     return m
 
 
-def _double_layer_local(tables, tp, sq, k, floor, outer_depth, inner_depth):
+def _rt0(fine, faces, corners, pts):
+    """The faces' three RT0 functions at ``pts``, shape (b, q, 3, 3)."""
+    scale = fine.face_edge_signs[faces] / (2.0 * fine.face_areas[faces][:, None])
+    return scale[:, None, :, None] * (pts[:, :, None, :] - corners[:, None])
+
+
+def _double_layer_local(fine, tp, sq, kernel, outer_depth, inner_depth,
+                        degree):
     """Contracted fine RT0 double-layer blocks for close pairs.
 
-    Returns loc[b, a, c] = int int f_a . [(r - r') x f_c] g(R), with
-    basis signs and areas folded in.  Callers skip coplanar pairs, self
-    pairs among them: there f_a, f_c and r - r' lie in one plane, so the
+    Returns loc[b, a, c] = int int f_a . [(r - r') x f_c] kernel(R) on
+    the subdivided rules of the two depths, with basis signs and areas
+    folded in.  Points are taken relative to the source face's
+    centroid, so both terms of the split below stay the size of the
+    pair wherever it sits.  Callers skip coplanar pairs, self pairs
+    among them: there f_a, f_c and r - r' lie in one plane, so the
     integrand vanishes identically.
     """
-    op_, ow = (t[tp] for t in tables.rule(outer_depth))
-    ip, iw = (t[sq] for t in tables.rule(inner_depth))
-    fa, ua = (t[tp] for t in tables.rt0(outer_depth, outer=True))
-    fb, vb = (t[sq] for t in tables.rt0(inner_depth, outer=False))
+    origin = fine.face_centroids[sq][:, None, :]
+    cor_t = fine.face_corners[tp] - origin
+    cor_s = fine.face_corners[sq] - origin
+    op_, ow = _subdivided_rule(cor_t, outer_depth, degree)
+    ip, iw = _subdivided_rule(cor_s, inner_depth, degree)
+    fa = _rt0(fine, tp, cor_t, op_)
+    fb = _rt0(fine, sq, cor_s, ip)
     # f_a . [(x - y) x f_b] = (f_a x x) . f_b - f_a . (y x f_b), so the
     # kernel couples small per-point tables through one batched product
-    gw = _gradient_kernel(_pairwise_distance(op_, ip), k, floor)
+    ua = np.cross(fa, op_[:, :, None, :])
+    vb = np.cross(ip[:, :, None, :], fb)
+    gw = kernel(_pairwise_distance(op_, ip))
     gw = gw * ow[:, :, None] * iw[:, None, :]
     b = len(tp)
     no = op_.shape[1]
@@ -426,13 +484,120 @@ def _double_layer_local(tables, tp, sq, k, floor, outer_depth, inner_depth):
     return loc
 
 
-def _in_batches(n, shape, block):
+def _in_batches(n, shape, block, dtype=np.complex128):
     """Stack ``block(rows)`` over slices of at most _NEAR_BATCH pairs."""
-    out = np.empty((n,) + shape, dtype=np.complex128)
+    out = np.empty((n,) + shape, dtype=dtype)
     for b0 in range(0, n, _NEAR_BATCH):
         rows = slice(b0, min(b0 + _NEAR_BATCH, n))
         out[rows] = block(rows)
     return out
+
+
+def _distance_floor(*points):
+    """Distance below which two points count as one: the kernel is 0."""
+    rmax = math.sqrt(max(
+        max(float(np.max(np.sum(p**2, axis=-1))) for p in points), 1e-300))
+    return 100.0 * math.sqrt(np.finfo(np.float64).eps) * rmax
+
+
+# Powers of the radius by which the 4x4 monomial moments of 1/R grow
+# on a scaled mesh: two areas, one inverse length, one length for each
+# linear monomial.
+_LINEAR = (np.arange(4) < 3).astype(int)
+_MOMENT_POWERS = 3 + np.add.outer(_LINEAR, _LINEAR)
+
+
+class NearPlan:
+    """Near face pairs of one refined mesh and their k-independent parts.
+
+    The pairs, their two tiers (pairs sharing a vertex, which see the
+    kernel singularity, and merely close ones) and the coplanar masks
+    depend only on the mesh.  So do the static parts of the near
+    integrals: the 4x4 moments of 1 / (4 pi R), on outer rules of depth
+    ``static_subdivisions`` (touching) or 0 (close), and the
+    double-layer blocks of -1 / (4 pi R^3), on rules of depths
+    ``double_outer_subdivisions`` by ``double_inner_subdivisions``
+    (touching) or 0 by 0 (close).  Each is built on first use, on the
+    plan's own mesh, and kept read-only.  Every pass that folds them,
+    the static one included, then adds only what depends on k.
+
+    ``scaled(a)`` gives the plan of the same mesh scaled by ``a``.  It
+    shares the statics: moments of unit-flux functions grow by
+    a**(3 + [i < 3] + [j < 3]), and the double-layer blocks are
+    dimensionless.
+    """
+
+    def __init__(self, fine: TriangleMesh, options=None) -> None:
+        opts = options if options is not None else AssemblyOptions()
+        pairs, touching = _near_face_pairs(fine, opts)
+        self.fine, self.options, self.scale = fine, opts, 1.0
+        self.lookup = _near_lookup(pairs, fine.n_faces)
+        self.tiers = tuple((pairs[mask, 0], pairs[mask, 1])
+                           for mask in (touching, ~touching))
+        self.live = tuple(~_coplanar(fine, tp, sq) for tp, sq in self.tiers)
+        self._built = {}
+
+    def scaled(self, scale: float) -> "NearPlan":
+        plan = copy.copy(self)
+        plan.scale = float(scale)
+        return plan
+
+    def check(self, fine: TriangleMesh, options: AssemblyOptions) -> None:
+        """Raise unless the plan is that of ``fine`` and ``options``."""
+        if options != self.options:
+            raise ValueError("near plan was built for other options")
+        if not (np.array_equal(fine.triangles, self.fine.triangles)
+                and np.allclose(fine.vertices, self.scale * self.fine.vertices,
+                                rtol=0.0, atol=1e-12 * self.scale)):
+            raise ValueError("near plan belongs to another mesh")
+
+    def _get(self, key, build):
+        if key not in self._built:
+            value = build()
+            value.setflags(write=False)
+            self._built[key] = value
+        return self._built[key]
+
+    def moments(self, tier: int) -> np.ndarray:
+        """Static moments of the tier's pairs on the plan's own mesh."""
+        def build():
+            opts = self.options
+            tables = _NearTables(self.fine, opts.near_degree)
+            depth = opts.static_subdivisions if tier == 0 else 0
+            tp, sq = self.tiers[tier]
+            return _in_batches(len(tp), (4, 4), lambda rows: _static_moments(
+                tables, tp[rows], sq[rows], depth), dtype=np.float64)
+        return self._get(("moments", tier), build)
+
+    def double(self, tier: int) -> np.ndarray:
+        """Static double-layer blocks of the tier's live pairs."""
+        def build():
+            opts = self.options
+            depths = ((opts.double_outer_subdivisions,
+                       opts.double_inner_subdivisions) if tier == 0
+                      else (0, 0))
+            tp, sq = self.tiers[tier]
+            to, so = tp[self.live[tier]], sq[self.live[tier]]
+            floor = _distance_floor(self.fine.vertices)
+            return _in_batches(len(to), (3, 3), lambda rows: (
+                _double_layer_local(
+                    self.fine, to[rows], so[rows],
+                    lambda r: _static_gradient(r, floor),
+                    *depths, opts.near_degree)),
+                dtype=np.float64)
+        return self._get(("double", tier), build)
+
+
+def _remainder_depths(opts):
+    """Depths of the rules for the touching tier's k-dependent parts.
+
+    Returns the outer depth of the single/hyper remainder and the outer
+    and inner depths of the double-layer remainder.  Both remainders
+    are smooth where the static parts are singular, so each takes the
+    double layer's outer rule against the plain inner rule.
+    """
+    return (opts.double_outer_subdivisions,
+            opts.double_outer_subdivisions, 0)
 
 
 def _sandwich(left_rows, z, right_rows):
@@ -466,25 +631,31 @@ def _near_double(test_space, src_space, fine, tp, sq, loc):
     return acc
 
 
-def _apply_near(out, reqs, fine, pairs, touching, k, floor, opts):
+def _apply_near(out, reqs, fine, near, k, floor, opts):
+    """Add the near pairs of both tiers to every request's blocks.
+
+    Static parts come from ``near``; only what depends on k is
+    integrated here: the ik / (4 pi) term, the touching tier's
+    remainders on the rules of ``_remainder_depths`` and the close
+    tier's remainders on the plain rules.
+    """
     kinds_present = {kind for req in reqs for kind in req.kinds}
     tables = _NearTables(fine, opts.near_degree)
-    tiers = (
-        (pairs[touching], opts.static_subdivisions,
-         opts.double_outer_subdivisions, opts.double_inner_subdivisions),
-        (pairs[~touching], 0, 0, 0))
+    helm_outer, grad_outer, grad_inner = _remainder_depths(opts)
+    factor = near.scale ** _MOMENT_POWERS
 
-    for sub, sdepth, odepth, idepth in tiers:
-        if not len(sub):
+    for tier, (tp, sq) in enumerate(near.tiers):
+        if not len(tp):
             continue
-        tp = sub[:, 0]
-        sq = sub[:, 1]
+        touching = tier == 0
         off = tp != sq
 
         if kinds_present & {"single", "hyper"}:
+            static = near.moments(tier)
             m = _in_batches(len(tp), (4, 4), lambda rows: (
-                _static_extraction_moments(
-                    tables, tp[rows], sq[rows], k, sdepth)))
+                _helmholtz_moments(tables, tp[rows], sq[rows], k,
+                                   helm_outer if touching else 0,
+                                   static[rows] * factor)))
             tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
             sv = m[:, :3, 3]
             svp = m[:, 3, :3]
@@ -502,13 +673,17 @@ def _apply_near(out, reqs, fine, pairs, touching, k, floor, opts):
                         flt.charge[sq[off]], s0[off], fr.charge[tp[off]])
                     blocks["hyper"] += -1j * acc.toarray()
 
-        live = ~_coplanar(fine, tp, sq)
+        live = near.live[tier]
         if "double" in kinds_present and live.any():
             to = tp[live]
             so = sq[live]
+            static = near.double(tier)
+            depths = (grad_outer, grad_inner) if touching else (0, 0)
             loc = _in_batches(len(to), (3, 3), lambda rows: (
-                _double_layer_local(
-                    tables, to[rows], so[rows], k, floor, odepth, idepth)))
+                static[rows] + _double_layer_local(
+                    fine, to[rows], so[rows],
+                    lambda r: _gradient_remainder(r, k, floor),
+                    *depths, opts.near_degree)))
             swapped = loc.transpose(0, 2, 1)
             for req, blocks in zip(reqs, out):
                 if "double" not in req.kinds:
@@ -564,7 +739,7 @@ def _requests(test, requests):
     return reqs
 
 
-def assemble_blocks(test, requests, k, options=None):
+def assemble_blocks(test, requests, k, options=None, near=None):
     """Assemble layer-operator blocks between test spaces and sources.
 
     Parameters
@@ -583,6 +758,10 @@ def assemble_blocks(test, requests, k, options=None):
     k : float
         Wavenumber.
     options : AssemblyOptions, optional
+    near : NearPlan, optional
+        Near pairs and static near integrals of ``test.fine`` for
+        ``options``, kept across calls.  Without it a same-surface
+        call builds them for its own mesh.  Ignored across surfaces.
 
     Returns
     -------
@@ -613,28 +792,31 @@ def assemble_blocks(test, requests, k, options=None):
     else:
         pts_s, wts_s = rule.map_to(fine_s.face_corners)
         phi_s = _weighted_monomials(pts_s, wts_s)
-
-    rmax = math.sqrt(max(
-        float(np.max(np.sum(pts_t**2, axis=-1))),
-        float(np.max(np.sum(pts_s**2, axis=-1))), 1e-300))
-    floor = 100.0 * math.sqrt(np.finfo(np.float64).eps) * rmax
+    floor = _distance_floor(pts_t, pts_s)
 
     need_helm = any(kind in ("single", "hyper")
                     for req in reqs for kind in req.kinds)
     need_grad = any("double" in req.kinds for req in reqs)
+
+    lookup = None
+    if same:
+        if near is None:
+            near = NearPlan(fine_t, opts)
+        else:
+            near.check(fine_t, opts)
+        # Statics first, so the far tiles' temporaries never sit under them.
+        for tier in range(2):
+            if need_helm:
+                near.moments(tier)
+            if need_grad:
+                near.double(tier)
+        lookup = near.lookup
 
     out = [
         {kind: np.zeros((req.test.n_dofs, req.space.n_dofs),
                         dtype=np.complex128)
          for kind in req.kinds}
         for req in reqs]
-
-    if same:
-        pairs, touching = _near_face_pairs(fine_t, opts)
-        lookup = _near_lookup(pairs, fine_t.n_faces)
-    else:
-        pairs = touching = None
-        lookup = None
 
     nt = fine_t.n_faces
     ns = fine_s.n_faces
@@ -645,8 +827,9 @@ def assemble_blocks(test, requests, k, options=None):
         i1 = min(i0 + tile, nt)
         ft = phi_t[i0:i1]
         xt = pts_t[i0:i1].reshape(-1, 3)
+        # (N, I) accumulators: source dofs by test faces of the tile
         w = [
-            {kind: [np.zeros((i1 - i0, req.space.n_dofs), dtype=np.complex128)
+            {kind: [np.zeros((req.space.n_dofs, i1 - i0), dtype=np.complex128)
                     for _ in range(1 if kind == "hyper" else 4)]
              for kind in req.kinds}
             for req in reqs]
@@ -676,8 +859,7 @@ def assemble_blocks(test, requests, k, options=None):
                         _push_single(acc["single"], tr, sv, svp, s0,
                                      req.factors, j0, j1)
                     if "hyper" in req.kinds:
-                        acc["hyper"][0] += np.asarray(
-                            s0 @ req.factors.charge[j0:j1])
+                        acc["hyper"][0] += req.factors.charge[j0:j1].T @ s0
             if need_grad:
                 vals = phase * (1j * k * safe - 1.0) / (_FOUR_PI * safe**3)
                 vals[~live] = 0.0
@@ -694,10 +876,10 @@ def assemble_blocks(test, requests, k, options=None):
                 blocks["single"] += 1j * _fold_left(flt, i0, i1, acc["single"])
             if "hyper" in req.kinds:
                 blocks["hyper"] += -1j * np.asarray(
-                    flt.charge[i0:i1].T @ acc["hyper"][0])
+                    flt.charge[i0:i1].T @ acc["hyper"][0].T)
             if "double" in req.kinds:
                 blocks["double"] += -1.0 * _fold_left(flt, i0, i1, acc["double"])
 
     if same:
-        _apply_near(out, reqs, fine_t, pairs, touching, k, floor, opts)
+        _apply_near(out, reqs, fine_t, near, k, floor, opts)
     return out

@@ -109,9 +109,9 @@ def _counting_assembly():
     real = operators.assemble_blocks
     calls = []
 
-    def counted(test, requests, k, options=None):
+    def counted(test, requests, k, options=None, near=None):
         calls.append(float(k))
-        return real(test, requests, k, options)
+        return real(test, requests, k, options, near=near)
 
     with pytest.MonkeyPatch.context() as patch:
         for module in (operators, formulations):

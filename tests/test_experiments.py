@@ -13,7 +13,8 @@ from lovebem.experiments import (ExperimentConfig, OperatorPlans,
                                  StageError, dump_operator, load_config,
                                  run_frequency_sweep, run_property_suite,
                                  run_reconstruction)
-from lovebem.formulations import static_double_layer
+from lovebem import operators
+from lovebem.formulations import calderon_blocks, static_double_layer
 from lovebem.mesh import generate_sphere_mesh
 from lovebem.operators import AssemblyOptions
 from lovebem.spaces import basis_pair
@@ -739,6 +740,40 @@ class TestShapePlans:
             assert (np.linalg.norm(shared - direct)
                     <= 1e-12 * np.linalg.norm(direct))
         assert plans.misses["shape"] == 1
+
+    def test_near_statics_give_order_free_bits(self):
+        # Radius A then B against B then A; the second A is a hit.
+        def blocks(plans, radius):
+            geometry = plans.geometry(radius, radius)
+            return calderon_blocks(geometry.rwg, geometry.bc, 1.0,
+                                   near=geometry.near())
+
+        ab, ba = OperatorPlans(), OperatorPlans()
+        a_miss, b_hit, a_hit = (blocks(ab, r) for r in (1.0, 1.1, 1.0))
+        b_miss, a_late = (blocks(ba, r) for r in (1.1, 1.0))
+        assert ab.misses["shape"] == ba.misses["shape"] == 1
+        for got, want in ((a_late, a_miss), (b_hit, b_miss),
+                          (a_hit, a_miss)):
+            for block, ref in zip(got, want):
+                np.testing.assert_array_equal(block, ref)
+
+    def test_known_level_computes_no_static_moments(self, monkeypatch):
+        calls = []
+        real = operators.static_moments
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(operators, "static_moments", counted)
+        plans = OperatorPlans()
+        probe = plans.geometry(30.0, 20.0)
+        counts = []
+        for radius in (1.0, 1.1):
+            plans.operator(plans.geometry(radius, radius), probe, 1.0)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
 
     def test_level_boundary_misses_the_shape(self):
         plans = OperatorPlans()

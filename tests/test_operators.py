@@ -1,4 +1,5 @@
 """Layer-operator assembly vs brute-force quadrature, plus structure checks."""
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lovebem.mesh import TriangleMesh, generate_sphere_mesh
+from lovebem import operators
+from lovebem.mesh import unit_icosphere
 from lovebem.operators import (C0, AssemblyOptions, FrequencyContext,
-                               _coplanar, _double_layer_local,
-                               _moment_table, _near_face_pairs, _NearTables,
-                               assemble_blocks)
+                               NearPlan, _coplanar, _double_layer_local,
+                               _gradient_remainder,
+                               _moment_table, _MOMENT_POWERS,
+                               _near_face_pairs, _smooth_remainder,
+                               _static_gradient, assemble_blocks)
 from lovebem.quadrature import subdivide4, triangle_rule
 from lovebem.spaces import BasisSpace, basis_pair, build_loop_star
 from conftest import singular_fans
@@ -34,6 +39,11 @@ def tetra_mesh(scale, shift):
 
 def rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def gradient_kernel(r, k):
+    """The full kernel-gradient factor exp(ikr) (ikr - 1) / (4 pi r^3)."""
+    return np.exp(1j * k * r) * (1j * k * r - 1.0) / (FOUR_PI * r**3)
 
 
 # -- brute-force reference quadrature --------------------------------
@@ -292,16 +302,16 @@ class TestCoplanarSkip:
     def test_skipped_blocks_vanish(self, refined_near):
         fine, tp, sq, touching = refined_near
         opts = AssemblyOptions()
-        tables = _NearTables(fine, opts.near_degree)
         coplanar = _coplanar(fine, tp, sq)
 
         def largest(mask):
             t, s = tp[mask], sq[mask]
             return max(
                 np.abs(_double_layer_local(
-                    tables, t[b:b + 256], s[b:b + 256], 41.9, 1e-12,
+                    fine, t[b:b + 256], s[b:b + 256],
+                    lambda r: gradient_kernel(r, 41.9),
                     opts.double_outer_subdivisions,
-                    opts.double_inner_subdivisions)).max()
+                    opts.double_inner_subdivisions, opts.near_degree)).max()
                 for b in range(0, len(t), 256))
 
         off = touching & (tp != sq)
@@ -352,9 +362,9 @@ class TestTiling:
         vals = (rng.standard_normal((n_i * q, n_j * p))
                 + 1j * rng.standard_normal((n_i * q, n_j * p)))
         got = _moment_table(vals, phi_t, phi_s)
-        ref = np.einsum("iaq,iqjp,jpb->ijab", phi_t.transpose(0, 2, 1),
+        ref = np.einsum("iaq,iqjp,jpb->jiab", phi_t.transpose(0, 2, 1),
                         vals.reshape(n_i, q, n_j, p), phi_s)
-        assert got.shape == (n_i, n_j, 4, 4)
+        assert got.shape == (n_j, n_i, 4, 4)
         assert rel(got, ref) < 1e-14
 
     def test_ragged_tiles_on_one_surface(self):
@@ -404,3 +414,163 @@ class TestQuadratureDefaults:
             0.9)
         assert set(out[0]) == {"hyper"}
         assert out[0]["hyper"].shape == (mesh_t.n_edges, mesh_s.n_edges)
+
+
+# -- near-pair statics and k-dependent remainders ---------------------
+
+GHZ = (1e9, 2e9, 3.16e9)
+HARD = AssemblyOptions(
+    regular_degree=4, near_degree=5, static_subdivisions=3,
+    double_outer_subdivisions=2, double_inner_subdivisions=3)
+
+
+def previous_depths(opts):
+    """The touching tier's remainders on the rules of its static parts."""
+    return (opts.static_subdivisions, opts.double_outer_subdivisions,
+            opts.double_inner_subdivisions)
+
+
+def self_blocks(space, k, options=None, near=None, depths=None):
+    """Single, hyper and double of ``space`` tested on itself."""
+    with pytest.MonkeyPatch.context() as patch:
+        if depths is not None:
+            patch.setattr(operators, "_remainder_depths", depths)
+        return assemble_blocks(space, [(space, KINDS)], k, options,
+                               near=near)[0]
+
+
+class TestRemainderKernels:
+    @staticmethod
+    def exact(r, k, gradient):
+        mpmath.mp.dps = 40
+        r = mpmath.mpf(r)
+        z = 1j * mpmath.mpf(k) * r
+        if gradient:
+            return complex((mpmath.exp(z) * (z - 1) + 1)
+                           / (4 * mpmath.pi * r**3))
+        return complex((mpmath.exp(z) - 1 - z) / (4 * mpmath.pi * r))
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_match_mpmath_from_small_to_large_kr(self, gradient):
+        # both sides of the switch to the series and of the old one
+        k = 66.2287
+        x = np.concatenate([np.logspace(-6.0, 1.0, 120),
+                            [0.0199999, 0.02, 0.4999999, 0.5, 0.5000001]])
+        r = x / k
+        got = (_gradient_remainder(r, k, 0.0) if gradient
+               else _smooth_remainder(r, k))
+        ref = np.array([self.exact(ri, k, gradient) for ri in r])
+        worst = np.max(np.abs(got - ref) / np.abs(ref))
+        assert worst <= 1e-13
+
+    def test_split_sums_to_the_kernel(self):
+        r = np.logspace(-4.0, 0.0, 50)
+        k = 13.0
+        split = _static_gradient(r, 0.0) + _gradient_remainder(r, k, 0.0)
+        full = gradient_kernel(r, k)
+        assert np.max(np.abs(split - full) / np.abs(full)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def recon_sphere(small_sphere):
+    """The 0.04 m, 120-edge sphere with a near plan kept across passes."""
+    rwg = basis_pair(small_sphere)[0]
+    return rwg, NearPlan(rwg.fine)
+
+
+class TestNearStatics:
+    def test_scaled_statics_match_the_scaled_mesh(self):
+        radius = 0.0437
+        unit = basis_pair(unit_icosphere(0))[0].fine
+        mesh = basis_pair(generate_sphere_mesh(radius, radius))[0].fine
+        assert np.array_equal(unit.triangles, mesh.triangles)
+        shared = NearPlan(unit)
+        direct = NearPlan(mesh)
+        for tier in range(2):
+            got = shared.moments(tier) * radius ** _MOMENT_POWERS
+            want = direct.moments(tier)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            want = direct.double(tier)
+            assert (np.abs(shared.double(tier) - want).max()
+                    <= 1e-13 * np.abs(want).max())
+
+    def test_scaled_plan_rejects_another_mesh(self):
+        unit = basis_pair(unit_icosphere(0))[0]
+        other = basis_pair(generate_sphere_mesh(0.04, 0.04))[0]
+        plan = NearPlan(unit.fine).scaled(0.05)
+        with pytest.raises(ValueError, match="another mesh"):
+            assemble_blocks(other, [(other, ("single",))], 1.3, near=plan)
+        with pytest.raises(ValueError, match="other options"):
+            assemble_blocks(other, [(other, ("single",))], 1.3,
+                            AssemblyOptions(near_degree=5),
+                            near=plan.scaled(0.04))
+
+    def test_kept_plan_gives_the_bits_of_a_fresh_one(self, recon_sphere):
+        rwg, near = recon_sphere
+        k = FrequencyContext(2e9).wavenumber
+        kept = self_blocks(rwg, k, near=near)
+        fresh = self_blocks(rwg, k)
+        for kind in KINDS:
+            np.testing.assert_array_equal(kept[kind], fresh[kind])
+
+    @pytest.mark.parametrize("tier", [0, 1])
+    def test_split_on_static_rules_matches_the_full_kernel(
+            self, recon_sphere, tier):
+        # A tier's double layer as cached static part plus remainder,
+        # both on the static part's rules, against one integral of the
+        # full kernel gradient on those rules.
+        rwg, near = recon_sphere
+        fine, opts = rwg.fine, near.options
+        tp, sq = near.tiers[tier]
+        live = near.live[tier]
+        to, so = tp[live][:256], sq[live][:256]
+        depths = ((opts.double_outer_subdivisions,
+                   opts.double_inner_subdivisions) if tier == 0
+                  else (0, 0)) + (opts.near_degree,)
+        for frequency in GHZ:
+            k = FrequencyContext(frequency).wavenumber
+            full = _double_layer_local(
+                fine, to, so, lambda r: gradient_kernel(r, k), *depths)
+            split = near.double(tier)[:256] + _double_layer_local(
+                fine, to, so, lambda r: _gradient_remainder(r, k, 0.0),
+                *depths)
+            assert np.abs(split - full).max() <= 1e-13 * np.abs(full).max()
+
+    def test_translated_pair_keeps_its_block(self):
+        # Dyadic corners: the shifted mesh is the same pair, exactly.
+        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+        home = TriangleMesh.from_arrays(verts, faces)
+        away = TriangleMesh.from_arrays(verts + 1024.0, faces)
+        assert np.array_equal(away.vertices - 1024.0, home.vertices)
+        tp = np.array([0, 0, 1, 2, 3, 3])
+        sq = np.array([1, 2, 3, 1, 0, 2])
+        for kernel in (lambda r: _static_gradient(r, 0.0),
+                       lambda r: gradient_kernel(r, 1.3)):
+            want = _double_layer_local(home, tp, sq, kernel, 1, 2, 4)
+            got = _double_layer_local(away, tp, sq, kernel, 1, 2, 4)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("frequency", GHZ)
+    def test_light_remainders_track_the_static_rules(self, recon_sphere,
+                                                     frequency):
+        rwg, near = recon_sphere
+        k = FrequencyContext(frequency).wavenumber
+        light = self_blocks(rwg, k, near=near)
+        previous = self_blocks(rwg, k, near=near, depths=previous_depths)
+        for kind in KINDS:
+            assert rel(light[kind], previous[kind]) <= 1e-5
+
+    def test_light_remainders_no_farther_from_raised_knobs(self):
+        # The 30-edge sphere keeps the raised-knob statics affordable.
+        rwg = basis_pair(generate_sphere_mesh(0.04, 0.04))[0]
+        near, hard_near = NearPlan(rwg.fine), NearPlan(rwg.fine, HARD)
+        for frequency in GHZ:
+            k = FrequencyContext(frequency).wavenumber
+            hard = self_blocks(rwg, k, HARD, near=hard_near)
+            light = self_blocks(rwg, k, near=near)
+            previous = self_blocks(rwg, k, near=near, depths=previous_depths)
+            for kind in KINDS:
+                assert rel(light[kind], hard[kind]) <= rel(previous[kind],
+                                                           hard[kind])
