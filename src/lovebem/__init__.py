@@ -23,8 +23,8 @@ _SUBMODULES = {
                    "save_norm_table"],
     "spaces": ["BasisSpace", "basis_pair", "build_loop_star",
                "evaluate_rt0", "gram_matrix"],
-    "tsvd": ["RegularizationPolicy", "SolveReport", "tsvd_solve",
-             "condition_at_threshold"],
+    "tsvd": ["RegularizationPolicy", "SolveReport", "factorize",
+             "tsvd_solve", "condition_at_threshold"],
     "dipole": ["DipoleSource", "field_arrays", "sample_measurement"],
     "formulations": ["CurrentSolution", "SPSystem", "StabilizedSystem",
                      "assemble_calderon_interior", "build_sp_system",

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TriangleMesh
-from .operators import ETA0, FrequencyContext
-from .quadrature import triangle_rule
-from .spaces import BasisSpace, _face_basis
+from .operators import ETA0, FrequencyContext, _phase
+from .spaces import BasisSpace
 
 __all__ = ["DipoleSource", "field_arrays", "sample_measurement"]
 
@@ -54,7 +53,7 @@ def field_arrays(src: DipoleSource, points: np.ndarray
     n_x_m = np.cross(n, np.broadcast_to(m, n.shape))
     transverse = np.cross(n_x_m, n)
     radial = n * (n @ m)[:, None]
-    phase = np.exp(1j * k * r)
+    phase = _phase(k * r)
     outer = (phase / r)[:, None]
     inner = (phase * (1.0 / r ** 3 - 1j * k / r ** 2))[:, None]
     e = (1j * ETA0 / (4.0 * np.pi * k)) * (
@@ -91,9 +90,8 @@ def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
     if bc_test.mesh is not gamma_m:
         raise ValueError("test space does not live on the given surface")
     fine = bc_test.fine
-    pts, wts = triangle_rule(degree).map_to(fine.face_corners)
-    faces = np.arange(fine.n_faces)[:, None]
-    basis = _face_basis(fine, pts, faces)
+    pts, wts = fine.quadrature(degree)
+    basis = fine.rt0_values(degree)
     e_flat, h_flat = field_arrays(src, pts.reshape(-1, 3))
     shape = pts.shape[:2] + (3,)
     e = _test_field(bc_test, e_flat.reshape(shape), wts, basis,

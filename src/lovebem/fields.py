@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dipole import DipoleSource, field_arrays
-from .operators import ETA0
-from .quadrature import triangle_rule
-from .spaces import evaluate_rt0
+from .operators import ETA0, _phase
 
 __all__ = [
     "ErrorCurve",
@@ -31,8 +29,9 @@ __all__ = [
 ]
 
 _FOUR_PI = 4.0 * math.pi
-# Points per kernel block; a (128, 2880) complex kernel is about 6 MB.
-_CHUNK = 128
+# Points per kernel block, so a block's (16, 2880) real arrays of 0.37 MB
+# stay in cache.
+_CHUNK = 16
 # Polynomial degree of the product rule on the refined mesh.
 _DEGREE = 4
 
@@ -48,24 +47,22 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _quadrature_tables(space, coeffs, pts):
-    """Current values and face divergences at mapped quadrature points."""
+def _quadrature_tables(space, coeffs):
+    """Current values at the mesh's quadrature points and face divergences."""
     fine = space.fine
     if coeffs is None:
-        shape = pts.shape[:-1]
-        return np.zeros(shape + (3,), dtype=complex), np.zeros(
-            fine.n_faces, dtype=complex)
+        return (np.zeros(fine.quadrature(_DEGREE)[1].shape + (3,),
+                         dtype=complex), np.zeros(fine.n_faces, dtype=complex))
     fine_coeffs = space.to_fine @ np.asarray(coeffs)
-    faces = np.arange(fine.n_faces)[:, None]
-    values = evaluate_rt0(fine, fine_coeffs, faces, pts)
+    local = fine_coeffs[fine.face_edges][:, None, :]
+    values = np.einsum("...a,...ac->...c", local, fine.rt0_values(_DEGREE))
     div_slot = fine.face_edge_signs / fine.face_areas[:, None]
     divs = (div_slot * fine_coeffs[fine.face_edges]).sum(axis=1)
     return values, divs
 
 
 def _reject_near(mesh, points):
-    edges = mesh.face_corners - np.roll(mesh.face_corners, 1, axis=1)
-    diameter = float(np.linalg.norm(edges, axis=2).max())
+    diameter = float(mesh.face_diameters.max())
     cloud = np.vstack([mesh.vertices, mesh.face_centroids])
     for start in range(0, len(points), _CHUNK):
         block = points[start:start + _CHUNK]
@@ -89,36 +86,66 @@ def _radiate(solution, rwg, bc, points):
         raise ValueError("points must have shape (n, 3)")
     _reject_near(rwg.mesh, points)
     k = float(solution.wavenumber)
-    pts, wts = triangle_rule(_DEGREE).map_to(rwg.fine.face_corners)
-    m_vals, m_divs = _quadrature_tables(rwg, solution.m, pts)
-    j_vals, j_divs = _quadrature_tables(bc, solution.j, pts)
+    pts, wts = rwg.fine.quadrature(_DEGREE)
+    m_vals, m_divs = _quadrature_tables(rwg, solution.m)
+    j_vals, j_divs = _quadrature_tables(bc, solution.j)
     # Per quadrature point y and current (m, j): v for the kernel, and
     # div, y·div, v, y × v for the gradient kernel g, as with d = x - y,
     # Σ g d div = x Σ g div - Σ g y div and Σ g d × v = x × Σ g v - Σ g y × v.
-    # A chunk of points then needs one exp and two matrix products.
     y = pts.reshape(-1, 3)
     v = np.stack([m_vals, j_vals], axis=-2).reshape(-1, 2, 3)
     div = np.repeat(np.stack([m_divs, j_divs], -1), pts.shape[1], 0)[..., None]
-    potential_table = v.reshape(-1, 6)
+    # Complex even for real currents: the products below read the
+    # tables' float views, real and imaginary parts side by side.
+    potential_table = v.reshape(-1, 6).astype(complex).view(np.float64)
     gradient_table = np.concatenate(
         [div, y[:, None] * div, v, np.cross(y[:, None], v)],
-        axis=-1).reshape(-1, 20)
+        axis=-1).reshape(-1, 20).astype(complex).view(np.float64)
     w = wts.reshape(-1) / _FOUR_PI
 
+    # A chunk of n points needs one phase and two real matrix products:
+    # the kernel e^{ikR} w / R as cos and sin rows a = (a_c; a_s) of
+    # shape (2n, Q) against the potential table, and the gradient
+    # factor (ik/R - 1/R^2) times the kernel, as real and imaginary rows
+    # against the gradient table.
+    n_max = min(_CHUNK, len(points))
+    r = np.empty((n_max, len(y)))
+    scratch = np.empty_like(r)
+    phase = np.empty(r.shape, dtype=complex)
+    a = np.empty((2 * n_max, len(y)))
+    g = np.empty_like(a)
     e_m = np.empty((len(points), 3), dtype=complex)
     e_j = np.empty((len(points), 3), dtype=complex)
     h_out = np.empty((len(points), 3), dtype=complex)
     for start in range(0, len(points), _CHUNK):
         x = points[start:start + _CHUNK]
-        r2 = np.zeros((len(x), len(y)))
-        for c in range(3):
-            r2 += np.subtract.outer(x[:, c], y[:, c]) ** 2
-        r = np.sqrt(r2)
-        inv_r = 1.0 / r
-        kernel = np.exp(1j * k * r) * (w * inv_r)
-        grad = kernel * (1j * k * inv_r - inv_r * inv_r)
-        pot = (kernel @ potential_table).reshape(-1, 2, 3)
-        sums = (grad @ gradient_table).reshape(-1, 2, 10)
+        n = len(x)
+        r2, d = r[:n], scratch[:n]
+        np.subtract.outer(x[:, 0], y[:, 0], out=r2)
+        r2 *= r2
+        for c in (1, 2):
+            np.subtract.outer(x[:, c], y[:, c], out=d)
+            d *= d
+            r2 += d
+        dist = np.sqrt(r2, out=r2)
+        ph = _phase(np.multiply(dist, k, out=d), out=phase[:n])
+        weight = np.divide(w, dist, out=d)
+        a_c, a_s = a[:n], a[n:2 * n]
+        np.multiply(ph.real, weight, out=a_c)
+        np.multiply(ph.imag, weight, out=a_s)
+        pot = (a[:2 * n] @ potential_table).view(complex)
+        pot = (pot[:n] + 1j * pot[n:]).reshape(-1, 2, 3)
+        inv_r = np.divide(1.0, dist, out=dist)
+        g_r, g_i = g[:n], g[n:2 * n]
+        np.multiply(a_c, inv_r, out=g_r)
+        g_r += k * a_s
+        g_r *= inv_r
+        g_r *= -1.0
+        np.multiply(a_s, inv_r, out=g_i)
+        np.subtract(k * a_c, g_i, out=g_i)
+        g_i *= inv_r
+        sums = (g[:2 * n] @ gradient_table).view(complex)
+        sums = (sums[:n] + 1j * sums[n:]).reshape(-1, 2, 10)
         charge = x[:, None] * sums[..., :1] - sums[..., 1:4]
         curl = np.cross(x[:, None], sums[..., 4:7]) - sums[..., 7:10]
         scalar = (1j / k) * (k * k * pot + charge)

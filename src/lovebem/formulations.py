@@ -21,6 +21,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +29,7 @@ import scipy.linalg as sla
 
 from .operators import ETA0, assemble_blocks
 from .spaces import gram_matrix
-from .tsvd import SolveReport, tsvd_solve
+from .tsvd import SolveReport, factorize, tsvd_solve
 # Not called here; bound because the benchmark's traced run wraps them.
 from .projectors import build_projectors  # noqa: F401
 from .spaces import build_loop_star  # noqa: F401
@@ -169,9 +170,9 @@ class SPSystem:
     Holds the radiation rows, the self-surface trace block and one
     factorization of the interior coupling shared by every solve and
     recovery.  ``dense`` returns the composition of the three factors,
-    materialized at build time for pseudo-inversion.  ``trace_double``,
-    when given, keeps the self-surface double layer the coupling was
-    built from.
+    materialized at build time, and ``factors`` the SVD of that matrix,
+    made on first use and shared by every solve.  ``trace_double``, when given, keeps
+    the self-surface double layer the coupling was built from.
     """
 
     def __init__(self, wavenumber, field_double, field_efie, trace_efie,
@@ -215,6 +216,11 @@ class SPSystem:
     def dense(self):
         """Materialized system matrix."""
         return self._matrix
+
+    @cached_property
+    def factors(self):
+        """SVD of ``dense()`` for ``tsvd_solve``."""
+        return factorize(self._matrix)
 
 
 def build_sp_system(rwg, bc, bc_probe, ctx, projectors, static_double,
@@ -265,7 +271,7 @@ def solve_sp(system: SPSystem, e, policy) -> CurrentSolution:
     if e.shape != (system.n_tests,):
         raise ValueError(
             "measurement vector length does not match the test count")
-    x, report = tsvd_solve(system.dense(), -e, policy)
+    x, report = tsvd_solve(system.factors, -e, policy)
     return CurrentSolution(m=x, j=None, wavenumber=system.wavenumber,
                            formulation="single-current", report=report)
 
@@ -289,7 +295,8 @@ class StabilizedSystem:
     The unknown map rebalances the current coefficients and the test
     map the measurement rows; solving the scaled system and mapping
     back reproduces the plain solution whenever both paths are well
-    conditioned.  The scaled matrix is materialized at build time.
+    conditioned.  The scaled matrix is materialized at build time and
+    factored on first use.
     """
 
     def __init__(self, base: SPSystem, unknown_map, test_map):
@@ -307,6 +314,11 @@ class StabilizedSystem:
         """Materialized scaled system."""
         return self._matrix
 
+    @cached_property
+    def factors(self):
+        """SVD of ``matrix()`` for ``tsvd_solve``."""
+        return factorize(self._matrix)
+
 
 def solve_stabilized(stabilized: StabilizedSystem, e,
                      policy) -> CurrentSolution:
@@ -319,7 +331,7 @@ def solve_stabilized(stabilized: StabilizedSystem, e,
         raise ValueError(
             "measurement vector length does not match the test count")
     rhs = stabilized.test_map.apply(-e)
-    x, report = tsvd_solve(stabilized.matrix(), rhs, policy)
+    x, report = tsvd_solve(stabilized.factors, rhs, policy)
     m = stabilized.unknown_map.apply(x)
     return CurrentSolution(m=m, j=None, wavenumber=stabilized.base.wavenumber,
                            formulation="single-current scaled", report=report)
@@ -397,7 +409,7 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
                                    / np.linalg.norm(identity_map, 2))
     stacked = np.vstack([radiation, weight * identity_map])
     rhs = np.concatenate([e, ETA0 * h, np.zeros(2 * rwg.n_dofs)])
-    x, report = tsvd_solve(stacked, rhs, policy)
+    x, report = tsvd_solve(factorize(stacked), rhs, policy)
     n = rwg.n_dofs
     return CurrentSolution(m=-x[:n], j=x[n:], wavenumber=k,
                            formulation="two-current", report=report)

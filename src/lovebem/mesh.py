@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .quadrature import triangle_rule
+
 logger = logging.getLogger(__name__)
 
 # Icosahedron edge length for a unit circumradius.
@@ -141,8 +143,9 @@ class TriangleMesh:
     def _cached(self, name, builder):
         if name not in self._cache:
             value = builder()
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
             self._cache[name] = value
         return self._cache[name]
 
@@ -222,6 +225,22 @@ class TriangleMesh:
             return fe, signs
         return self._cached("face_edge_tables", build)
 
+    def quadrature(self, degree: int):
+        """The smallest bundled rule exact to ``degree``, on every face.
+
+        Returns points of shape (n_faces, q, 3) and weights of shape
+        (n_faces, q) that include the face areas.
+        """
+        return self._cached(("quadrature", degree), lambda: triangle_rule(
+            degree).map_to(self.face_corners))
+
+    def rt0_values(self, degree: int) -> np.ndarray:
+        """The three local RT0 functions of every face at its
+        ``quadrature(degree)`` points, shape (n_faces, q, 3 local, 3 xyz)."""
+        return self._cached(("rt0_values", degree), lambda: _face_basis(
+            self, self.quadrature(degree)[0],
+            np.arange(self.n_faces)[:, None]))
+
     def vertex_fans(self):
         """Cyclic edge/face ordering around every vertex.
 
@@ -268,6 +287,19 @@ class TriangleMesh:
                 fans.append((np.array(edges_out), np.array(faces_out)))
             return fans
         return self._cached("vertex_fans", build)
+
+
+def _face_basis(mesh: TriangleMesh, points: np.ndarray,
+                faces: np.ndarray) -> np.ndarray:
+    """Values of the three local RWG functions at points in faces.
+
+    ``points`` has shape ``(..., 3)`` and ``faces`` broadcasts against
+    its leading axes; returns shape ``(..., 3 local, 3 xyz)``.
+    """
+    corners = mesh.vertices[mesh.triangles[faces]]
+    scale = mesh.face_edge_signs[faces] / (2.0 * mesh.face_areas[faces])[
+        ..., None]
+    return scale[..., None] * (points[..., None, :] - corners)
 
 
 def _repair_orientation(vertices, triangles) -> np.ndarray:

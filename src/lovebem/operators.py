@@ -134,6 +134,58 @@ def _taylor(x, coeffs):
     return acc
 
 
+# exp(ix) by table lookup (P. T. P. Tang, ACM TOMS 15(2), 1989):
+# x = n 2pi/4096 + rem with n the nearest integer, so |rem| <= pi/4096
+# and exp(ix) = exp(i n 2pi/4096) exp(i rem), the first factor from a
+# table and the second from short Taylor polynomials.  2pi/4096 is
+# split as in Cody & Waite: _PHASE_HI keeps 31 significant bits, so
+# n * _PHASE_HI is exact for x < 6400, and _PHASE_LO is the rest.
+# Adding _ROUND rounds to an integer held in the low mantissa bits.
+_PHASE_SIZE = 4096
+_PHASE_HI = 0.0015339807878262945
+_PHASE_LO = 5.934668463384953e-14
+_PHASE_SCALE = _PHASE_SIZE / (2.0 * math.pi)
+_ROUND = 1.5 * 2.0**52
+# Elements per pass of _phase, so its temporaries stay in cache.
+_PHASE_SLAB = 8192
+
+
+def _phase_table():
+    """exp(i n 2pi/4096) for n < 4096, corrected for the _PHASE_LO part."""
+    n = np.arange(_PHASE_SIZE, dtype=np.float64)
+    hi, lo = n * _PHASE_HI, n * _PHASE_LO
+    cos, sin = np.cos(hi), np.sin(hi)
+    return (cos - sin * lo) + 1j * (sin + cos * lo)
+
+
+_PHASE_TABLE = _phase_table()
+
+
+def _phase(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(ix) for real x, within 2.5e-16 of the exact value for
+    0 <= x <= 6000.
+
+    Writes into ``out``, a C-contiguous complex array of x's shape, if
+    given.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.complex128)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for s0 in range(0, flat_x.size, _PHASE_SLAB):
+        xs = flat_x[s0:s0 + _PHASE_SLAB]
+        shifted = xs * _PHASE_SCALE + _ROUND
+        index = shifted.view(np.int64) & (_PHASE_SIZE - 1)
+        n = shifted - _ROUND
+        rem = xs - n * _PHASE_HI - n * _PHASE_LO
+        z = rem * rem
+        slab = flat_out[s0:s0 + _PHASE_SLAB]
+        slab.real = 1.0 + z * (z * (1.0 / 24.0) - 0.5)
+        slab.imag = rem * (1.0 + z * (z * (1.0 / 120.0) - 1.0 / 6.0))
+        slab *= _PHASE_TABLE[index]
+    return out
+
+
 def _smooth_remainder(r: np.ndarray, k: float) -> np.ndarray:
     """(exp(ikr) - 1 - ikr) / (4 pi r), series switched near zero."""
     x = k * r
@@ -142,7 +194,7 @@ def _smooth_remainder(r: np.ndarray, k: float) -> np.ndarray:
     xs = x[small]
     vals[small] = (k / _FOUR_PI) * xs * _taylor(xs, _SMOOTH_SERIES)
     big = r[~small]
-    vals[~small] = ((np.exp(1j * k * big) - 1.0 - 1j * k * big)
+    vals[~small] = ((_phase(k * big) - 1.0 - 1j * k * big)
                     / (_FOUR_PI * big))
     return vals
 
@@ -165,7 +217,7 @@ def _gradient_remainder(r: np.ndarray, k: float, floor: float) -> np.ndarray:
     xs = x[small]
     vals[small] = (k**3 / _FOUR_PI) * _taylor(xs, _GRADIENT_SERIES) / xs
     rb = r[big]
-    vals[big] = ((np.exp(1j * k * rb) * (1j * k * rb - 1.0) + 1.0)
+    vals[big] = ((_phase(k * rb) * (1j * k * rb - 1.0) + 1.0)
                  / (_FOUR_PI * rb**3))
     return vals
 
@@ -280,6 +332,94 @@ def _fold_left(f, i0, i1, w):
     for c in range(3):
         out += f.corner[c][i0:i1].T @ w[1 + c].T
     return np.asarray(out)
+
+
+def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
+    """Add the far pairs to every request's blocks, tile by tile.
+
+    ``lookup`` marks the near pairs of a same-surface call, which are
+    zeroed here and left to ``_apply_near``; it is None across
+    surfaces.  Every buffer is released on return, before the near pass
+    allocates its own.
+    """
+    need_helm = any(kind in ("single", "hyper")
+                    for req in reqs for kind in req.kinds)
+    need_grad = any("double" in req.kinds for req in reqs)
+    pts_t, wts_t = fine_t.quadrature(opts.regular_degree)
+    pts_s, wts_s = fine_s.quadrature(opts.regular_degree)
+    phi_t = _weighted_monomials(pts_t, wts_t)
+    phi_s = phi_t if fine_s is fine_t else _weighted_monomials(pts_s, wts_s)
+    nt = fine_t.n_faces
+    ns = fine_s.n_faces
+    tile = max(1, int(opts.tile_size))
+    q = pts_t.shape[1]
+    p = pts_s.shape[1]
+    # One buffer takes the phase of every tile.
+    phase_buffer = np.empty(min(tile, nt) * q * min(tile, ns) * p,
+                            dtype=np.complex128)
+    for i0 in range(0, nt, tile):
+        i1 = min(i0 + tile, nt)
+        ft = phi_t[i0:i1]
+        xt = pts_t[i0:i1].reshape(-1, 3)
+        # (N, I) accumulators: source dofs by test faces of the tile
+        w = [
+            {kind: [np.zeros((req.space.n_dofs, i1 - i0), dtype=np.complex128)
+                    for _ in range(1 if kind == "hyper" else 4)]
+             for kind in req.kinds}
+            for req in reqs]
+        for j0 in range(0, ns, tile):
+            j1 = min(j0 + tile, ns)
+            ys = pts_s[j0:j1].reshape(-1, 3)
+            r = _pairwise_distance(xt, ys)
+            live = r > floor
+            safe = np.where(live, r, 1.0)
+            phase = _phase(np.multiply(safe, k, out=r),
+                           out=phase_buffer[:r.size].reshape(r.shape))
+            shape4 = (i1 - i0, q, j1 - j0, p)
+            if lookup is not None:
+                sub = lookup[i0:i1, j0:j1].tocoo()
+                zr, zc = sub.row, sub.col
+            else:
+                zr = None
+            fs = phi_s[j0:j1]
+            if need_helm:
+                vals = phase / (_FOUR_PI * safe)
+                vals[~live] = 0.0
+                if zr is not None and zr.size:
+                    vals.reshape(shape4)[zr, :, zc] = 0.0
+                tr, sv, svp, s0 = _helmholtz_combos(_moment_table(vals, ft, fs))
+                del vals
+                for req, acc in zip(reqs, w):
+                    if "single" in req.kinds:
+                        _push_single(acc["single"], tr, sv, svp, s0,
+                                     req.factors, j0, j1)
+                    if "hyper" in req.kinds:
+                        acc["hyper"][0] += req.factors.charge[j0:j1].T @ s0
+            if need_grad:
+                # The phase, no longer needed, becomes the gradient
+                # kernel in place, slab by slab.
+                flat, dist = phase.reshape(-1), safe.reshape(-1)
+                for b0 in range(0, flat.size, _PHASE_SLAB):
+                    part = dist[b0:b0 + _PHASE_SLAB]
+                    flat[b0:b0 + _PHASE_SLAB] *= 1j * k * part - 1.0
+                    flat[b0:b0 + _PHASE_SLAB] /= _FOUR_PI * part**3
+                vals = phase
+                vals[~live] = 0.0
+                if zr is not None and zr.size:
+                    vals.reshape(shape4)[zr, :, zc] = 0.0
+                w9, d3 = _gradient_combos(_moment_table(vals, ft, fs))
+                for req, acc in zip(reqs, w):
+                    if "double" in req.kinds:
+                        _push_double(acc["double"], w9, d3, req.factors, j0, j1)
+        for req, acc, blocks in zip(reqs, w, out):
+            flt = req.test_factors
+            if "single" in req.kinds:
+                blocks["single"] += 1j * _fold_left(flt, i0, i1, acc["single"])
+            if "hyper" in req.kinds:
+                blocks["hyper"] += -1j * np.asarray(
+                    flt.charge[i0:i1].T @ acc["hyper"][0].T)
+            if "double" in req.kinds:
+                blocks["double"] += -1.0 * _fold_left(flt, i0, i1, acc["double"])
 
 
 # -- near pair detection ---------------------------------------------
@@ -784,19 +924,9 @@ def assemble_blocks(test, requests, k, options=None, near=None):
     if not same:
         check_clearance(fine_t, fine_s, opts)
 
-    rule = triangle_rule(opts.regular_degree)
-    pts_t, wts_t = rule.map_to(fine_t.face_corners)
-    phi_t = _weighted_monomials(pts_t, wts_t)
-    if same:
-        pts_s, phi_s = pts_t, phi_t
-    else:
-        pts_s, wts_s = rule.map_to(fine_s.face_corners)
-        phi_s = _weighted_monomials(pts_s, wts_s)
-    floor = _distance_floor(pts_t, pts_s)
-
-    need_helm = any(kind in ("single", "hyper")
-                    for req in reqs for kind in req.kinds)
-    need_grad = any("double" in req.kinds for req in reqs)
+    floor = _distance_floor(fine_t.quadrature(opts.regular_degree)[0],
+                            fine_s.quadrature(opts.regular_degree)[0])
+    kinds_present = {kind for req in reqs for kind in req.kinds}
 
     lookup = None
     if same:
@@ -806,9 +936,9 @@ def assemble_blocks(test, requests, k, options=None, near=None):
             near.check(fine_t, opts)
         # Statics first, so the far tiles' temporaries never sit under them.
         for tier in range(2):
-            if need_helm:
+            if kinds_present & {"single", "hyper"}:
                 near.moments(tier)
-            if need_grad:
+            if "double" in kinds_present:
                 near.double(tier)
         lookup = near.lookup
 
@@ -818,68 +948,7 @@ def assemble_blocks(test, requests, k, options=None, near=None):
          for kind in req.kinds}
         for req in reqs]
 
-    nt = fine_t.n_faces
-    ns = fine_s.n_faces
-    tile = max(1, int(opts.tile_size))
-    q = pts_t.shape[1]
-    p = pts_s.shape[1]
-    for i0 in range(0, nt, tile):
-        i1 = min(i0 + tile, nt)
-        ft = phi_t[i0:i1]
-        xt = pts_t[i0:i1].reshape(-1, 3)
-        # (N, I) accumulators: source dofs by test faces of the tile
-        w = [
-            {kind: [np.zeros((req.space.n_dofs, i1 - i0), dtype=np.complex128)
-                    for _ in range(1 if kind == "hyper" else 4)]
-             for kind in req.kinds}
-            for req in reqs]
-        for j0 in range(0, ns, tile):
-            j1 = min(j0 + tile, ns)
-            ys = pts_s[j0:j1].reshape(-1, 3)
-            r = _pairwise_distance(xt, ys)
-            live = r > floor
-            safe = np.where(live, r, 1.0)
-            phase = np.exp((1j * k) * safe)
-            shape4 = (i1 - i0, q, j1 - j0, p)
-            if lookup is not None:
-                sub = lookup[i0:i1, j0:j1].tocoo()
-                zr, zc = sub.row, sub.col
-            else:
-                zr = None
-            fs = phi_s[j0:j1]
-            if need_helm:
-                vals = phase / (_FOUR_PI * safe)
-                vals[~live] = 0.0
-                if zr is not None and zr.size:
-                    vals.reshape(shape4)[zr, :, zc] = 0.0
-                tr, sv, svp, s0 = _helmholtz_combos(_moment_table(vals, ft, fs))
-                del vals
-                for req, acc in zip(reqs, w):
-                    if "single" in req.kinds:
-                        _push_single(acc["single"], tr, sv, svp, s0,
-                                     req.factors, j0, j1)
-                    if "hyper" in req.kinds:
-                        acc["hyper"][0] += req.factors.charge[j0:j1].T @ s0
-            if need_grad:
-                vals = phase * (1j * k * safe - 1.0) / (_FOUR_PI * safe**3)
-                vals[~live] = 0.0
-                if zr is not None and zr.size:
-                    vals.reshape(shape4)[zr, :, zc] = 0.0
-                w9, d3 = _gradient_combos(_moment_table(vals, ft, fs))
-                del vals
-                for req, acc in zip(reqs, w):
-                    if "double" in req.kinds:
-                        _push_double(acc["double"], w9, d3, req.factors, j0, j1)
-        for req, acc, blocks in zip(reqs, w, out):
-            flt = req.test_factors
-            if "single" in req.kinds:
-                blocks["single"] += 1j * _fold_left(flt, i0, i1, acc["single"])
-            if "hyper" in req.kinds:
-                blocks["hyper"] += -1j * np.asarray(
-                    flt.charge[i0:i1].T @ acc["hyper"][0].T)
-            if "double" in req.kinds:
-                blocks["double"] += -1.0 * _fold_left(flt, i0, i1, acc["double"])
-
+    _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts)
     if same:
         _apply_near(out, reqs, fine_t, near, k, floor, opts)
     return out

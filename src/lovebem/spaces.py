@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BarycentricRefinement, TriangleMesh, barycentric_refine
-from .quadrature import triangle_rule
+from .mesh import (BarycentricRefinement, TriangleMesh, _face_basis,
+                   barycentric_refine)
 
 __all__ = [
     "BasisSpace",
@@ -228,19 +228,6 @@ def build_loop_star(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return loops, stars
 
 
-def _face_basis(mesh: TriangleMesh, points: np.ndarray,
-                faces: np.ndarray) -> np.ndarray:
-    """Values of the three local RWG functions at points in faces.
-
-    ``points`` has shape ``(..., 3)`` and ``faces`` broadcasts against
-    its leading axes; returns shape ``(..., 3 local, 3 xyz)``.
-    """
-    corners = mesh.vertices[mesh.triangles[faces]]
-    scale = mesh.face_edge_signs[faces] / (2.0 * mesh.face_areas[faces])[
-        ..., None]
-    return scale[..., None] * (points[..., None, :] - corners)
-
-
 def evaluate_rt0(mesh: TriangleMesh, coeffs: np.ndarray, faces: np.ndarray,
                  points: np.ndarray) -> np.ndarray:
     """Evaluate a unit-flux RWG expansion at points inside given faces.
@@ -267,9 +254,8 @@ def evaluate_rt0(mesh: TriangleMesh, coeffs: np.ndarray, faces: np.ndarray,
 
 def _fine_gram(mesh: TriangleMesh, rotated: bool) -> sp.csr_matrix:
     """Sparse RWG Gram matrix of a mesh, plain or rotated-test."""
-    rule = triangle_rule(2)
-    pts, wts = rule.map_to(mesh.face_corners)
-    basis = _face_basis(mesh, pts, np.arange(mesh.n_faces)[:, None])
+    _, wts = mesh.quadrature(2)
+    basis = mesh.rt0_values(2)
     test = basis
     if rotated:
         test = np.cross(mesh.face_normals[:, None, None, :], basis)

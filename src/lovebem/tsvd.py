@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RegularizationPolicy", "SolveReport", "tsvd_solve",
-    "condition_at_threshold",
+    "RegularizationPolicy", "SVDFactors", "SolveReport", "factorize",
+    "tsvd_solve", "condition_at_threshold",
 ]
 
 
@@ -40,29 +40,54 @@ def _retained(sigmas: np.ndarray, policy: RegularizationPolicy) -> int:
     return int(np.count_nonzero(sigmas >= policy.threshold * sigmas[0]))
 
 
-def tsvd_solve(matrix: np.ndarray, rhs: np.ndarray,
+@dataclass(frozen=True, eq=False)
+class SVDFactors:
+    """Thin SVD u @ diag(sigmas) @ vh of ``matrix``, all read-only."""
+
+    matrix: np.ndarray
+    u: np.ndarray
+    sigmas: np.ndarray
+    vh: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.matrix.shape
+
+
+def factorize(matrix: np.ndarray) -> SVDFactors:
+    """Factor a matrix once for any number of ``tsvd_solve`` calls.
+
+    Raises ``ValueError`` for non-finite entries.
+    """
+    matrix = np.asarray(matrix).view()
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix entries must be finite")
+    u, sigmas, vh = np.linalg.svd(matrix, full_matrices=False)
+    for arr in (matrix, u, sigmas, vh):
+        arr.setflags(write=False)
+    return SVDFactors(matrix, u, sigmas, vh)
+
+
+def tsvd_solve(factors: SVDFactors, rhs: np.ndarray,
                policy: RegularizationPolicy | None = None):
     """Least-squares solution through the retained singular subspace.
 
-    Returns ``(x, SolveReport)`` with
-    x = sum over retained i of (u_i^H b / sigma_i) v_i.  Raises
+    ``factors`` comes from ``factorize``.  Returns ``(x, SolveReport)``
+    with x = sum over retained i of (u_i^H b / sigma_i) v_i.  Raises
     ``ValueError`` when the matrix is identically zero (retained rank
     would be 0).
     """
     policy = RegularizationPolicy() if policy is None else policy
-    matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix entries must be finite")
-    if rhs.shape[0] != matrix.shape[0]:
+    if rhs.shape[0] != factors.shape[0]:
         raise ValueError("right side length does not match matrix rows")
-    u, sigmas, vh = np.linalg.svd(matrix, full_matrices=False)
+    u, sigmas, vh = factors.u, factors.sigmas, factors.vh
     rank = _retained(sigmas, policy)
     coeffs = (u[:, :rank].conj().T @ rhs) / sigmas[:rank]
     x = vh[:rank].conj().T @ coeffs
     scale = float(np.linalg.norm(rhs))
     residual = 0.0 if scale == 0.0 else float(
-        np.linalg.norm(matrix @ x - rhs)) / scale
+        np.linalg.norm(factors.matrix @ x - rhs)) / scale
     report = SolveReport(sigma_max=float(sigmas[0]),
                          sigma_cut=float(sigmas[rank - 1]),
                          rank=rank,

@@ -17,6 +17,7 @@ from lovebem import operators
 from lovebem.formulations import calderon_blocks, static_double_layer
 from lovebem.mesh import generate_sphere_mesh
 from lovebem.operators import AssemblyOptions
+from lovebem.quadrature import TriangleRule
 from lovebem.spaces import basis_pair
 
 GATE_GEOMETRY = {"surface_edge": 0.02, "probe_edge_m": 0.055}
@@ -613,6 +614,27 @@ class TestOperatorPlans:
         for miss, hit in artifacts.values():
             assert hit == miss
 
+    def test_warm_request_factors_and_maps_nothing(self, tmp_path,
+                                                    monkeypatch):
+        cfg = gate_config(tmp_path, formulation="sp-stabilized")
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        with cold_plans():
+            cold = artifact_bytes(run_reconstruction(cfg))
+            monkeypatch.setattr(np.linalg, "svd",
+                                counted("svd", np.linalg.svd))
+            monkeypatch.setattr(TriangleRule, "map_to",
+                                counted("map_to", TriangleRule.map_to))
+            warm = artifact_bytes(run_reconstruction(cfg))
+        assert calls == []
+        assert warm == cold
+
     def test_keys_cover_wavenumber_options_and_contents(
             self, stub_operator_plans):
         plans = OperatorPlans(bound=4)
@@ -666,7 +688,8 @@ class TestOperatorPlans:
         for arr in (system.dense(), system.coupling, system.trace_efie,
                     system.field_double, system.field_efie,
                     system.trace_double, surface.shape.static_double(),
-                    plan.stabilized.matrix()):
+                    plan.stabilized.matrix(), system.factors.u,
+                    plan.stabilized.factors.vh):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.0
         for matrix in (surface.rwg.to_fine, surface.bc.to_fine,

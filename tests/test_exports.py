@@ -4,7 +4,11 @@
 only on first access; these tests resolve every one up front.
 """
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +34,13 @@ def test_submodule_all_names_exist(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_pipeline_import_leaves_mpmath_out():
+    # mpmath serves the tests only; importing it would add to start-up.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(lovebem.__file__).resolve().parents[1]))
+    code = ("import sys, lovebem.experiments; "
+            "sys.exit('mpmath' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0

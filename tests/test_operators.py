@@ -13,7 +13,7 @@ from lovebem.operators import (C0, AssemblyOptions, FrequencyContext,
                                NearPlan, _coplanar, _double_layer_local,
                                _gradient_remainder,
                                _moment_table, _MOMENT_POWERS,
-                               _near_face_pairs, _smooth_remainder,
+                               _near_face_pairs, _phase, _smooth_remainder,
                                _static_gradient, assemble_blocks)
 from lovebem.quadrature import subdivide4, triangle_rule
 from lovebem.spaces import BasisSpace, basis_pair, build_loop_star
@@ -437,6 +437,30 @@ def self_blocks(space, k, options=None, near=None, depths=None):
             patch.setattr(operators, "_remainder_depths", depths)
         return assemble_blocks(space, [(space, KINDS)], k, options,
                                near=near)[0]
+
+
+class TestPhase:
+    def test_matches_mpmath(self):
+        # Odd multiples of pi/4096 are where the table index rounds over.
+        rng = np.random.default_rng(4)
+        boundaries = (2 * np.concatenate([
+            np.arange(64), rng.integers(0, 3_911_000, 400),
+            [3_911_000]]) + 1) * np.pi / 4096
+        x = np.concatenate([[0.0], np.linspace(0.0, 6000.0, 1001),
+                            rng.uniform(0.0, 6000.0, 1000), boundaries])
+        got = _phase(x)
+        mpmath.mp.dps = 40
+        ref = np.array([complex(mpmath.cos(mpmath.mpf(v)),
+                                mpmath.sin(mpmath.mpf(v))) for v in x])
+        assert boundaries.max() < 6000.0
+        assert got[0] == 1.0
+        assert np.max(np.abs(got - ref)) <= 2.5e-16
+
+    def test_fills_out_in_place(self):
+        x = np.linspace(0.0, 40.0, 3 * 7001).reshape(3, 7001)
+        out = np.empty(x.shape, dtype=complex)
+        assert _phase(x, out=out) is out
+        assert np.array_equal(out, _phase(x.ravel()).reshape(x.shape))
 
 
 class TestRemainderKernels:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lovebem.tsvd import (RegularizationPolicy, condition_at_threshold,
-                          tsvd_solve)
+from lovebem.tsvd import (RegularizationPolicy, SolveReport,
+                          condition_at_threshold, factorize, tsvd_solve)
 
 
 def random_complex(rng, shape):
@@ -34,7 +34,8 @@ class TestSolve:
     def test_diagonal_truncation(self):
         a = np.diag([1.0, 1e-3, 1e-9])
         b = np.ones(3)
-        x, report = tsvd_solve(a, b, RegularizationPolicy(threshold=1e-6))
+        x, report = tsvd_solve(factorize(a), b,
+                               RegularizationPolicy(threshold=1e-6))
         np.testing.assert_allclose(x, [1.0, 1000.0, 0.0], rtol=1e-12)
         assert report.rank == 2
         assert report.condition == pytest.approx(1000.0, rel=1e-12)
@@ -43,7 +44,7 @@ class TestSolve:
 
     def test_identity(self):
         b = np.array([2.0, -1.0, 0.5, 3.0])
-        x, report = tsvd_solve(np.eye(4), b)
+        x, report = tsvd_solve(factorize(np.eye(4)), b)
         np.testing.assert_allclose(x, b, rtol=0, atol=1e-14)
         assert report.condition == pytest.approx(1.0)
         assert report.residual <= 1e-14
@@ -53,39 +54,65 @@ class TestSolve:
         a = random_complex(rng, (50, 30))
         y = random_complex(rng, 30)
         b = a @ y
-        x, report = tsvd_solve(a, b, RegularizationPolicy(threshold=1e-14))
+        x, report = tsvd_solve(factorize(a), b,
+                               RegularizationPolicy(threshold=1e-14))
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
         assert report.rank == 30
         assert report.residual <= 1e-10
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            tsvd_solve(np.zeros((3, 3)), np.ones(3))
+            tsvd_solve(factorize(np.zeros((3, 3))), np.ones(3))
 
     def test_nonfinite_rejected(self):
         a = np.eye(3)
         a[1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            tsvd_solve(a, np.ones(3))
+            factorize(a)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
-            tsvd_solve(np.eye(3), np.ones(4))
+            tsvd_solve(factorize(np.eye(3)), np.ones(4))
 
     def test_matches_lstsq_at_full_rank(self):
         rng = np.random.default_rng(8)
         a = random_complex(rng, (40, 40))
         b = random_complex(rng, 40)
-        x, _ = tsvd_solve(a, b, RegularizationPolicy(threshold=1e-14))
+        x, _ = tsvd_solve(factorize(a), b,
+                          RegularizationPolicy(threshold=1e-14))
         ref = np.linalg.solve(a, b)
         np.testing.assert_allclose(x, ref, rtol=1e-9)
+
+    def test_factors_give_the_direct_svd_bits(self):
+        # Reference: the solve made from one np.linalg.svd call.
+        rng = np.random.default_rng(17)
+        a = graded_matrix(rng, np.logspace(0.0, -9.0, 24))[:, :18]
+        b = random_complex(rng, 24)
+        policy = RegularizationPolicy(threshold=1e-5)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        rank = int(np.count_nonzero(s >= policy.threshold * s[0]))
+        x_ref = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b) / s[:rank])
+        x, report = tsvd_solve(factorize(a), b, policy)
+        assert np.array_equal(x, x_ref)
+        assert report == SolveReport(
+            sigma_max=float(s[0]), sigma_cut=float(s[rank - 1]), rank=rank,
+            condition=float(s[0] / s[rank - 1]),
+            residual=float(np.linalg.norm(a @ x_ref - b))
+            / float(np.linalg.norm(b)))
+
+    def test_factors_are_read_only(self):
+        factors = factorize(np.eye(3))
+        assert factors.shape == (3, 3)
+        for arr in (factors.matrix, factors.u, factors.sigmas, factors.vh):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
     def test_bit_identical_repeat(self):
         rng = np.random.default_rng(13)
         a = random_complex(rng, (20, 15))
         b = random_complex(rng, 20)
-        x1, r1 = tsvd_solve(a, b)
-        x2, r2 = tsvd_solve(a, b)
+        x1, r1 = tsvd_solve(factorize(a), b)
+        x2, r2 = tsvd_solve(factorize(a), b)
         assert np.array_equal(x1, x2)
         assert r1 == r2
 
@@ -110,7 +137,7 @@ class TestCondition:
         rng = np.random.default_rng(6)
         a = graded_matrix(rng, [2.0, 0.5, 1e-5, 1e-9])
         policy = RegularizationPolicy(threshold=1e-4)
-        _, report = tsvd_solve(a, np.ones(4), policy)
+        _, report = tsvd_solve(factorize(a), np.ones(4), policy)
         assert condition_at_threshold(a, policy) == pytest.approx(
             report.condition, rel=1e-13)
 
@@ -121,8 +148,9 @@ class TestInvariants:
         sigmas = [1.0, 0.3, 1e-2, 1e-5, 1e-9, 1e-12]
         a = graded_matrix(rng, sigmas)
         policy = RegularizationPolicy(threshold=1e-6)
+        factors = factorize(a)
         pinv_applied = np.stack(
-            [tsvd_solve(a, col, policy)[0] for col in a.T], axis=1)
+            [tsvd_solve(factors, col, policy)[0] for col in a.T], axis=1)
         u, s, vh = np.linalg.svd(a)
         keep = s >= policy.threshold * s[0]
         a_tau = (u[:, keep] * s[keep]) @ vh[keep]
@@ -148,6 +176,7 @@ class TestInvariants:
         t1, t2 = sorted([10.0 ** lo, 10.0 ** hi])
         rng = np.random.default_rng(2)
         a = graded_matrix(rng, [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
-        _, tight = tsvd_solve(a, np.ones(6), RegularizationPolicy(t2))
-        _, loose = tsvd_solve(a, np.ones(6), RegularizationPolicy(t1))
+        factors = factorize(a)
+        _, tight = tsvd_solve(factors, np.ones(6), RegularizationPolicy(t2))
+        _, loose = tsvd_solve(factors, np.ones(6), RegularizationPolicy(t1))
         assert loose.rank >= tight.rank
