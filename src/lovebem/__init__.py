@@ -15,7 +15,7 @@ from importlib import import_module
 
 _SUBMODULES = {
     "mesh": ["TriangleMesh", "BarycentricRefinement", "MeshError",
-             "load_mesh", "generate_sphere_mesh", "barycentric_refine"],
+             "generate_sphere_mesh", "barycentric_refine"],
     "operators": ["C0", "ETA0", "AssemblyOptions", "FrequencyContext",
                   "assemble_blocks"],
     "projectors": ["ProjectorSet", "ScalingMap", "build_projectors",

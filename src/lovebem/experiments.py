@@ -23,6 +23,7 @@ import math
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
                            interior_coupling, recover_electric_current,
                            save_solution, solve_baseline_love, solve_sp,
                            solve_stabilized, static_double_layer)
-from .mesh import (barycentric_refine, generate_sphere_mesh, load_mesh,
+from .mesh import (_octahedron, barycentric_refine, generate_sphere_mesh,
                    unit_icosphere)
 from .operators import (ETA0, AssemblyOptions, FrequencyContext, NearPlan,
                         gram_matrix)
@@ -380,17 +381,14 @@ class ShapePlan:
         self.mesh = unit_icosphere(level)
         self.rwg, self.bc = basis_pair(self.mesh)
         _freeze(self.rwg.to_fine, self.bc.to_fine)
-        self._projectors = None
         self._near = {}
         self._static = {}
 
-    @property
+    @cached_property
     def projectors(self):
-        if self._projectors is None:
-            ps = build_projectors(*build_loop_star(self.mesh))
-            _freeze(ps.loops, ps.stars)
-            self._projectors = ps
-        return self._projectors
+        ps = build_projectors(*build_loop_star(self.mesh))
+        _freeze(ps.loops, ps.stars)
+        return ps
 
     def near(self, options=None) -> NearPlan:
         options = _options(options)
@@ -469,17 +467,14 @@ class OperatorPlan:
         system = self.system
         _freeze(system.field_double, system.field_efie, system.trace_efie,
                 system.trace_double, system.coupling, system.dense())
-        self._stabilized = None
 
-    @property
+    @cached_property
     def stabilized(self):
-        if self._stabilized is None:
-            maps = build_scaling(self.surface.projectors,
-                                 self.probe.projectors, self.ctx)
-            stabilized = StabilizedSystem(self.system, *maps)
-            _freeze(stabilized.matrix())
-            self._stabilized = stabilized
-        return self._stabilized
+        maps = build_scaling(self.surface.projectors,
+                             self.probe.projectors, self.ctx)
+        stabilized = StabilizedSystem(self.system, *maps)
+        _freeze(stabilized.matrix())
+        return stabilized
 
 
 class OperatorPlans:
@@ -756,30 +751,10 @@ def _check(name, metric, bound, larger_is_better=False, detail=None):
     return entry
 
 
-_OCTAHEDRON_OFF = """\
-OFF
-6 8 12
-1 0 0
--1 0 0
-0 1 0
-0 -1 0
-0 0 1
-0 0 -1
-3 0 2 4
-3 2 1 4
-3 1 3 4
-3 3 0 4
-3 2 0 5
-3 1 2 5
-3 3 1 5
-3 0 3 5
-"""
-
-
 def _suite_solenoidal():
     """Circulation inputs and tests must not see the charge kernel."""
     worst = 0.0
-    for mesh in (load_mesh(_OCTAHEDRON_OFF),
+    for mesh in (_octahedron(),
                  generate_sphere_mesh(0.04, 0.0095)):
         rwg = basis_pair(mesh)[0]
         loops = build_loop_star(mesh)[0].toarray()
@@ -797,7 +772,7 @@ def _suite_projector_algebra():
     """Idempotency, complementarity and mutual annihilation."""
     rng = np.random.default_rng(0)
     worst = 0.0
-    for mesh in (load_mesh(_OCTAHEDRON_OFF),
+    for mesh in (_octahedron(),
                  generate_sphere_mesh(1.0, 0.55)):
         ps = build_projectors(*build_loop_star(mesh))
         x = (rng.standard_normal(mesh.n_edges)

@@ -1,8 +1,10 @@
 """Closed triangle-mesh surfaces and their barycentric refinements.
 
-Meshes are flat-facet polyhedral surfaces. Only closed, orientable,
-genus-zero surfaces are accepted: the loop/star bookkeeping used by the
-rest of the package relies on Euler characteristic 2.
+Meshes are flat-facet polyhedral surfaces, generated here as
+icospheres (and an octahedron for the property suite) that are wound
+outward by construction.  Only closed, consistently wound, genus-zero
+surfaces are accepted: the loop/star bookkeeping used by the rest of
+the package relies on Euler characteristic 2.
 
 Edge bookkeeping convention: every edge stores its vertex pair with the
 lower vertex index first (the reference orientation, tail -> head), and
@@ -15,9 +17,7 @@ traverses the edge tail -> head (called the plus side) and
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +32,8 @@ MAX_SPHERE_LEVEL = 7
 
 
 class MeshError(Exception):
-    """Raised for unreadable, non-manifold, open or unorientable input."""
+    """Raised for malformed, open, non-manifold, inconsistently wound or
+    non-genus-zero triangle arrays, and for sphere sizes out of range."""
 
 
 def _as_points(vertices) -> np.ndarray:
@@ -46,9 +47,10 @@ def _as_points(vertices) -> np.ndarray:
 class TriangleMesh:
     """A closed oriented triangle mesh with a deterministic edge table.
 
-    Use :meth:`from_arrays`, :func:`load_mesh` or
-    :func:`generate_sphere_mesh` instead of the bare constructor; they
-    run the manifold checks and the orientation repair.
+    The constructor checks the arrays and rejects, with
+    :class:`MeshError`, any surface that is open, non-manifold,
+    inconsistently wound or not genus zero.  Winding is taken as given:
+    triangles must run counter-clockwise seen from outside.
     """
 
     vertices: np.ndarray
@@ -72,20 +74,6 @@ class TriangleMesh:
             arr.setflags(write=False)
 
     # -- construction ------------------------------------------------
-
-    @classmethod
-    def from_arrays(cls, vertices, triangles) -> "TriangleMesh":
-        """Build a mesh, repairing triangle winding if needed.
-
-        Orientations are made mutually consistent by flipping triangles
-        during a breadth-first walk of the face-adjacency graph, then the
-        whole surface is flipped if its signed volume is negative so that
-        normals point outward.
-        """
-        vertices = _as_points(vertices)
-        triangles = np.array(triangles, dtype=np.int64)
-        triangles = _repair_orientation(vertices, triangles)
-        return cls(vertices, triangles)
 
     def _build_edges(self):
         tri = self.triangles
@@ -208,21 +196,12 @@ class TriangleMesh:
 
     def _face_edge_tables(self):
         def build():
-            tri = self.triangles
-            n_v = self.n_vertices
-            key_of = {}
-            for idx, (a, b) in enumerate(self.edges):
-                key_of[a * (n_v + 1) + b] = idx
-            fe = np.empty((self.n_faces, 3), dtype=np.int64)
-            signs = np.empty((self.n_faces, 3), dtype=np.int64)
-            # Local edge a is opposite local corner a.
-            for a, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
-                ta, he = tri[:, i], tri[:, j]
-                lo = np.minimum(ta, he)
-                hi = np.maximum(ta, he)
-                fe[:, a] = [key_of[k] for k in (lo * (n_v + 1) + hi)]
-                signs[:, a] = np.where(ta == lo, 1, -1)
-            return fe, signs
+            # Local edge a runs from corner a + 1 to corner a + 2, so it
+            # is opposite corner a.
+            tails = np.roll(self.triangles, -1, axis=1)
+            heads = np.roll(self.triangles, 1, axis=1)
+            return (_edge_ids(self, tails, heads),
+                    np.where(tails < heads, 1, -1))
         return self._cached("face_edge_tables", build)
 
     def quadrature(self, degree: int):
@@ -302,111 +281,15 @@ def _face_basis(mesh: TriangleMesh, points: np.ndarray,
     return scale[..., None] * (points[..., None, :] - corners)
 
 
-def _repair_orientation(vertices, triangles) -> np.ndarray:
-    """Make windings consistent (BFS) and outward (signed volume)."""
-    tri = triangles.copy()
-    n_f = len(tri)
-    # Undirected edge -> incident faces.
-    incident: dict = {}
-    for t in range(n_f):
-        a, b, c = tri[t]
-        for u, w in ((a, b), (b, c), (c, a)):
-            k = (min(u, w), max(u, w))
-            incident.setdefault(k, []).append(t)
-    for k, faces in incident.items():
-        if len(faces) > 2:
-            raise MeshError("non-manifold edge (more than two faces)")
-        if len(faces) < 2:
-            raise MeshError("open surface (boundary edge found)")
-
-    def directed(t):
-        a, b, c = tri[t]
-        return {(a, b), (b, c), (c, a)}
-
-    seen = np.zeros(n_f, dtype=bool)
-    for root in range(n_f):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            t = queue.popleft()
-            for d in list(directed(t)):
-                k = (min(d), max(d))
-                other = [f for f in incident[k] if f != t]
-                if not other:
-                    continue
-                o = other[0]
-                shares_direction = d in directed(o)
-                if not seen[o]:
-                    if shares_direction:
-                        tri[o, 1], tri[o, 2] = tri[o, 2], tri[o, 1]
-                    seen[o] = True
-                    queue.append(o)
-                elif shares_direction:
-                    raise MeshError("unorientable surface")
-    corners = vertices[tri]
-    volume = np.einsum("ij,ij->", corners[:, 0],
-                       np.cross(corners[:, 1], corners[:, 2])) / 6.0
-    if volume < 0:
-        tri[:, [1, 2]] = tri[:, [2, 1]]
-    return tri
-
-
-# -- file readers ----------------------------------------------------
-
-def load_mesh(source) -> TriangleMesh:
-    """Read a mesh from an OFF file.
-
-    ``source`` is a path, or the file content itself (anything that
-    contains a newline is treated as content).
-    """
-    vertices, triangles = _parse_off(_read_source(source))
-    mesh = TriangleMesh.from_arrays(vertices, triangles)
-    logger.debug("loaded OFF mesh: %d vertices, %d faces",
-                 mesh.n_vertices, mesh.n_faces)
-    return mesh
-
-
-def _read_source(source) -> str:
-    if isinstance(source, Path):
-        return source.read_text()
-    if isinstance(source, str):
-        if "\n" in source:
-            return source
-        return Path(source).read_text()
-    raise MeshError("source must be a path or file content")
-
-
-def _tokens(text):
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        for tok in line.split():
-            yield tok
-
-
-def _parse_off(text):
-    toks = _tokens(text)
-    try:
-        magic = next(toks)
-        if magic.upper() != "OFF":
-            raise MeshError("not an OFF file")
-        n_v, n_f = int(next(toks)), int(next(toks))
-        next(toks)  # edge count, ignored
-        verts = np.array([[float(next(toks)) for _ in range(3)]
-                          for _ in range(n_v)])
-        tris = []
-        for _ in range(n_f):
-            n = int(next(toks))
-            if n != 3:
-                raise MeshError(f"face with {n} vertices, "
-                                "triangles only")
-            tris.append([int(next(toks)) for _ in range(3)])
-    except StopIteration:
-        raise MeshError("truncated OFF file") from None
-    except ValueError as exc:
-        raise MeshError(f"malformed OFF file: {exc}") from None
-    return verts, np.array(tris)
+def _edge_ids(mesh: TriangleMesh, lo: np.ndarray,
+              hi: np.ndarray) -> np.ndarray:
+    """Edge indices for vertex pairs, relying on the sorted edge table."""
+    a = np.minimum(lo, hi)
+    b = np.maximum(lo, hi)
+    stride = mesh.n_vertices + 1
+    keys = mesh.edges[:, 0].astype(np.int64) * stride + mesh.edges[:, 1]
+    idx = np.searchsorted(keys, a.astype(np.int64) * stride + b)
+    return idx
 
 
 # -- sphere generator ------------------------------------------------
@@ -426,6 +309,18 @@ def _icosahedron():
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ], dtype=np.int64)
     return verts, faces
+
+
+def _octahedron() -> TriangleMesh:
+    """The unit octahedron, wound outward."""
+    verts = np.array([
+        [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+    ], dtype=np.float64)
+    faces = np.array([
+        [0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+        [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5],
+    ], dtype=np.int64)
+    return TriangleMesh(verts, faces)
 
 
 def generate_sphere_mesh(radius: float,
@@ -455,7 +350,7 @@ def generate_sphere_mesh(radius: float,
                 f"subdivision level {level} exceeds cap {MAX_SPHERE_LEVEL} "
                 f"for target edge length {target_edge_length}")
         verts, faces = _subdivided_icosphere(level)
-        mesh = TriangleMesh.from_arrays(radius * verts, faces)
+        mesh = TriangleMesh(radius * verts, faces)
         if mesh.edge_lengths.max() <= allowed:
             logger.debug("sphere mesh level %d: %d edges", level,
                          mesh.n_edges)
@@ -469,7 +364,7 @@ def unit_icosphere(level: int) -> TriangleMesh:
     Scaling changes no triangle, so work that depends only on the shape
     of a generated sphere can be done once on this mesh.
     """
-    return TriangleMesh.from_arrays(*_subdivided_icosphere(level))
+    return TriangleMesh(*_subdivided_icosphere(level))
 
 
 def _subdivided_icosphere(level):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (BarycentricRefinement, TriangleMesh, _face_basis,
-                   barycentric_refine)
+from .mesh import (BarycentricRefinement, TriangleMesh, _edge_ids,
+                   _face_basis, barycentric_refine)
 
 __all__ = [
     "BasisSpace",
@@ -66,16 +66,6 @@ def basis_pair(mesh: TriangleMesh) -> tuple[BasisSpace, BasisSpace]:
     rwg = BasisSpace("rwg", mesh, ref.mesh, refinement_matrix(ref))
     bc = BasisSpace("bc", mesh, ref.mesh, bc_matrix(ref))
     return rwg, bc
-
-
-def _edge_ids(mesh: TriangleMesh, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Edge indices for vertex pairs, relying on the sorted edge table."""
-    a = np.minimum(lo, hi)
-    b = np.maximum(lo, hi)
-    stride = mesh.n_vertices + 1
-    keys = mesh.edges[:, 0].astype(np.int64) * stride + mesh.edges[:, 1]
-    idx = np.searchsorted(keys, a.astype(np.int64) * stride + b)
-    return idx
 
 
 def refinement_matrix(ref: BarycentricRefinement) -> sp.csr_matrix:

@@ -5,26 +5,9 @@ import numpy as np
 import pytest
 
 from lovebem import TriangleMesh, generate_sphere_mesh
+from lovebem.mesh import _octahedron
 from lovebem.quadrature import collapsed_rule
 
-OCTAHEDRON_OFF = """\
-OFF
-6 8 12
-1 0 0
--1 0 0
-0 1 0
-0 -1 0
-0 0 1
-0 0 -1
-3 0 2 4
-3 2 1 4
-3 1 3 4
-3 3 0 4
-3 2 0 5
-3 1 2 5
-3 3 1 5
-3 0 3 5
-"""
 
 def make_torus_mesh(n: int = 4, m: int = 4) -> TriangleMesh:
     """Genus-one grid torus, used to exercise the genus check."""
@@ -88,8 +71,7 @@ def singular_fans(corners, obs, n=16):
 
 @pytest.fixture(scope="session")
 def octahedron():
-    from lovebem import load_mesh
-    return load_mesh(OCTAHEDRON_OFF)
+    return _octahedron()
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lovebem import (TriangleMesh, MeshError, load_mesh,
+from lovebem import (TriangleMesh, MeshError,
                      generate_sphere_mesh, barycentric_refine)
-from conftest import OCTAHEDRON_OFF, make_torus_mesh
+from lovebem.mesh import _octahedron, unit_icosphere
+from conftest import make_torus_mesh
 
 
 def signed_volume(mesh):
@@ -22,8 +23,8 @@ class TestReaders:
         assert euler == 2
 
     def test_deterministic_edge_table(self):
-        a = load_mesh(OCTAHEDRON_OFF)
-        b = load_mesh(OCTAHEDRON_OFF)
+        a = _octahedron()
+        b = _octahedron()
         np.testing.assert_array_equal(a.edges, b.edges)
         np.testing.assert_array_equal(a.edge_faces, b.edge_faces)
         # reference orientation is lower index -> higher index
@@ -31,46 +32,34 @@ class TestReaders:
         order = np.lexsort((a.edges[:, 1], a.edges[:, 0]))
         np.testing.assert_array_equal(order, np.arange(a.n_edges))
 
-    def test_orientation_repair(self, octahedron):
+    def test_inconsistent_winding_rejected(self, octahedron):
         tri = octahedron.triangles.copy()
         tri[[1, 4, 6], :] = tri[[1, 4, 6]][:, [0, 2, 1]]
-        repaired = TriangleMesh.from_arrays(octahedron.vertices, tri)
-        assert signed_volume(repaired) > 0
-        # all normals outward on a convex solid centred at the origin
-        dots = np.einsum("ij,ij->i", repaired.face_normals,
-                         repaired.face_centroids)
-        assert np.all(dots > 0)
+        with pytest.raises(MeshError, match="unorientable"):
+            TriangleMesh(octahedron.vertices, tri)
 
-    def test_fully_inverted_input_flipped_outward(self, octahedron):
-        tri = octahedron.triangles[:, [0, 2, 1]]
-        repaired = TriangleMesh.from_arrays(octahedron.vertices, tri)
-        assert signed_volume(repaired) > 0
+    def test_generated_meshes_wind_outward(self, octahedron):
+        meshes = [unit_icosphere(level) for level in range(5)]
+        for mesh in meshes + [octahedron]:
+            assert signed_volume(mesh) > 0
+            # convex solids centred at the origin
+            dots = np.einsum("ij,ij->i", mesh.face_normals,
+                             mesh.face_centroids)
+            assert np.all(dots > 0)
 
     def test_open_surface_rejected(self, octahedron):
         with pytest.raises(MeshError, match="open"):
-            TriangleMesh.from_arrays(octahedron.vertices,
-                                     octahedron.triangles[:-1])
+            TriangleMesh(octahedron.vertices, octahedron.triangles[:-1])
 
     def test_nonmanifold_rejected(self, octahedron):
         tri = np.vstack([octahedron.triangles,
                          octahedron.triangles[:1]])
         with pytest.raises(MeshError, match="non-manifold"):
-            TriangleMesh.from_arrays(octahedron.vertices, tri)
+            TriangleMesh(octahedron.vertices, tri)
 
     def test_genus_one_rejected(self):
         with pytest.raises(MeshError, match="Euler"):
             make_torus_mesh()
-
-    def test_parse_garbage(self):
-        with pytest.raises(MeshError):
-            load_mesh("OFF\n3 1 0\nnot numbers\n")
-        with pytest.raises(MeshError):
-            load_mesh("this is not a mesh\nat all\n")
-
-    def test_gmsh_content_rejected(self):
-        # Only OFF is read; the pipeline itself builds icospheres.
-        with pytest.raises(MeshError, match="not an OFF file"):
-            load_mesh("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
 
 
 class TestSphere:
@@ -106,15 +95,16 @@ class TestSphere:
 
 class TestTopologyTables:
     def test_face_edges_consistent(self, small_sphere):
-        m = small_sphere
-        for t in range(m.n_faces):
-            corners = set(m.triangles[t])
-            for a in range(3):
-                e = m.face_edges[t, a]
-                pair = set(m.edges[e])
-                assert pair == corners - {m.triangles[t, a]}
-                is_plus = m.edge_faces[e, 0] == t
-                assert (1 if is_plus else -1) == m.face_edge_signs[t, a]
+        refined = barycentric_refine(unit_icosphere(2)).mesh
+        for m in (small_sphere, refined):
+            for t in range(m.n_faces):
+                corners = set(m.triangles[t])
+                for a in range(3):
+                    e = m.face_edges[t, a]
+                    pair = set(m.edges[e])
+                    assert pair == corners - {m.triangles[t, a]}
+                    is_plus = m.edge_faces[e, 0] == t
+                    assert (1 if is_plus else -1) == m.face_edge_signs[t, a]
 
     def test_edge_faces_cover(self, small_sphere):
         counts = np.bincount(small_sphere.edge_faces.ravel(),

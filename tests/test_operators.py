@@ -34,7 +34,7 @@ def tetra_mesh(scale, shift):
         [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
          [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) / np.sqrt(3.0)
     faces = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
-    return TriangleMesh.from_arrays(verts * scale + np.asarray(shift), faces)
+    return TriangleMesh(verts * scale + np.asarray(shift), faces)
 
 
 def rel(a, b):
@@ -146,7 +146,7 @@ def brute_matrices(mesh_t, mesh_s, k, depth, degree, self_fan=16):
 @pytest.fixture(scope="module")
 def icosa_cross():
     base = generate_sphere_mesh(1.0, 1.0)
-    other = TriangleMesh.from_arrays(
+    other = TriangleMesh(
         base.vertices + np.array([5.0, 0.0, 0.0]), base.triangles)
     return identity_space(base), identity_space(other)
 
@@ -321,7 +321,7 @@ class TestCoplanarSkip:
 class TestGeometryHandling:
     def test_rejects_surfaces_without_clearance(self):
         base = generate_sphere_mesh(1.0, 1.0)
-        near = TriangleMesh.from_arrays(
+        near = TriangleMesh(
             base.vertices + np.array([2.2, 0.0, 0.0]), base.triangles)
         with pytest.raises(ValueError, match="too close"):
             assemble_blocks(identity_space(base),
@@ -341,7 +341,7 @@ class TestGeometryHandling:
                          [-unit[1], unit[0], 0.0]])
         rot = (np.eye(3) + np.sin(angle) * skew
                + (1.0 - np.cos(angle)) * (skew @ skew))
-        moved = TriangleMesh.from_arrays(
+        moved = TriangleMesh(
             base.vertices @ rot.T + np.asarray(shift), base.triangles)
         k = 1.3
         ref = assemble_blocks(
@@ -382,7 +382,7 @@ class TestTiling:
 
     def test_ragged_tiles_across_surfaces(self):
         base = generate_sphere_mesh(1.0, 0.55)
-        other = TriangleMesh.from_arrays(
+        other = TriangleMesh(
             base.vertices + np.array([5.0, 0.0, 0.0]), base.triangles)
         test, src = identity_space(base), identity_space(other)
         ref = assemble_blocks(test, [(src, KINDS)], 1.3)[0]
@@ -565,8 +565,8 @@ class TestNearStatics:
         verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
-        home = TriangleMesh.from_arrays(verts, faces)
-        away = TriangleMesh.from_arrays(verts + 1024.0, faces)
+        home = TriangleMesh(verts, faces)
+        away = TriangleMesh(verts + 1024.0, faces)
         assert np.array_equal(away.vertices - 1024.0, home.vertices)
         tp = np.array([0, 0, 1, 2, 3, 3])
         sq = np.array([1, 2, 3, 1, 0, 2])

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lovebem.mesh import barycentric_refine, generate_sphere_mesh
-from lovebem.spaces import (_edge_ids, basis_pair, bc_matrix, build_loop_star,
+from lovebem.mesh import _edge_ids, barycentric_refine, generate_sphere_mesh
+from lovebem.spaces import (basis_pair, bc_matrix, build_loop_star,
                             evaluate_rt0, gram_matrix)
 
 
