@@ -63,18 +63,6 @@ def field_arrays(src: DipoleSource, points: np.ndarray
     return e, h
 
 
-def _test_field(space: BasisSpace, values: np.ndarray,
-                weights: np.ndarray, basis: np.ndarray,
-                face_edges: np.ndarray, rotated: bool) -> np.ndarray:
-    test = basis
-    if rotated:
-        test = np.cross(space.fine.face_normals[:, None, None, :], basis)
-    local = np.einsum("fqac,fqc,fq->fa", test, values, weights)
-    fine_vec = np.zeros(space.fine.n_edges, dtype=np.complex128)
-    np.add.at(fine_vec, face_edges, local)
-    return space.to_fine.T @ fine_vec
-
-
 def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
                        bc_test: BasisSpace, degree: int = 4,
                        rotated: bool = True
@@ -91,11 +79,12 @@ def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
         raise ValueError("test space does not live on the given surface")
     fine = bc_test.fine
     pts, wts = fine.quadrature(degree)
-    basis = fine.rt0_values(degree)
-    e_flat, h_flat = field_arrays(src, pts.reshape(-1, 3))
-    shape = pts.shape[:2] + (3,)
-    e = _test_field(bc_test, e_flat.reshape(shape), wts, basis,
-                    fine.face_edges, rotated)
-    h = _test_field(bc_test, h_flat.reshape(shape), wts, basis,
-                    fine.face_edges, rotated)
+    test = fine.rt0_values(degree)
+    if rotated:
+        test = np.cross(fine.face_normals[:, None, None, :], test)
+    fields = np.stack(field_arrays(src, pts.reshape(-1, 3)))
+    per_face = np.einsum("fqac,nfqc,fq->fan", test,
+                         fields.reshape((2,) + pts.shape), wts)
+    e, h = np.ascontiguousarray(
+        (bc_test.local.T @ per_face.reshape(-1, 2)).T)
     return e, h

@@ -380,7 +380,8 @@ class ShapePlan:
     def __init__(self, level: int):
         self.mesh = unit_icosphere(level)
         self.rwg, self.bc = basis_pair(self.mesh)
-        _freeze(self.rwg.to_fine, self.bc.to_fine)
+        _freeze(self.rwg.to_fine, self.bc.to_fine, self.rwg.local,
+                self.bc.local)
         self._near = {}
         self._static = {}
 
@@ -423,6 +424,7 @@ class GeometryPlan:
         fine = barycentric_refine(mesh).mesh
         self.rwg = BasisSpace("rwg", mesh, fine, shape.rwg.to_fine)
         self.bc = BasisSpace("bc", mesh, fine, shape.bc.to_fine)
+        _freeze(self.rwg.local, self.bc.local)
         self._cleared = set()
 
     @property

@@ -53,11 +53,11 @@ def _quadrature_tables(space, coeffs):
     if coeffs is None:
         return (np.zeros(fine.quadrature(_DEGREE)[1].shape + (3,),
                          dtype=complex), np.zeros(fine.n_faces, dtype=complex))
-    fine_coeffs = space.to_fine @ np.asarray(coeffs)
-    local = fine_coeffs[fine.face_edges][:, None, :]
-    values = np.einsum("...a,...ac->...c", local, fine.rt0_values(_DEGREE))
+    local = (space.local @ np.asarray(coeffs)).reshape(-1, 3)
+    values = np.einsum("...a,...ac->...c", local[:, None, :],
+                       fine.rt0_values(_DEGREE))
     div_slot = fine.face_edge_signs / fine.face_areas[:, None]
-    divs = (div_slot * fine_coeffs[fine.face_edges]).sum(axis=1)
+    divs = (div_slot * local).sum(axis=1)
     return values, divs
 
 

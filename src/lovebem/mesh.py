@@ -37,7 +37,7 @@ class MeshError(Exception):
 
 
 def _as_points(vertices) -> np.ndarray:
-    pts = np.asarray(vertices, dtype=np.float64)
+    pts = np.array(vertices, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise MeshError("vertex array must have shape (n, 3)")
     return pts
@@ -60,7 +60,7 @@ class TriangleMesh:
 
     def __post_init__(self):
         self.vertices = _as_points(self.vertices)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
+        self.triangles = np.array(self.triangles, dtype=np.int64)
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangle array must have shape (n, 3)")
         if self.triangles.min(initial=0) < 0 or \
@@ -69,6 +69,7 @@ class TriangleMesh:
         self._build_edges()
         self._check_closed_genus_zero()
         self._cache: dict = {}
+        # Own copies (np.array above), so the caller's arrays stay writeable.
         for arr in (self.vertices, self.triangles, self.edges,
                     self.edge_faces):
             arr.setflags(write=False)

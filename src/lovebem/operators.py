@@ -5,8 +5,8 @@ coarse basis function (RWG or BC) is a sparse combination of fine-mesh
 RT0 functions, so a coarse block is a congruence transform of fine-face
 moment tables.  The engine walks tiles of fine-face pairs, evaluates
 kernel moments against the monomial basis (x, y, z, 1) with a fixed
-product rule, and pushes them through the sparse factors without ever
-storing a fine-by-fine matrix.
+product rule, and pushes them through sparse per-face factors tile by
+tile, so the far pairs never form a fine-by-fine matrix.
 
 Face pairs closer than a few diameters, and every self pair, are
 excluded from the tiled pass and integrated separately, each kernel
@@ -16,7 +16,10 @@ on subdivided product rules) depend only on the mesh, so a
 ``NearPlan`` keeps them across calls and scales them to similar
 meshes; each call integrates the smooth remainders only.  The
 double-layer term of two coplanar faces (a self pair, or two children
-of one parent face) vanishes identically and is skipped.
+of one parent face) vanishes identically and is skipped.  Each kind's
+near integrals form one sparse matrix among the fine faces' local RT0
+functions, on a pattern the ``NearPlan`` keeps, and every request folds
+it once through its spaces' ``local`` maps.
 
 A request may name its own test space on the same refined mesh, so
 blocks tested by RWG and by BC functions of one surface come from one
@@ -240,30 +243,34 @@ def _weighted_monomials(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 # -- sparse congruence factors ---------------------------------------
 
+def _rt0_scale(fine: TriangleMesh) -> np.ndarray:
+    """c_a = s_a / (2 A) of f_a(r) = c_a (r - v_a) on every face, (n, 3)."""
+    return fine.face_edge_signs / (2.0 * fine.face_areas[:, None])
+
+
 class _Factors:
     """Sparse maps from coarse coefficients to fine-face moment weights.
 
-    With f_a(r) = s_a (r - v_a) / (2 A) on a fine face, a coarse basis
-    contributes s_a / (2A) per unit coefficient to the linear part of
-    the moment and s_a v_a / (2A) to the constant part; its surface
-    charge is s_a / A.  The three maps collect those weights per face.
+    With f_a(r) = c_a (r - v_a) on a fine face, a coarse basis
+    contributes c_a per unit coefficient of local function a to the
+    linear part of the moment and c_a v_a to the constant part; its
+    surface charge is 2 c_a.  Each map sums a face's three rows of
+    ``space.local`` with those weights.
     """
 
     def __init__(self, space: BasisSpace) -> None:
-        fine = space.fine
-        n = fine.n_faces
-        rows = np.repeat(np.arange(n), 3)
-        cols = fine.face_edges.ravel()
-        base = fine.face_edge_signs / (2.0 * fine.face_areas[:, None])
-        shape = (n, fine.n_edges)
+        n = space.fine.n_faces
+        base = _rt0_scale(space.fine)
+        slots = np.arange(3 * n + 1)
 
-        def scatter(w: np.ndarray) -> sp.csr_matrix:
-            m = sp.coo_matrix((w.ravel(), (rows, cols)), shape=shape)
-            return (m.tocsr() @ space.to_fine).tocsr()
+        def row_sums(w: np.ndarray) -> sp.csr_matrix:
+            per_face = sp.csr_matrix((w.ravel(), slots[:-1], slots[::3]),
+                                     shape=(n, 3 * n))
+            return (per_face @ space.local).tocsr()
 
-        corners = fine.vertices[fine.triangles]
-        self.half = scatter(base)
-        self.corner = tuple(scatter(base * corners[:, :, c]) for c in range(3))
+        corners = space.fine.face_corners
+        self.half = row_sums(base)
+        self.corner = tuple(row_sums(base * corners[:, :, c]) for c in range(3))
         self.charge = (2.0 * self.half).tocsr()
 
 
@@ -332,6 +339,10 @@ def _fold_left(f, i0, i1, w):
     for c in range(3):
         out += f.corner[c][i0:i1].T @ w[1 + c].T
     return np.asarray(out)
+
+
+# Factors of the three kinds' blocks, as documented in assemble_blocks.
+_SIGNS = {"single": 1j, "hyper": -1j, "double": -1.0}
 
 
 def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
@@ -413,13 +424,11 @@ def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
                         _push_double(acc["double"], w9, d3, req.factors, j0, j1)
         for req, acc, blocks in zip(reqs, w, out):
             flt = req.test_factors
-            if "single" in req.kinds:
-                blocks["single"] += 1j * _fold_left(flt, i0, i1, acc["single"])
-            if "hyper" in req.kinds:
-                blocks["hyper"] += -1j * np.asarray(
-                    flt.charge[i0:i1].T @ acc["hyper"][0].T)
-            if "double" in req.kinds:
-                blocks["double"] += -1.0 * _fold_left(flt, i0, i1, acc["double"])
+            for kind in req.kinds:
+                fold = (np.asarray(flt.charge[i0:i1].T @ acc[kind][0].T)
+                        if kind == "hyper" else
+                        _fold_left(flt, i0, i1, acc[kind]))
+                blocks[kind] += _SIGNS[kind] * fold
 
 
 # -- near pair detection ---------------------------------------------
@@ -463,11 +472,25 @@ def _near_face_pairs(fine: TriangleMesh, options: AssemblyOptions):
     return pairs, np.isin(key, touch_key)
 
 
-def _near_lookup(pairs: np.ndarray, n: int) -> sp.csr_matrix:
-    t = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    s = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    m = sp.coo_matrix((np.ones(t.size), (t, s)), shape=(n, n))
-    return m.tocsr()
+def _near_pattern(tp: np.ndarray, sq: np.ndarray, n: int) -> sp.csr_matrix:
+    """Where the near pairs' 3x3 blocks sit among local RT0 functions.
+
+    Pair p's block L[p] takes rows 3 tp + a and columns 3 sq + b and,
+    off the diagonal, also rows 3 sq + b and columns 3 tp + a, since
+    every kernel is symmetric under swapping the two faces.  The CSR
+    matrix returned, of shape (3n, 3n), holds at each entry its
+    position in ``L.ravel()``.
+    """
+    a = np.arange(3)
+    pos = np.arange(9 * len(tp), dtype=np.int32).reshape(-1, 3, 3)
+    rows, cols = np.broadcast_arrays(3 * tp[:, None, None] + a[:, None],
+                                     3 * sq[:, None, None] + a)
+    off = tp != sq
+    return sp.coo_matrix(
+        (np.concatenate([pos.ravel(), pos[off].ravel()]),
+         (np.concatenate([rows.ravel(), cols[off].ravel()]),
+          np.concatenate([cols.ravel(), rows[off].ravel()]))),
+        shape=(3 * n, 3 * n)).tocsr()
 
 
 def check_clearance(fine_t, fine_s, options):
@@ -583,7 +606,7 @@ def _helmholtz_moments(tables, tp, sq, k, depth, static):
 
 def _rt0(fine, faces, corners, pts):
     """The faces' three RT0 functions at ``pts``, shape (b, q, 3, 3)."""
-    scale = fine.face_edge_signs[faces] / (2.0 * fine.face_areas[faces][:, None])
+    scale = _rt0_scale(fine)[faces]
     return scale[:, None, :, None] * (pts[:, :, None, :] - corners[:, None])
 
 
@@ -661,9 +684,12 @@ class NearPlan:
     plan's own mesh, and kept read-only.  Every pass that folds them,
     the static one included, then adds only what depends on k.
 
+    ``pairs`` stacks the two tiers, touching first; ``pattern`` places
+    their 3x3 blocks (``_near_pattern``) for every pass to fill.
+
     ``scaled(a)`` gives the plan of the same mesh scaled by ``a``.  It
-    shares the statics: moments of unit-flux functions grow by
-    a**(3 + [i < 3] + [j < 3]), and the double-layer blocks are
+    shares the pattern and the statics: moments of unit-flux functions
+    grow by a**(3 + [i < 3] + [j < 3]), and the double-layer blocks are
     dimensionless.
     """
 
@@ -671,10 +697,14 @@ class NearPlan:
         opts = options if options is not None else AssemblyOptions()
         pairs, touching = _near_face_pairs(fine, opts)
         self.fine, self.options, self.scale = fine, opts, 1.0
-        self.lookup = _near_lookup(pairs, fine.n_faces)
+        both = np.concatenate([pairs, pairs[:, ::-1]])
+        self.lookup = sp.csr_matrix((np.ones(len(both)), both.T),
+                                    shape=(fine.n_faces, fine.n_faces))
         self.tiers = tuple((pairs[mask, 0], pairs[mask, 1])
                            for mask in (touching, ~touching))
         self.live = tuple(~_coplanar(fine, tp, sq) for tp, sq in self.tiers)
+        self.pairs = tuple(np.concatenate(side) for side in zip(*self.tiers))
+        self.pattern = _near_pattern(*self.pairs, fine.n_faces)
         self._built = {}
 
     def scaled(self, scale: float) -> "NearPlan":
@@ -740,97 +770,67 @@ def _remainder_depths(opts):
             opts.double_outer_subdivisions, 0)
 
 
-def _sandwich(left_rows, z, right_rows):
-    """left_rows.T @ diag(z) @ right_rows as sparse products."""
-    return left_rows.T @ right_rows.multiply(z[:, None])
-
-
-def _near_single(flt, fr, tp, sq, tr, sv, svp, s0):
-    lh = flt.half[tp]
-    rh = fr.half[sq]
-    acc = _sandwich(lh, tr, rh)
-    for c in range(3):
-        lc = flt.corner[c][tp]
-        rc = fr.corner[c][sq]
-        acc = acc - _sandwich(lh, sv[:, c], rc)
-        acc = acc - _sandwich(lc, svp[:, c], rh)
-        acc = acc + _sandwich(lc, s0, rc)
-    return acc
-
-
-def _near_double(test_space, src_space, fine, tp, sq, loc):
-    et = fine.face_edges[tp]
-    es = fine.face_edges[sq]
-    acc = None
-    for a in range(3):
-        la = test_space.to_fine[et[:, a]]
-        for b in range(3):
-            rb = src_space.to_fine[es[:, b]]
-            term = _sandwich(la, loc[:, a, b], rb)
-            acc = term if acc is None else acc + term
-    return acc
-
-
 def _apply_near(out, reqs, fine, near, k, floor, opts):
     """Add the near pairs of both tiers to every request's blocks.
 
     Static parts come from ``near``; only what depends on k is
     integrated here: the ik / (4 pi) term, the touching tier's
     remainders on the rules of ``_remainder_depths`` and the close
-    tier's remainders on the plain rules.
+    tier's remainders on the plain rules.  Each kind's 3x3 blocks of
+    all pairs fill ``near.pattern`` once; each request folds that
+    matrix once through its spaces' ``local`` maps.
     """
     kinds_present = {kind for req in reqs for kind in req.kinds}
     tables = _NearTables(fine, opts.near_degree)
     helm_outer, grad_outer, grad_inner = _remainder_depths(opts)
     factor = near.scale ** _MOMENT_POWERS
-
+    moments, double = [], []
     for tier, (tp, sq) in enumerate(near.tiers):
-        if not len(tp):
-            continue
         touching = tier == 0
-        off = tp != sq
-
         if kinds_present & {"single", "hyper"}:
             static = near.moments(tier)
-            m = _in_batches(len(tp), (4, 4), lambda rows: (
+            moments.append(_in_batches(len(tp), (4, 4), lambda rows: (
                 _helmholtz_moments(tables, tp[rows], sq[rows], k,
                                    helm_outer if touching else 0,
-                                   static[rows] * factor)))
-            tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
-            sv = m[:, :3, 3]
-            svp = m[:, 3, :3]
-            s0 = m[:, 3, 3]
-            for req, blocks in zip(reqs, out):
-                flt, fr = req.test_factors, req.factors
-                if "single" in req.kinds:
-                    acc = _near_single(flt, fr, tp, sq, tr, sv, svp, s0)
-                    acc = acc + _near_single(
-                        flt, fr, sq[off], tp[off], tr[off], svp[off], sv[off], s0[off])
-                    blocks["single"] += 1j * acc.toarray()
-                if "hyper" in req.kinds:
-                    acc = _sandwich(flt.charge[tp], s0, fr.charge[sq])
-                    acc = acc + _sandwich(
-                        flt.charge[sq[off]], s0[off], fr.charge[tp[off]])
-                    blocks["hyper"] += -1j * acc.toarray()
-
-        live = near.live[tier]
-        if "double" in kinds_present and live.any():
-            to = tp[live]
-            so = sq[live]
+                                   static[rows] * factor))))
+        if "double" in kinds_present:
+            live = near.live[tier]
+            to, so = tp[live], sq[live]
             static = near.double(tier)
             depths = (grad_outer, grad_inner) if touching else (0, 0)
-            loc = _in_batches(len(to), (3, 3), lambda rows: (
+            loc = np.zeros((len(tp), 3, 3), dtype=np.complex128)
+            loc[live] = _in_batches(len(to), (3, 3), lambda rows: (
                 static[rows] + _double_layer_local(
                     fine, to[rows], so[rows],
                     lambda r: _gradient_remainder(r, k, floor),
                     *depths, opts.near_degree)))
-            swapped = loc.transpose(0, 2, 1)
-            for req, blocks in zip(reqs, out):
-                if "double" not in req.kinds:
-                    continue
-                acc = _near_double(req.test, req.space, fine, to, so, loc)
-                acc = acc + _near_double(req.test, req.space, fine, so, to, swapped)
-                blocks["double"] += -1.0 * acc.toarray()
+            double.append(loc)
+
+    tp, sq = near.pairs
+    pair_blocks = {"double": np.concatenate(double)} if double else {}
+    if moments:
+        m = np.concatenate(moments)
+        c = _rt0_scale(fine)
+        cc = c[tp][:, :, None] * c[sq][:, None, :]
+        s0 = m[:, 3, 3, None, None]
+        pair_blocks["hyper"] = 4.0 * cc * s0
+        # (r - v_a) . (r' - w_b) against the monomial moments
+        v, w = fine.face_corners[tp], fine.face_corners[sq]
+        tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+        w_sv = np.einsum("pbc,pc->pb", w, m[:, :3, 3])
+        v_svp = np.einsum("pac,pc->pa", v, m[:, 3, :3])
+        pair_blocks["single"] = cc * (
+            tr[:, None, None] - w_sv[:, None, :] - v_svp[:, :, None]
+            + np.einsum("pac,pbc->pab", v, w) * s0)
+
+    pattern = near.pattern
+    for kind, b in pair_blocks.items():
+        mat = sp.csr_matrix((b.ravel()[pattern.data], pattern.indices,
+                             pattern.indptr), shape=pattern.shape)
+        for req, blocks in zip(reqs, out):
+            if kind in req.kinds:
+                fold = req.test.local.T @ (mat @ req.space.local)
+                blocks[kind] += _SIGNS[kind] * fold.toarray()
 
 
 # -- public assembly -------------------------------------------------

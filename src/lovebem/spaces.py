@@ -15,6 +15,7 @@ downstream happens on the fine mesh only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +49,11 @@ class BasisSpace:
     to_fine : scipy.sparse.csr_matrix
         Shape ``(fine edges, dofs)``; maps coarse coefficients to
         unit-flux RWG coefficients on ``fine``.
+    local : scipy.sparse.csr_matrix
+        Shape ``(3 fine faces, dofs)``: the rows of ``to_fine`` taken by
+        ``fine.face_edges``, so row ``3 f + a`` gives the coefficient of
+        the local RT0 function opposite corner ``a`` of fine face ``f``.
+        Every fine-face fold and evaluation goes through it.
     """
 
     kind: str
@@ -58,6 +64,10 @@ class BasisSpace:
     @property
     def n_dofs(self) -> int:
         return self.to_fine.shape[1]
+
+    @cached_property
+    def local(self) -> sp.csr_matrix:
+        return self.to_fine[self.fine.face_edges.ravel()]
 
 
 def basis_pair(mesh: TriangleMesh) -> tuple[BasisSpace, BasisSpace]:
@@ -136,17 +146,19 @@ def bc_matrix(ref: BarycentricRefinement) -> sp.csr_matrix:
     """
     coarse, fine = ref.parent, ref.mesh
     fans = fine.vertex_fans()
+    # fine half-edges from each coarse endpoint (lo, hi) to the midpoint
+    mids = ref.midpoint_vertex(np.arange(coarse.n_edges))
+    halves = _edge_ids(fine, coarse.edges, mids[:, None])
 
     rows, cols, vals = [], [], []
     for e in range(coarse.n_edges):
         lo, hi = coarse.edges[e]
-        m_id = ref.midpoint_vertex(e)
         col: dict[int, float] = {}
-        for v, sigma in ((int(hi), 1.0), (int(lo), -1.0)):
+        for v, sigma, rid in ((int(hi), 1.0, halves[e, 1]),
+                              (int(lo), -1.0, halves[e, 0])):
             ecyc, fcyc = fans[v]
             twice_n = len(ecyc)
             q = sigma / twice_n
-            rid = int(_edge_ids(fine, np.array(v), np.array(m_id)))
             s = int(np.nonzero(ecyc == rid)[0][0])
 
             # walk the fan, integrating the per-face charge; the flux
@@ -242,23 +254,6 @@ def evaluate_rt0(mesh: TriangleMesh, coeffs: np.ndarray, faces: np.ndarray,
     return np.einsum("...ak,...ac->...kc", local, basis)
 
 
-def _fine_gram(mesh: TriangleMesh, rotated: bool) -> sp.csr_matrix:
-    """Sparse RWG Gram matrix of a mesh, plain or rotated-test."""
-    _, wts = mesh.quadrature(2)
-    basis = mesh.rt0_values(2)
-    test = basis
-    if rotated:
-        test = np.cross(mesh.face_normals[:, None, None, :], basis)
-    loc = np.einsum("fqac,fqbc,fq->fab", test, basis, wts)
-
-    rows = np.repeat(mesh.face_edges, 3, axis=1)
-    cols = np.tile(mesh.face_edges, (1, 3))
-    mat = sp.coo_matrix(
-        (loc.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
-        shape=(mesh.n_edges, mesh.n_edges))
-    return mat.tocsr()
-
-
 def gram_matrix(test: BasisSpace, trial: BasisSpace,
                 rotated: bool = False) -> sp.csr_matrix:
     """Gram matrix between two spaces sharing one refinement.
@@ -266,7 +261,17 @@ def gram_matrix(test: BasisSpace, trial: BasisSpace,
     With ``rotated=True`` the test functions are rotated by the surface
     normal, i.e. entries are ``<n x t_i, s_j>``.
     """
-    if test.fine is not trial.fine:
+    fine = test.fine
+    if fine is not trial.fine:
         raise ValueError("spaces must share the same refined mesh")
-    fine_gram = _fine_gram(test.fine, rotated)
-    return (test.to_fine.T @ fine_gram @ trial.to_fine).tocsr()
+    _, wts = fine.quadrature(2)
+    basis = fine.rt0_values(2)
+    rows = basis
+    if rotated:
+        rows = np.cross(fine.face_normals[:, None, None, :], basis)
+    # one 3x3 block per fine face among its local RT0 functions
+    loc = np.einsum("fqac,fqbc,fq->fab", rows, basis, wts)
+    faces = np.arange(fine.n_faces)
+    per_face = sp.bsr_matrix((loc, faces, np.append(faces, fine.n_faces)),
+                             shape=(3 * fine.n_faces, 3 * fine.n_faces))
+    return (test.local.T @ per_face @ trial.local).tocsr()

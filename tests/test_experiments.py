@@ -456,13 +456,7 @@ class TestPropertySuite:
         assert not ledger["checks"][0]["passed"]
 
     def test_limit_property_assembles_static_once(self, tmp_path,
-                                                  monkeypatch,
                                                   count_assembly):
-        # The check's 120-edge sphere swapped for the 30-edge one keeps
-        # the seven-wavenumber run short; the property holds on both.
-        monkeypatch.setattr(experiments, "generate_sphere_mesh",
-                            lambda radius, edge: generate_sphere_mesh(
-                                radius, radius))
         cfg = ExperimentConfig(output_dir=str(tmp_path))
         with cold_plans(), count_assembly() as calls:
             ledger = run_property_suite(cfg, names=("limit-property",))

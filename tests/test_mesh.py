@@ -31,6 +31,11 @@ class TestReaders:
         assert np.all(a.edges[:, 0] < a.edges[:, 1])
         order = np.lexsort((a.edges[:, 1], a.edges[:, 0]))
         np.testing.assert_array_equal(order, np.arange(a.n_edges))
+        # the mesh freezes copies, never the caller's own arrays
+        verts, tris = a.vertices.copy(), a.triangles.copy()
+        c = TriangleMesh(verts, tris)
+        assert verts.flags.writeable and tris.flags.writeable
+        assert not (c.vertices.flags.writeable or c.triangles.flags.writeable)
 
     def test_inconsistent_winding_rejected(self, octahedron):
         tri = octahedron.triangles.copy()

@@ -529,6 +529,25 @@ class TestNearStatics:
                             AssemblyOptions(near_degree=5),
                             near=plan.scaled(0.04))
 
+    def test_pattern_is_built_once_and_shared(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return near_pattern(*args)
+
+        near_pattern = operators._near_pattern
+        monkeypatch.setattr(operators, "_near_pattern", counted)
+        radius = 0.0437
+        plan = NearPlan(basis_pair(unit_icosphere(0))[0].fine)
+        rwg = basis_pair(generate_sphere_mesh(radius, radius))[0]
+        for frequency in GHZ[:2]:
+            k = FrequencyContext(frequency).wavenumber
+            scaled = plan.scaled(radius)
+            assemble_blocks(rwg, [(rwg, KINDS)], k, near=scaled)
+            assert scaled.pattern is plan.pattern
+        assert len(built) == 1
+
     def test_kept_plan_gives_the_bits_of_a_fresh_one(self, recon_sphere):
         rwg, near = recon_sphere
         k = FrequencyContext(2e9).wavenumber

@@ -33,6 +33,12 @@ class TestRefinementMatrix:
                                 fine_faces, pts)
         direct = evaluate_rt0(rwg.mesh, coeffs, fine_faces // 6, pts)
         np.testing.assert_allclose(via_fine, direct, rtol=0, atol=1e-12)
+        # row 3 f + a of local is the fine edge opposite corner a of f
+        for space in sphere_pair:
+            c = rng.normal(size=space.n_dofs)
+            np.testing.assert_array_equal(
+                space.local @ c,
+                (space.to_fine @ c)[space.fine.face_edges].ravel())
 
     def test_half_edge_fluxes(self, sphere_pair):
         rwg, _ = sphere_pair
