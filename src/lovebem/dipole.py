@@ -65,15 +65,16 @@ def field_arrays(src: DipoleSource, points: np.ndarray
 
 def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
                        bc_test: BasisSpace, degree: int = 4,
-                       rotated: bool = True
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       rotated: bool = True, magnetic: bool = True
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
     """Tested measurement vectors e_i = <n x g_i, E> and h_i = <n x g_i, H>.
 
     Testing runs on the refined mesh of ``bc_test`` with a regular rule
     of the given degree; the integrand is smooth because the source sits
     strictly inside the measurement surface.  With ``rotated=False`` the
     test functions are used plain, giving e_i = <g_i, E>; the inversion
-    paths consume that flavour (see the formulation solvers).
+    paths consume that flavour (see the formulation solvers).  With
+    ``magnetic=False`` H is not tested and ``h`` is None.
     """
     if bc_test.mesh is not gamma_m:
         raise ValueError("test space does not live on the given surface")
@@ -82,9 +83,10 @@ def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
     test = fine.rt0_values(degree)
     if rotated:
         test = np.cross(fine.face_normals[:, None, None, :], test)
-    fields = np.stack(field_arrays(src, pts.reshape(-1, 3)))
-    per_face = np.einsum("fqac,nfqc,fq->fan", test,
-                         fields.reshape((2,) + pts.shape), wts)
-    e, h = np.ascontiguousarray(
-        (bc_test.local.T @ per_face.reshape(-1, 2)).T)
-    return e, h
+    e, h = field_arrays(src, pts.reshape(-1, 3))
+
+    def tested(field):
+        per_face = np.einsum("fqac,fqc,fq->fa", test,
+                             field.reshape(pts.shape), wts)
+        return bc_test.local.T @ per_face.reshape(-1)
+    return tested(e), (tested(h) if magnetic else None)

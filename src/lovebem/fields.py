@@ -21,6 +21,7 @@ from .operators import ETA0, _phase
 
 __all__ = [
     "ErrorCurve",
+    "KernelRows",
     "check_love_condition",
     "error_curve",
     "fibonacci_directions",
@@ -73,18 +74,89 @@ def _reject_near(mesh, points):
                 "surface; near-surface evaluation is unsupported")
 
 
-def _radiate(solution, rwg, bc, points):
+class KernelRows:
+    """Field kernel rows of one surface and wavenumber, kept per point set.
+
+    The rows ``_radiate`` multiplies with the current tables depend on
+    the refined mesh, the wavenumber and the points only, so radiating
+    new currents onto known points needs just the two products.  The
+    owner keys a store on the surface and the wavenumber; the store keys
+    point sets on the exact bytes of their array.  A point set is kept
+    only while all kept rows fit in ``bound`` bytes; one that does not
+    fit is computed afresh on every call.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.sets = {}
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes + g.nbytes
+                   for chunks in self.sets.values() for a, g in chunks)
+
+
+def _kernel_rows(points, y, w, k, fresh):
+    """Kernel rows ``(a, g)`` of each chunk of points, in order.
+
+    For a chunk of n points, a = (a_c; a_s) holds the cos and sin rows
+    of the kernel e^{ikR} w / R and g = (g_r; g_i) the real and
+    imaginary rows of the gradient factor (ik/R - 1/R^2) times the
+    kernel, each of shape (2n, Q).  With ``fresh`` every chunk gets
+    arrays of its own; otherwise the next chunk overwrites them.
+    """
+    n_max = min(_CHUNK, len(points))
+    r = np.empty((n_max, len(y)))
+    scratch = np.empty_like(r)
+    phase = np.empty(r.shape, dtype=complex)
+    a = None
+    for start in range(0, len(points), _CHUNK):
+        x = points[start:start + _CHUNK]
+        n = len(x)
+        if fresh or a is None:
+            a, g = np.empty((2 * n, len(y))), np.empty((2 * n, len(y)))
+        r2, d = r[:n], scratch[:n]
+        np.subtract.outer(x[:, 0], y[:, 0], out=r2)
+        r2 *= r2
+        for c in (1, 2):
+            np.subtract.outer(x[:, c], y[:, c], out=d)
+            d *= d
+            r2 += d
+        dist = np.sqrt(r2, out=r2)
+        ph = _phase(np.multiply(dist, k, out=d), out=phase[:n])
+        weight = np.divide(w, dist, out=d)
+        a_c, a_s = a[:n], a[n:2 * n]
+        np.multiply(ph.real, weight, out=a_c)
+        np.multiply(ph.imag, weight, out=a_s)
+        inv_r = np.divide(1.0, dist, out=dist)
+        g_r, g_i = g[:n], g[n:2 * n]
+        np.multiply(a_c, inv_r, out=g_r)
+        g_r += k * a_s
+        g_r *= inv_r
+        g_r *= -1.0
+        np.multiply(a_s, inv_r, out=g_i)
+        np.subtract(k * a_c, g_i, out=g_i)
+        g_i *= inv_r
+        yield a[:2 * n], g[:2 * n]
+
+
+def _radiate(solution, rwg, bc, points, rows=None):
     """E of ``m`` and of ``j``, and the total H, at exterior points.
 
     Also returns the current values and weights at the quadrature
     points the fields were radiated from, as ``(m_vals, j_vals, wts)``.
+    ``rows``, a ``KernelRows`` of this surface and wavenumber, supplies
+    the points' kernel rows if it holds them and keeps them if they fit.
     """
     if rwg.fine is not bc.fine:
         raise ValueError("spaces must share the same refined mesh")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
-    _reject_near(rwg.mesh, points)
+    key = points.tobytes()
+    chunks = None if rows is None else rows.sets.get(key)
+    if chunks is None:
+        _reject_near(rwg.mesh, points)
     k = float(solution.wavenumber)
     pts, wts = rwg.fine.quadrature(_DEGREE)
     m_vals, m_divs = _quadrature_tables(rwg, solution.m)
@@ -101,69 +173,47 @@ def _radiate(solution, rwg, bc, points):
     gradient_table = np.concatenate(
         [div, y[:, None] * div, v, np.cross(y[:, None], v)],
         axis=-1).reshape(-1, 20).astype(complex).view(np.float64)
-    w = wts.reshape(-1) / _FOUR_PI
+    if chunks is None:
+        # a and g: two (2n, Q) float arrays per chunk of n points.
+        size = 2 * 2 * len(points) * len(y) * 8
+        keep = rows is not None and rows.nbytes + size <= rows.bound
+        chunks = _kernel_rows(points, y, wts.reshape(-1) / _FOUR_PI, k,
+                              fresh=keep)
+        if keep:
+            chunks = rows.sets[key] = list(chunks)
+            for a, g in chunks:
+                a.setflags(write=False)
+                g.setflags(write=False)
 
-    # A chunk of n points needs one phase and two real matrix products:
-    # the kernel e^{ikR} w / R as cos and sin rows a = (a_c; a_s) of
-    # shape (2n, Q) against the potential table, and the gradient
-    # factor (ik/R - 1/R^2) times the kernel, as real and imaginary rows
-    # against the gradient table.
-    n_max = min(_CHUNK, len(points))
-    r = np.empty((n_max, len(y)))
-    scratch = np.empty_like(r)
-    phase = np.empty(r.shape, dtype=complex)
-    a = np.empty((2 * n_max, len(y)))
-    g = np.empty_like(a)
-    e_m = np.empty((len(points), 3), dtype=complex)
-    e_j = np.empty((len(points), 3), dtype=complex)
-    h_out = np.empty((len(points), 3), dtype=complex)
-    for start in range(0, len(points), _CHUNK):
-        x = points[start:start + _CHUNK]
-        n = len(x)
-        r2, d = r[:n], scratch[:n]
-        np.subtract.outer(x[:, 0], y[:, 0], out=r2)
-        r2 *= r2
-        for c in (1, 2):
-            np.subtract.outer(x[:, c], y[:, c], out=d)
-            d *= d
-            r2 += d
-        dist = np.sqrt(r2, out=r2)
-        ph = _phase(np.multiply(dist, k, out=d), out=phase[:n])
-        weight = np.divide(w, dist, out=d)
-        a_c, a_s = a[:n], a[n:2 * n]
-        np.multiply(ph.real, weight, out=a_c)
-        np.multiply(ph.imag, weight, out=a_s)
-        pot = (a[:2 * n] @ potential_table).view(complex)
-        pot = (pot[:n] + 1j * pot[n:]).reshape(-1, 2, 3)
-        inv_r = np.divide(1.0, dist, out=dist)
-        g_r, g_i = g[:n], g[n:2 * n]
-        np.multiply(a_c, inv_r, out=g_r)
-        g_r += k * a_s
-        g_r *= inv_r
-        g_r *= -1.0
-        np.multiply(a_s, inv_r, out=g_i)
-        np.subtract(k * a_c, g_i, out=g_i)
-        g_i *= inv_r
-        sums = (g[:2 * n] @ gradient_table).view(complex)
-        sums = (sums[:n] + 1j * sums[n:]).reshape(-1, 2, 10)
-        charge = x[:, None] * sums[..., :1] - sums[..., 1:4]
-        curl = np.cross(x[:, None], sums[..., 4:7]) - sums[..., 7:10]
-        scalar = (1j / k) * (k * k * pot + charge)
-        e_m[start:start + _CHUNK] = -curl[:, 0]
-        e_j[start:start + _CHUNK] = scalar[:, 1]
-        h_out[start:start + _CHUNK] = (curl[:, 1] + scalar[:, 0]) / ETA0
-    return e_m, e_j, h_out, (m_vals, j_vals, wts)
+    # Per chunk, the cos and sin rows against the potential table and
+    # the real and imaginary gradient rows against the gradient table;
+    # the x-dependent parts then follow for all points at once.
+    pot = np.empty((2, len(points), potential_table.shape[1]))
+    sums = np.empty((2, len(points), gradient_table.shape[1]))
+    for start, (a, g) in zip(range(0, len(points), _CHUNK), chunks):
+        n = len(a) // 2
+        pot[:, start:start + n] = (a @ potential_table).reshape(2, n, -1)
+        sums[:, start:start + n] = (g @ gradient_table).reshape(2, n, -1)
+    pot, sums = pot.view(complex), sums.view(complex)
+    pot = (pot[0] + 1j * pot[1]).reshape(-1, 2, 3)
+    sums = (sums[0] + 1j * sums[1]).reshape(-1, 2, 10)
+    charge = points[:, None] * sums[..., :1] - sums[..., 1:4]
+    curl = np.cross(points[:, None], sums[..., 4:7]) - sums[..., 7:10]
+    scalar = (1j / k) * (k * k * pot + charge)
+    h = (curl[:, 1] + scalar[:, 0]) / ETA0
+    return -curl[:, 0], scalar[:, 1], h, (m_vals, j_vals, wts)
 
 
-def radiate_arrays(solution, rwg, bc, points):
+def radiate_arrays(solution, rwg, bc, points, *, rows=None):
     """Electric and magnetic fields of a solution at exterior points.
 
     ``solution.m`` radiates through the magnetic-current potentials in
     the RWG space, ``solution.j`` through the scaled electric-current
     potentials in the BC space; a missing ``j`` contributes nothing.
-    Returns two complex arrays of shape ``(n_points, 3)``.
+    ``rows`` is an optional ``KernelRows`` store of this surface and
+    wavenumber.  Returns two complex arrays of shape ``(n_points, 3)``.
     """
-    e_m, e_j, h, _ = _radiate(solution, rwg, bc, points)
+    e_m, e_j, h, _ = _radiate(solution, rwg, bc, points, rows)
     return e_j + e_m, h
 
 
@@ -194,12 +244,13 @@ def _surface_center(mesh):
 
 
 def error_curve(solution, source: DipoleSource, rwg, bc, radii,
-                n_points: int = 200) -> ErrorCurve:
+                n_points: int = 200, *, rows=None) -> ErrorCurve:
     """Relative L2 field error on concentric evaluation spheres.
 
     ``radii`` are offsets from the surface in wavelengths; every sphere
     is sampled with the same deterministic direction set and compared
-    against the source fields over all vector components.
+    against the source fields over all vector components.  ``rows`` is
+    passed on to ``radiate_arrays``.
     """
     k = float(solution.wavenumber)
     if abs(source.ctx.wavenumber - k) > 1e-9 * k:
@@ -212,7 +263,7 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
     directions = fibonacci_directions(n_points)
     sphere_radii = surface_radius + radii * wavelength
     points = (center + sphere_radii[:, None, None] * directions).reshape(-1, 3)
-    e_rec, _ = radiate_arrays(solution, rwg, bc, points)
+    e_rec, _ = radiate_arrays(solution, rwg, bc, points, rows=rows)
     e_ref, _ = field_arrays(source, points)
     shape = (len(radii), n_points, 3)
     shells = zip(e_rec.reshape(shape), e_ref.reshape(shape))
@@ -222,7 +273,7 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
                       formulation=solution.formulation)
 
 
-def check_love_condition(solution, rwg, bc, interior_points):
+def check_love_condition(solution, rwg, bc, interior_points, *, rows=None):
     """Worst interior field leak relative to the surface current level.
 
     Radiates the pair onto points strictly inside the surface and
@@ -231,10 +282,11 @@ def check_love_condition(solution, rwg, bc, interior_points):
     radiates nothing inward at the sampled points.  Returns
     ``(residual, residual_without_j)`` from one evaluation: the leak of
     the pair, and the leak of ``m`` alone, normalized as if ``j`` were
-    missing.
+    missing.  ``rows`` is an optional ``KernelRows`` store, as for
+    ``radiate_arrays``.
     """
     e_m, e_j, _, (m_vals, j_vals, wts) = _radiate(solution, rwg, bc,
-                                                  interior_points)
+                                                  interior_points, rows)
     area = wts.sum()
     mean_m = float((np.linalg.norm(m_vals, axis=2) * wts).sum() / area)
     mean_j = float((np.linalg.norm(j_vals, axis=2) * wts).sum() / area)

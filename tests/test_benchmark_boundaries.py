@@ -7,7 +7,13 @@ run.
 """
 from pathlib import Path
 
-from lovebem import formulations, operators
+import numpy as np
+
+from lovebem import fields, formulations, operators
+from lovebem.formulations import CurrentSolution
+from lovebem.mesh import generate_sphere_mesh
+from lovebem.operators import FrequencyContext
+from lovebem.spaces import basis_pair
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -26,3 +32,32 @@ def test_tracer_installs_and_restores(monkeypatch):
         tracer.uninstall()
     assert operators.assemble_blocks is original
     assert formulations.assemble_blocks is original
+
+
+def test_traced_radiation_with_a_store(monkeypatch):
+    # The tracer reads radiate_arrays' points and degree by position, so
+    # the row store, passed by keyword, must not shift either.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    rwg, bc = basis_pair(generate_sphere_mesh(0.04, 0.02))
+    rng = np.random.default_rng(0)
+    solution = CurrentSolution(
+        m=rng.standard_normal(rwg.n_dofs), j=rng.standard_normal(bc.n_dofs),
+        wavenumber=FrequencyContext(3.16e9).wavenumber,
+        formulation="sp", report=None)
+    points = 0.2 * fields.fibonacci_directions(37)
+    rows = fields.KernelRows(2**30)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # A miss that keeps the rows, then a hit.
+        for _ in range(2):
+            fields.radiate_arrays(solution, rwg, bc, points, rows=rows)
+    finally:
+        tracer.uninstall()
+    sums = tracing.totals(tracer.spans)
+    assert sums["fields.radiate_arrays.calls"] == 2
+    assert sums["fields.points"] == 2 * len(points)
+    assert sums["fields.point_quad"] == (
+        2 * len(points) * rwg.fine.quadrature(4)[1].size)

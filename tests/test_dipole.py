@@ -141,3 +141,13 @@ class TestMeasurement:
         other = generate_sphere_mesh(0.2, 0.1)
         with pytest.raises(ValueError, match="surface"):
             sample_measurement(axial_source, other, bc)
+
+    @pytest.mark.parametrize("rotated", [True, False])
+    def test_electric_only_keeps_the_bits(self, axial_source,
+                                          measurement_setup, rotated):
+        mesh, bc = measurement_setup
+        e, _ = sample_measurement(axial_source, mesh, bc, rotated=rotated)
+        e_only, h = sample_measurement(axial_source, mesh, bc,
+                                       rotated=rotated, magnetic=False)
+        assert h is None
+        assert np.array_equal(e_only, e)

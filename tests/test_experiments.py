@@ -1,6 +1,8 @@
 """Experiment pipelines: config validation, artifacts, sweep and CLI."""
 import csv
+import gc
 import json
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -9,6 +11,7 @@ import scipy.io
 
 from lovebem import cli
 from lovebem import experiments
+from lovebem import fields
 from lovebem.experiments import (ExperimentConfig, OperatorPlans,
                                  StageError, dump_operator, load_config,
                                  run_frequency_sweep, run_property_suite,
@@ -691,6 +694,92 @@ class TestOperatorPlans:
                        surface.shape.projectors.stars):
             with pytest.raises(ValueError, match="read-only"):
                 matrix.data[0] = 0.0
+
+
+def only_plan(plans):
+    (plan,) = plans._entries["operator"].values()
+    return plan
+
+
+def interior_points(cfg):
+    """The Love-check points ``run_reconstruction`` radiates onto."""
+    return (0.25 * cfg.surface_radius) * fields.fibonacci_directions(50)
+
+
+@pytest.fixture(scope="module")
+def row_runs(tmp_path_factory):
+    """Requests that share a plan's kept field rows, then one that evicts it.
+
+    Three sp-stabilized requests on one plan with different dipoles,
+    then an sp request at another frequency.  Per request: the point
+    counts of its near-point checks, the plan's kept point sets (None
+    without a store) and the artifacts.  Also whether a kept row of the
+    first plan outlived its eviction.
+    """
+    out = tmp_path_factory.mktemp("rows")
+    cfgs = [gate_config(out, formulation="sp-stabilized",
+                        dipole_position=np.array(position))
+            for position in ([0.007, 0.004, -0.005], [-0.01, 0.0, 0.012],
+                             [0.0, -0.015, 0.002])]
+    cfgs.append(gate_config(out, formulation="sp", frequency=2.5e9))
+    real = fields._reject_near
+    checks, kept, artifacts = [], [], []
+
+    def counted(mesh, points):
+        checks[-1].append(len(points))
+        return real(mesh, points)
+
+    with cold_plans() as plans, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fields, "_reject_near", counted)
+        for cfg in cfgs:
+            if len(checks) == 3:
+                chunks = next(iter(only_plan(plans).rows.sets.values()))
+                row = weakref.ref(chunks[0][0])
+                del chunks
+            checks.append([])
+            artifacts.append(artifact_bytes(run_reconstruction(cfg)))
+            rows = only_plan(plans).rows
+            kept.append(None if rows is None else list(rows.sets))
+    gc.collect()
+    return cfgs, checks, kept, artifacts, row() is not None
+
+
+class TestFieldRows:
+    def test_third_request_reuses_the_rows(self, row_runs):
+        cfgs, checks, kept, _, _ = row_runs
+        # Only the plan hits keep rows: the second request keeps the
+        # curve's 384 points and the 50 interior points, the third
+        # reuses them and checks no point again.
+        radiated = [64 * len(cfgs[0].curve_radii), 50]
+        assert checks == [radiated, radiated, [], radiated]
+        assert kept[1] == kept[2]
+        assert len(kept[1]) == 2
+        assert interior_points(cfgs[2]).tobytes() in kept[1]
+
+    def test_warm_rows_give_cold_bytes(self, row_runs, monkeypatch):
+        cfgs, _, _, artifacts, _ = row_runs
+        interior = interior_points(cfgs[2])
+        with cold_plans() as plans:
+            cold = artifact_bytes(run_reconstruction(cfgs[2]))
+            # A bound that holds the interior rows but not the curve's:
+            # the curve is radiated without keeping.
+            quad = only_plan(plans).surface.rwg.fine.quadrature(4)[1].size
+            monkeypatch.setattr(experiments, "FIELD_ROWS_BOUND",
+                                2 * 2 * len(interior) * quad * 8)
+            bounded = artifact_bytes(run_reconstruction(cfgs[2]))
+            rows = only_plan(plans).rows
+        assert artifacts[2] == cold
+        assert bounded == cold
+        assert list(rows.sets) == [interior.tobytes()]
+        assert rows.nbytes == rows.bound
+
+    def test_plan_misses_keep_no_rows(self, row_runs):
+        _, _, kept, _, _ = row_runs
+        assert kept[0] is None and kept[3] is None
+
+    def test_evicted_plan_frees_its_rows(self, row_runs):
+        *_, outlived = row_runs
+        assert not outlived
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from lovebem.dipole import DipoleSource, field_arrays, sample_measurement
-from lovebem.fields import (_CHUNK, ErrorCurve, check_love_condition,
-                            error_curve, fibonacci_directions,
-                            radiate_arrays, save_error_curve)
+from lovebem import fields
+from lovebem.fields import (_CHUNK, ErrorCurve, KernelRows,
+                            check_love_condition, error_curve,
+                            fibonacci_directions, radiate_arrays,
+                            save_error_curve)
 from lovebem.formulations import CurrentSolution
 from lovebem.mesh import generate_sphere_mesh
 from lovebem.operators import ETA0, FrequencyContext
@@ -179,6 +181,88 @@ class TestRadiation:
             e_part, h_part = radiate_arrays(traced_pair, rwg, bc, pts[a:b])
             np.testing.assert_allclose(e[a:b], e_part, rtol=1e-12, atol=0)
             np.testing.assert_allclose(h[a:b], h_part, rtol=1e-12, atol=0)
+
+
+def row_bytes(pts, rwg):
+    """Bytes of the kernel rows a and g of ``pts``: (2n, Q) floats each."""
+    return 2 * 2 * len(pts) * rwg.fine.quadrature(4)[1].size * 8
+
+
+class TestKernelRows:
+    # Chunks of 16, 16 and 5 points.
+    PTS = shell_points(0.2, 2 * _CHUNK + 5)
+
+    def test_kept_rows_give_the_same_bits(self, surface, traced_pair,
+                                          monkeypatch):
+        _, rwg, bc = surface
+        other = replace(traced_pair, m=(2.0 - 1j) * traced_pair.m,
+                        j=-0.5 * traced_pair.j)
+        plain = [radiate_arrays(sol, rwg, bc, self.PTS)
+                 for sol in (traced_pair, other)]
+        rows = KernelRows(row_bytes(self.PTS, rwg))
+        miss = radiate_arrays(traced_pair, rwg, bc, self.PTS, rows=rows)
+        assert list(rows.sets) == [self.PTS.tobytes()]
+        assert rows.nbytes == rows.bound
+        assert [len(a) for a, _ in rows.sets[self.PTS.tobytes()]] == \
+            [2 * _CHUNK, 2 * _CHUNK, 10]
+
+        def computed(*args, **kwargs):
+            raise AssertionError("a hit must not compute rows")
+
+        monkeypatch.setattr(fields, "_kernel_rows", computed)
+        monkeypatch.setattr(fields, "_reject_near", computed)
+        # Hits, on an equal but distinct point array: the same currents,
+        # then new ones.
+        hits = [radiate_arrays(sol, rwg, bc, self.PTS.copy(), rows=rows)
+                for sol in (traced_pair, other)]
+        for got, want in zip((miss, *hits), (plain[0], *plain)):
+            for field, expected in zip(got, want):
+                assert np.array_equal(field, expected)
+
+    def test_kept_rows_are_read_only(self, surface, traced_pair):
+        _, rwg, bc = surface
+        rows = KernelRows(row_bytes(self.PTS, rwg))
+        radiate_arrays(traced_pair, rwg, bc, self.PTS, rows=rows)
+        for a, g in rows.sets[self.PTS.tobytes()]:
+            for arr in (a, g):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 0.0
+
+    def test_point_set_over_the_bound_is_not_kept(self, surface,
+                                                  traced_pair):
+        _, rwg, bc = surface
+        rows = KernelRows(row_bytes(self.PTS, rwg) - 1)
+        e, h = radiate_arrays(traced_pair, rwg, bc, self.PTS, rows=rows)
+        assert rows.sets == {} and rows.nbytes == 0
+        e_ref, h_ref = radiate_arrays(traced_pair, rwg, bc, self.PTS)
+        assert np.array_equal(e, e_ref) and np.array_equal(h, h_ref)
+
+    def test_bound_covers_all_kept_sets(self, surface, traced_pair):
+        _, rwg, bc = surface
+        first, second = self.PTS[:_CHUNK], self.PTS[_CHUNK:]
+        rows = KernelRows(row_bytes(self.PTS, rwg) - 1)
+        radiate_arrays(traced_pair, rwg, bc, first, rows=rows)
+        radiate_arrays(traced_pair, rwg, bc, second, rows=rows)
+        assert list(rows.sets) == [first.tobytes()]
+
+    def test_near_points_rejected_with_a_store(self, surface, traced_pair):
+        _, rwg, bc = surface
+        rows = KernelRows(2**30)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="triangle diameter"):
+                radiate_arrays(traced_pair, rwg, bc, shell_points(0.041),
+                               rows=rows)
+        assert rows.sets == {}
+
+    def test_love_check_shares_the_store(self, surface, traced_pair):
+        _, rwg, bc = surface
+        pts = shell_points(0.01)
+        rows = KernelRows(2**30)
+        expected = check_love_condition(traced_pair, rwg, bc, pts)
+        for _ in range(2):
+            assert check_love_condition(traced_pair, rwg, bc, pts,
+                                        rows=rows) == expected
+        assert list(rows.sets) == [pts.tobytes()]
 
 
 class TestAgainstSource:
