@@ -36,7 +36,8 @@ def test_tracer_installs_and_restores(monkeypatch):
 
 def test_traced_radiation_with_a_store(monkeypatch):
     # The tracer reads radiate_arrays' points and degree by position, so
-    # the row store, passed by keyword, must not shift either.
+    # the row store and the electric-only switch, passed by keyword,
+    # must not shift either.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -51,13 +52,15 @@ def test_traced_radiation_with_a_store(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        # A miss that keeps the rows, then a hit.
+        # A miss that keeps the rows, a hit, then an electric-only hit.
         for _ in range(2):
             fields.radiate_arrays(solution, rwg, bc, points, rows=rows)
+        fields.radiate_arrays(solution, rwg, bc, points, rows=rows,
+                              magnetic=False)
     finally:
         tracer.uninstall()
     sums = tracing.totals(tracer.spans)
-    assert sums["fields.radiate_arrays.calls"] == 2
-    assert sums["fields.points"] == 2 * len(points)
+    assert sums["fields.radiate_arrays.calls"] == 3
+    assert sums["fields.points"] == 3 * len(points)
     assert sums["fields.point_quad"] == (
-        2 * len(points) * rwg.fine.quadrature(4)[1].size)
+        3 * len(points) * rwg.fine.quadrature(4)[1].size)

@@ -1,6 +1,7 @@
 """Experiment pipelines: config validation, artifacts, sweep and CLI."""
 import csv
 import gc
+import inspect
 import json
 import weakref
 from contextlib import contextmanager
@@ -297,6 +298,25 @@ class TestReconstruction:
         # same-surface pass for the self and the dual-tested blocks.
         assert calls.count(1e-30) == 1
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("formulation",
+                             ["sp", "sp-stabilized", "baseline-love"])
+    def test_radiates_the_electric_field_only(self, formulation, tmp_path,
+                                              monkeypatch):
+        radiate = fields._radiate
+        signature = inspect.signature(radiate)
+        magnetic = []
+
+        def recorded(*args, **kwargs):
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            magnetic.append(call.arguments["magnetic"])
+            return radiate(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "_radiate", recorded)
+        run_reconstruction(gate_config(tmp_path, formulation=formulation))
+        # The error curve, then the Love check.
+        assert magnetic == [False, False]
 
     def test_baseline_bad_weight_fails_before_assembly(self, tmp_path,
                                                        count_assembly):

@@ -265,6 +265,48 @@ class TestKernelRows:
         assert list(rows.sets) == [pts.tobytes()]
 
 
+class TestElectricOnly:
+    # Chunks of 16, 16 and 5 points.
+    PTS = shell_points(0.2, 2 * _CHUNK + 5)
+
+    @pytest.mark.parametrize("with_j", [True, False])
+    def test_matches_the_full_path(self, surface, traced_pair, with_j):
+        _, rwg, bc = surface
+        sol = replace(traced_pair, j=traced_pair.j if with_j else None)
+        e, h = radiate_arrays(sol, rwg, bc, self.PTS, magnetic=False)
+        e_full, _ = radiate_arrays(sol, rwg, bc, self.PTS)
+        assert h is None
+        np.testing.assert_allclose(e, e_full, rtol=1e-12, atol=0)
+
+    def test_kept_rows_give_the_same_bits(self, surface, traced_pair):
+        _, rwg, bc = surface
+        plain, _ = radiate_arrays(traced_pair, rwg, bc, self.PTS,
+                                  magnetic=False)
+        rows = KernelRows(row_bytes(self.PTS, rwg))
+        for _ in range(2):  # A miss that keeps the rows, then a hit.
+            e, h = radiate_arrays(traced_pair, rwg, bc, self.PTS.copy(),
+                                  rows=rows, magnetic=False)
+            assert h is None and np.array_equal(e, plain)
+        assert list(rows.sets) == [self.PTS.tobytes()]
+
+    @pytest.mark.parametrize("electric_first", [True, False])
+    def test_one_store_serves_both_paths(self, surface, traced_pair,
+                                         electric_first):
+        _, rwg, bc = surface
+        e_only, _ = radiate_arrays(traced_pair, rwg, bc, self.PTS,
+                                   magnetic=False)
+        e_full, h_full = radiate_arrays(traced_pair, rwg, bc, self.PTS)
+        rows = KernelRows(row_bytes(self.PTS, rwg))
+        order = [False, True] if electric_first else [True, False]
+        got = {magnetic: radiate_arrays(traced_pair, rwg, bc, self.PTS,
+                                        rows=rows, magnetic=magnetic)
+               for magnetic in order}
+        assert list(rows.sets) == [self.PTS.tobytes()]
+        assert np.array_equal(got[False][0], e_only) and got[False][1] is None
+        assert np.array_equal(got[True][0], e_full)
+        assert np.array_equal(got[True][1], h_full)
+
+
 class TestAgainstSource:
     def test_traced_pair_reproduces_the_source(self, surface, source,
                                                traced_pair):
@@ -348,8 +390,10 @@ class TestLoveCondition:
 
         mean_m = mean_level(rwg, traced_pair.m)
         mean_j = mean_level(bc, traced_pair.j)
-        e_pair, _ = radiate_arrays(traced_pair, rwg, bc, pts)
-        e_m, _ = radiate_arrays(replace(traced_pair, j=None), rwg, bc, pts)
+        e_pair, _ = radiate_arrays(traced_pair, rwg, bc, pts,
+                                   magnetic=False)
+        e_m, _ = radiate_arrays(replace(traced_pair, j=None), rwg, bc, pts,
+                                magnetic=False)
         expected = (
             float(np.linalg.norm(e_pair, axis=1).max() / max(mean_m, mean_j)),
             float(np.linalg.norm(e_m, axis=1).max() / mean_m))
