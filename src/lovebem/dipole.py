@@ -39,9 +39,13 @@ class DipoleSource:
         object.__setattr__(self, "moment", moment)
 
 
-def field_arrays(src: DipoleSource, points: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """E and H arrays of shape ``(n, 3)`` at the given points."""
+def field_arrays(src: DipoleSource, points: np.ndarray, *,
+                 magnetic: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """E and H arrays of shape ``(n, 3)`` at the given points.
+
+    With ``magnetic=False`` H is not computed and is returned as None.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     k = src.ctx.wavenumber
     d = points - src.position
@@ -58,6 +62,8 @@ def field_arrays(src: DipoleSource, points: np.ndarray
     inner = (phase * (1.0 / r ** 3 - 1j * k / r ** 2))[:, None]
     e = (1j * ETA0 / (4.0 * np.pi * k)) * (
         k ** 2 * transverse * outer + (3.0 * radial - m) * inner)
+    if not magnetic:
+        return e, None
     h = (1j * k / (4.0 * np.pi)) * n_x_m * outer * (
         1.0 - 1.0 / (1j * k * r))[:, None]
     return e, h
@@ -83,7 +89,7 @@ def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
     test = fine.rt0_values(degree)
     if rotated:
         test = np.cross(fine.face_normals[:, None, None, :], test)
-    e, h = field_arrays(src, pts.reshape(-1, 3))
+    e, h = field_arrays(src, pts.reshape(-1, 3), magnetic=magnetic)
 
     def tested(field):
         per_face = np.einsum("fqac,fqc,fq->fa", test,

@@ -281,7 +281,7 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
     points = (center + sphere_radii[:, None, None] * directions).reshape(-1, 3)
     e_rec, _ = radiate_arrays(solution, rwg, bc, points, rows=rows,
                               magnetic=False)
-    e_ref, _ = field_arrays(source, points)
+    e_ref, _ = field_arrays(source, points, magnetic=False)
     shape = (len(radii), n_points, 3)
     shells = zip(e_rec.reshape(shape), e_ref.reshape(shape))
     errors = [np.linalg.norm(rec - ref) / np.linalg.norm(ref)

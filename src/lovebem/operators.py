@@ -33,6 +33,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,7 +60,10 @@ ETA0 = 376.730313668
 
 _FOUR_PI = 4.0 * math.pi
 _KINDS = ("single", "hyper", "double")
-# Near pairs per batch; its temporaries set the pipeline's peak memory.
+# Near pairs per batch.  It bounds the temporaries of one batch's
+# integrals, a few MB; the near pass peaks later, in _apply_near's
+# fold, where every kind's pair blocks and the sparse matrix each
+# fills on the plan's pattern are alive at once.
 _NEAR_BATCH = 256
 # Plane offset, in face diameters, below which two faces count as coplanar.
 _COPLANAR_TOL = 1e-10
@@ -105,7 +109,12 @@ class AssemblyOptions:
     depth of the touching pairs' k-dependent remainders, whose inner
     rule is never subdivided.  Close pairs use depth 0 throughout.
     ``near_distance_factor`` picks the near pairs; ``separation_factor``
-    bounds how close two surfaces may be.
+    bounds how close two surfaces may be.  ``tile_size`` is the number
+    of fine faces a side of one far tile: it changes the blocks only in
+    the last bits, and sets the far pass's working set, about
+    144 ``tile_size``**2 bytes per complex kernel buffer at the default
+    rule: 2.1 MB at 120, about one core's L2 cache on the 2-core Xeon
+    the default was timed on.
     """
 
     regular_degree: int = 2
@@ -115,7 +124,7 @@ class AssemblyOptions:
     double_inner_subdivisions: int = 2
     near_distance_factor: float = 1.25
     separation_factor: float = 2.0
-    tile_size: int = 480
+    tile_size: int = 120
 
 
 # -- kernels ---------------------------------------------------------
@@ -273,6 +282,20 @@ class _Factors:
         self.corner = tuple(row_sums(base * corners[:, :, c]) for c in range(3))
         self.charge = (2.0 * self.half).tocsr()
 
+    def rows(self, r0: int, r1: int) -> "_Rows":
+        """The maps' rows of faces r0:r1, transposed: (N, r1 - r0) each."""
+        return _Rows(self.half[r0:r1].T,
+                     tuple(c[r0:r1].T for c in self.corner),
+                     self.charge[r0:r1].T)
+
+
+class _Rows(NamedTuple):
+    """One tile's slice of a ``_Factors``, ready to multiply from the left."""
+
+    half: sp.csc_matrix
+    corner: tuple
+    charge: sp.csc_matrix
+
 
 # -- tiled far-field moments -----------------------------------------
 
@@ -311,20 +334,18 @@ def _gradient_combos(m4):
     return w9, d3
 
 
-def _push_single(w, tr, sv, svp, s0, f, j0, j1):
+def _push_single(w, tr, sv, svp, s0, rows):
     """Fold a tile's single-layer combinations into (N, I) accumulators."""
-    half = f.half[j0:j1].T
-    w[0] += half @ tr
+    w[0] += rows.half @ tr
     for c in range(3):
-        corner = f.corner[c][j0:j1].T
+        corner = rows.corner[c]
         w[0] -= corner @ sv[c]
         w[1 + c] += corner @ s0
-        w[1 + c] -= half @ svp[c]
+        w[1 + c] -= rows.half @ svp[c]
 
 
-def _push_double(w, w9, d3, f, j0, j1):
-    half = f.half[j0:j1].T
-    corner = [f.corner[c][j0:j1].T for c in range(3)]
+def _push_double(w, w9, d3, rows):
+    half, corner = rows.half, rows.corner
     for m in range(3):
         w[0] += corner[m] @ w9[m]
         w[1 + m] -= half @ w9[m]
@@ -334,10 +355,10 @@ def _push_double(w, w9, d3, f, j0, j1):
     w[3] += (corner[1] @ d3[0]) - (corner[0] @ d3[1])
 
 
-def _fold_left(f, i0, i1, w):
-    out = f.half[i0:i1].T @ w[0].T
+def _fold_left(rows, w):
+    out = rows.half @ w[0].T
     for c in range(3):
-        out += f.corner[c][i0:i1].T @ w[1 + c].T
+        out += rows.corner[c] @ w[1 + c].T
     return np.asarray(out)
 
 
@@ -348,9 +369,13 @@ _SIGNS = {"single": 1j, "hyper": -1j, "double": -1.0}
 def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
     """Add the far pairs to every request's blocks, tile by tile.
 
-    ``lookup`` marks the near pairs of a same-surface call, which are
-    zeroed here and left to ``_apply_near``; it is None across
-    surfaces.  Every buffer is released on return, before the near pass
+    A tile pair holds ``opts.tile_size`` faces a side, so its kernel
+    buffers and moment tables keep one fixed, cache-sized working set
+    whatever the meshes' sizes.  ``lookup`` marks the near pairs of a
+    same-surface call, which are zeroed here and left to
+    ``_apply_near``; it is None across surfaces, where
+    ``check_clearance`` has kept every pair at least two face diameters
+    apart.  Every buffer is released on return, before the near pass
     allocates its own.
     """
     need_helm = any(kind in ("single", "hyper")
@@ -365,9 +390,15 @@ def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
     tile = max(1, int(opts.tile_size))
     q = pts_t.shape[1]
     p = pts_s.shape[1]
-    # One buffer takes the phase of every tile.
-    phase_buffer = np.empty(min(tile, nt) * q * min(tile, ns) * p,
-                            dtype=np.complex128)
+    spans = [(j0, min(j0 + tile, ns)) for j0 in range(0, ns, tile)]
+    # Each source map's rows, sliced once per source tile.
+    maps = {id(req.factors): req.factors for req in reqs}
+    src_rows = {key: [f.rows(j0, j1) for j0, j1 in spans]
+                for key, f in maps.items()}
+    # Two buffers take kR and the phase of every tile.
+    size = min(tile, nt) * q * min(tile, ns) * p
+    scaled_buffer = np.empty(size)
+    phase_buffer = np.empty(size, dtype=np.complex128)
     for i0 in range(0, nt, tile):
         i1 = min(i0 + tile, nt)
         ft = phi_t[i0:i1]
@@ -378,56 +409,53 @@ def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
                     for _ in range(1 if kind == "hyper" else 4)]
              for kind in req.kinds}
             for req in reqs]
-        for j0 in range(0, ns, tile):
-            j1 = min(j0 + tile, ns)
-            ys = pts_s[j0:j1].reshape(-1, 3)
-            r = _pairwise_distance(xt, ys)
-            live = r > floor
-            safe = np.where(live, r, 1.0)
-            phase = _phase(np.multiply(safe, k, out=r),
-                           out=phase_buffer[:r.size].reshape(r.shape))
-            shape4 = (i1 - i0, q, j1 - j0, p)
-            if lookup is not None:
-                sub = lookup[i0:i1, j0:j1].tocoo()
-                zr, zc = sub.row, sub.col
+        for jt, (j0, j1) in enumerate(spans):
+            r = _pairwise_distance(xt, pts_s[j0:j1].reshape(-1, 3))
+            if lookup is None:
+                dead = None
             else:
-                zr = None
+                # Coinciding points take a unit distance; they and the
+                # near pairs get a zero kernel.
+                dead = r <= floor
+                r[dead] = 1.0
+                sub = lookup[i0:i1, j0:j1].tocoo()
+                shape4 = (i1 - i0, q, j1 - j0, p)
+                dead.reshape(shape4)[sub.row, :, sub.col] = True
+            kr = np.multiply(r, k, out=scaled_buffer[:r.size].reshape(r.shape))
+            phase = _phase(kr, out=phase_buffer[:r.size].reshape(r.shape))
             fs = phi_s[j0:j1]
             if need_helm:
-                vals = phase / (_FOUR_PI * safe)
-                vals[~live] = 0.0
-                if zr is not None and zr.size:
-                    vals.reshape(shape4)[zr, :, zc] = 0.0
+                vals = phase / (_FOUR_PI * r)
+                if dead is not None:
+                    vals[dead] = 0.0
                 tr, sv, svp, s0 = _helmholtz_combos(_moment_table(vals, ft, fs))
                 del vals
                 for req, acc in zip(reqs, w):
+                    rows = src_rows[id(req.factors)][jt]
                     if "single" in req.kinds:
-                        _push_single(acc["single"], tr, sv, svp, s0,
-                                     req.factors, j0, j1)
+                        _push_single(acc["single"], tr, sv, svp, s0, rows)
                     if "hyper" in req.kinds:
-                        acc["hyper"][0] += req.factors.charge[j0:j1].T @ s0
+                        acc["hyper"][0] += rows.charge @ s0
             if need_grad:
                 # The phase, no longer needed, becomes the gradient
                 # kernel in place, slab by slab.
-                flat, dist = phase.reshape(-1), safe.reshape(-1)
+                flat, dist = phase.reshape(-1), r.reshape(-1)
                 for b0 in range(0, flat.size, _PHASE_SLAB):
                     part = dist[b0:b0 + _PHASE_SLAB]
                     flat[b0:b0 + _PHASE_SLAB] *= 1j * k * part - 1.0
                     flat[b0:b0 + _PHASE_SLAB] /= _FOUR_PI * part**3
-                vals = phase
-                vals[~live] = 0.0
-                if zr is not None and zr.size:
-                    vals.reshape(shape4)[zr, :, zc] = 0.0
-                w9, d3 = _gradient_combos(_moment_table(vals, ft, fs))
+                if dead is not None:
+                    phase[dead] = 0.0
+                w9, d3 = _gradient_combos(_moment_table(phase, ft, fs))
                 for req, acc in zip(reqs, w):
                     if "double" in req.kinds:
-                        _push_double(acc["double"], w9, d3, req.factors, j0, j1)
+                        _push_double(acc["double"], w9, d3,
+                                     src_rows[id(req.factors)][jt])
         for req, acc, blocks in zip(reqs, w, out):
-            flt = req.test_factors
+            rows = req.test_factors.rows(i0, i1)
             for kind in req.kinds:
-                fold = (np.asarray(flt.charge[i0:i1].T @ acc[kind][0].T)
-                        if kind == "hyper" else
-                        _fold_left(flt, i0, i1, acc[kind]))
+                fold = (np.asarray(rows.charge @ acc[kind][0].T)
+                        if kind == "hyper" else _fold_left(rows, acc[kind]))
                 blocks[kind] += _SIGNS[kind] * fold
 
 

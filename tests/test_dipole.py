@@ -105,6 +105,14 @@ class TestClosedForms:
             12.0 * np.pi)
         assert power == pytest.approx(exact, rel=1e-3)
 
+    def test_electric_only_keeps_the_bits(self, tilted_source):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-0.2, 0.2, (257, 3))
+        e, _ = field_arrays(tilted_source, pts)
+        e_only, h = field_arrays(tilted_source, pts, magnetic=False)
+        assert h is None
+        assert np.array_equal(e_only, e)
+
     def test_singular_point_rejected(self, axial_source):
         with pytest.raises(ValueError, match="coincides"):
             field_arrays(axial_source, np.zeros((1, 3)))

@@ -1,4 +1,6 @@
 """Layer-operator assembly vs brute-force quadrature, plus structure checks."""
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -390,6 +392,40 @@ class TestTiling:
                               AssemblyOptions(tile_size=37))[0]
         for kind in KINDS:
             assert rel(got[kind], ref[kind]) < 1e-12
+
+    def test_default_tiles_match_one_tile(self, small_sphere):
+        # The 480 fine faces of the 0.04 m sphere span several default
+        # tiles, with near pairs across their edges.
+        rwg, bc = basis_pair(small_sphere)
+        tile = AssemblyOptions().tile_size
+        pairs, _ = _near_face_pairs(rwg.fine, AssemblyOptions())
+        assert rwg.fine.n_faces > tile
+        assert np.any(pairs[:, 0] // tile != pairs[:, 1] // tile)
+        k = FrequencyContext(2e9).wavenumber
+        requests = [(rwg, KINDS), (bc, KINDS)]
+        got = assemble_blocks(rwg, requests, k)
+        ref = assemble_blocks(rwg, requests, k,
+                              AssemblyOptions(tile_size=rwg.fine.n_faces))
+        for g, r in zip(got, ref):
+            for kind in KINDS:
+                assert rel(g[kind], r[kind]) < 1e-13
+
+    def test_cross_surface_working_set_is_bounded(self, small_sphere):
+        # The probe pass of the 0.04 m sphere at 2 GHz: BC tests on 1 920
+        # fine faces of a 0.11 m probe sphere, RWG and BC sources on 480.
+        # It traces about 24 MB at the default tiles, 277 MB at 480.
+        rwg, bc = basis_pair(small_sphere)
+        probe = basis_pair(generate_sphere_mesh(0.11, 0.03))[1]
+        assert (probe.fine.n_faces, rwg.fine.n_faces) == (1920, 480)
+        k = FrequencyContext(2e9).wavenumber
+        tracemalloc.start()
+        try:
+            assemble_blocks(probe, [(rwg, ("double",)),
+                                    (bc, ("single", "hyper"))], k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestQuadratureDefaults:
