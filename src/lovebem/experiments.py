@@ -42,8 +42,7 @@ from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
                            solve_stabilized, static_double_layer)
 from .mesh import (_octahedron, barycentric_refine, generate_sphere_mesh,
                    unit_icosphere)
-from .operators import (ETA0, AssemblyOptions, FrequencyContext, NearPlan,
-                        gram_matrix)
+from .operators import ETA0, FrequencyContext, NearPlan, gram_matrix
 from .projectors import (ScalingMap, build_projectors, build_scaling,
                          save_norm_table, verify_limit_property)
 from .spaces import BasisSpace, basis_pair, build_loop_star
@@ -103,18 +102,26 @@ def _stage(name: str):
         raise StageError(name, f"{type(err).__name__}: {err}") from err
 
 
-def _number(raw, key, convert=float):
-    try:
-        return convert(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise StageError(
-            "config", f"{key} must be a number, not {raw!r}") from None
+def _number(raw, key):
+    # JSON true and false are not numbers, though Python's float takes them.
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise StageError("config", f"{key} must be a number, not {raw!r}")
 
 
-def _positive(raw, key, stage="config"):
+def _typed(raw, key, kind=(list, tuple), name="a list"):
+    if not isinstance(raw, kind):
+        raise StageError("config", f"{key} must be {name}, not {raw!r}")
+    return raw
+
+
+def _positive(raw, key):
     value = _number(raw, key)
     if not (math.isfinite(value) and value > 0.0):
-        raise StageError(stage, f"{key} must be positive and finite")
+        raise StageError("config", f"{key} must be positive and finite")
     return value
 
 
@@ -133,7 +140,7 @@ def _pick_unit(section, base, default):
 
 
 def _parse_moment(entries):
-    if len(entries) != 3:
+    if len(_typed(entries, "dipole moment")) != 3:
         raise StageError("config", "dipole moment needs three components")
     moment = np.zeros(3, dtype=complex)
     for axis, entry in enumerate(entries):
@@ -194,7 +201,8 @@ class ExperimentConfig:
             raise StageError(
                 "config", f"unknown config keys: {', '.join(sorted(unknown))}")
         kwargs = {}
-        geometry = raw.get("geometry", {})
+        geometry = _typed(raw.get("geometry", {}), "geometry", dict,
+                          "an object")
         if "surface_radius" in geometry:
             kwargs["surface_radius"] = _positive(
                 geometry["surface_radius"], "surface_radius")
@@ -210,17 +218,18 @@ class ExperimentConfig:
         if "frequency" in raw:
             kwargs["frequency"] = _positive(raw["frequency"], "frequency")
         if "frequency_sweep" in raw:
-            sweep = tuple(_positive(f, "sweep frequency")
-                          for f in raw["frequency_sweep"])
+            sweep = tuple(_positive(f, "sweep frequency") for f in
+                          _typed(raw["frequency_sweep"], "frequency_sweep"))
             if any(b <= a for a, b in zip(sweep, sweep[1:])):
                 raise StageError(
                     "config", "frequency sweep must be sorted ascending")
             kwargs["sweep"] = sweep
             kwargs.setdefault("frequency", None)
-        dipole = raw.get("dipole", {})
+        dipole = _typed(raw.get("dipole", {}), "dipole", dict, "an object")
         if "position" in dipole:
-            with _stage("config"):
-                position = np.asarray(dipole["position"], dtype=np.float64)
+            position = np.array([
+                _number(v, "dipole position")
+                for v in _typed(dipole["position"], "dipole position")])
             if position.shape != (3,) or not np.all(np.isfinite(position)):
                 raise StageError(
                     "config", "dipole position must be three finite numbers")
@@ -239,22 +248,24 @@ class ExperimentConfig:
                     + ", ".join(FORMULATIONS))
             kwargs["formulation"] = raw["formulation"]
         if "love_weight" in raw and raw["love_weight"] is not None:
+            weight = _number(raw["love_weight"], "love_weight")
             with _stage("config"):
-                kwargs["love_weight"] = check_love_weight(raw["love_weight"])
+                kwargs["love_weight"] = check_love_weight(weight)
         if "output_dir" in raw:
             kwargs["output_dir"] = str(raw["output_dir"])
         if "curve_radii" in raw:
             radii = tuple(_positive(r, "curve radius")
-                          for r in raw["curve_radii"])
+                          for r in _typed(raw["curve_radii"], "curve_radii"))
             if any(b <= a for a, b in zip(radii, radii[1:])):
                 raise StageError(
                     "config", "curve_radii must be sorted ascending")
             kwargs["curve_radii"] = radii
         if "curve_points" in raw:
-            points = _number(raw["curve_points"], "curve_points", int)
-            if points < 1:
-                raise StageError("config", "curve_points must be positive")
-            kwargs["curve_points"] = points
+            points = _number(raw["curve_points"], "curve_points")
+            if not (points.is_integer() and points >= 1):
+                raise StageError(
+                    "config", "curve_points must be a positive integer")
+            kwargs["curve_points"] = int(points)
         return cls(**kwargs)
 
     def canonical(self) -> dict:
@@ -336,13 +347,13 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 # -- operator plans --------------------------------------------------
 #
-# The system matrix depends on the two meshes, the wavenumber and the
-# assembly options only; measured data enters as the right side.  The
-# plans below own that work, so a request that repeats a (geometry,
-# wavenumber) pair skips assembly.  A hit returns the very arrays a miss
-# built, so it gives the same bits.  The builders call their
-# collaborators through this module's names, which keeps the calls
-# visible at the module boundaries perfbench/tracing.py wraps.
+# The system matrix depends on the two meshes and the wavenumber only;
+# measured data enters as the right side.  The plans below own that
+# work, so a request that repeats a (geometry, wavenumber) pair skips
+# assembly.  A hit returns the very arrays a miss built, so it gives
+# the same bits.  The builders call their collaborators through this
+# module's names, which keeps the calls visible at the module
+# boundaries perfbench/tracing.py wraps.
 
 # Operator plans kept; geometry and shape plans keep twice as many,
 # since every operator plan names two of each.  The least recently used
@@ -366,19 +377,15 @@ def _freeze(*values):
             arr.setflags(write=False)
 
 
-def _options(options):
-    return AssemblyOptions() if options is None else options
-
-
 class ShapePlan:
     """Work that depends only on the shape of one icosphere level.
 
     Everything here is built on the unit sphere of the level: the RWG
     and BC coefficient maps (fluxes, so free of scale), the loop/star
-    projectors (connectivity only) and, on first use per options value,
-    the near plan (near pairs with their static integrals, which scale
-    by known powers of the radius) and the static double layer, which
-    is dimensionless for unit-flux functions.  Since no scaled mesh
+    projectors (connectivity only) and, on first use, the near plan
+    (near pairs with their static integrals, which scale by known
+    powers of the radius) and the static double layer, which is
+    dimensionless for unit-flux functions.  Since no scaled mesh
     ever reaches it, every sphere of the level gets the same bits,
     whatever the order of requests.
     """
@@ -388,8 +395,6 @@ class ShapePlan:
         self.rwg, self.bc = basis_pair(self.mesh)
         _freeze(self.rwg.to_fine, self.bc.to_fine, self.rwg.local,
                 self.bc.local)
-        self._near = {}
-        self._static = {}
 
     @cached_property
     def projectors(self):
@@ -397,20 +402,15 @@ class ShapePlan:
         _freeze(ps.loops, ps.stars)
         return ps
 
-    def near(self, options=None) -> NearPlan:
-        options = _options(options)
-        if options not in self._near:
-            self._near[options] = NearPlan(self.rwg.fine, options)
-        return self._near[options]
+    @cached_property
+    def near(self) -> NearPlan:
+        return NearPlan(self.rwg.fine)
 
-    def static_double(self, options=None):
-        options = _options(options)
-        if options not in self._static:
-            block = static_double_layer(self.rwg, self.bc, options,
-                                        self.near(options))
-            _freeze(block)
-            self._static[options] = block
-        return self._static[options]
+    @cached_property
+    def static_double(self):
+        block = static_double_layer(self.rwg, self.bc, self.near)
+        _freeze(block)
+        return block
 
 
 class GeometryPlan:
@@ -437,41 +437,38 @@ class GeometryPlan:
     def projectors(self):
         return self.shape.projectors
 
-    def near(self, options=None) -> NearPlan:
-        return self.shape.near(options).scaled(self.key[0])
+    @property
+    def near(self) -> NearPlan:
+        return self.shape.near.scaled(self.key[0])
 
-    def static_double(self, options=None):
-        return self.shape.static_double(options)
+    @property
+    def static_double(self):
+        return self.shape.static_double
 
-    def coupling(self, ctx, options=None):
-        dynamic = double_layer(self.rwg, self.bc, ctx, options,
-                               self.near(options))
+    def coupling(self, ctx):
+        dynamic = double_layer(self.rwg, self.bc, ctx, self.near)
         return interior_coupling(self.rwg, self.bc, dynamic,
-                                 self.static_double(options),
-                                 self.projectors)
+                                 self.static_double, self.projectors)
 
     def check_clearance(self, probe: "GeometryPlan"):
         """Raise unless ``probe`` clears this surface; once per probe."""
         if probe.key not in self._cleared:
-            operators.check_clearance(probe.bc.fine, self.rwg.fine,
-                                      AssemblyOptions())
+            operators.check_clearance(probe.bc.fine, self.rwg.fine)
             self._cleared.add(probe.key)
 
 
 class OperatorPlan:
-    """Single-current system of one (surface, probe, wavenumber, options).
+    """Single-current system of one (surface, probe, wavenumber).
 
     ``stabilized`` adds the scaled system, its matrix materialized, on
     first use.  ``field_rows`` hands out the plan's field kernel rows.
     """
 
-    def __init__(self, surface: GeometryPlan, probe: GeometryPlan, ctx,
-                 options: AssemblyOptions):
+    def __init__(self, surface: GeometryPlan, probe: GeometryPlan, ctx):
         self.surface, self.probe, self.ctx = surface, probe, ctx
         self.system = build_sp_system(
             surface.rwg, surface.bc, probe.bc, ctx, surface.projectors,
-            surface.static_double(options), options=options,
-            near=surface.near(options))
+            surface.static_double, near=surface.near)
         system = self.system
         _freeze(system.field_double, system.field_efie, system.trace_efie,
                 system.trace_double, system.coupling, system.dense())
@@ -503,8 +500,8 @@ class OperatorPlans:
 
     Shape plans are keyed on the icosphere level; geometry plans on the
     ``generate_sphere_mesh`` arguments (radius, target edge length), so
-    a hit generates no mesh; operator plans on the two geometry keys,
-    the wavenumber and the assembly options.
+    a hit generates no mesh; operator plans on the two geometry keys
+    and the wavenumber.
     """
 
     def __init__(self, bound: int = PLAN_BOUND):
@@ -541,14 +538,11 @@ class OperatorPlans:
             return GeometryPlan(key, mesh, self.shape(level))
         return self._lookup("geometry", key, build)
 
-    def operator(self, surface: GeometryPlan, probe: GeometryPlan, ctx,
-                 options=None) -> OperatorPlan:
-        options = _options(options)
-        key = (surface.key, probe.key,
-               float(getattr(ctx, "wavenumber", ctx)), options)
+    def operator(self, surface: GeometryPlan, probe: GeometryPlan,
+                 ctx) -> OperatorPlan:
+        key = (surface.key, probe.key, float(getattr(ctx, "wavenumber", ctx)))
         return self._lookup("operator", key,
-                            lambda: OperatorPlan(surface, probe, ctx,
-                                                 options))
+                            lambda: OperatorPlan(surface, probe, ctx))
 
     def __len__(self):
         return sum(len(entries) for entries in self._entries.values())
@@ -599,8 +593,8 @@ def _solve_scene(cfg: ExperimentConfig, scene: _Scene):
                 check_love_weight(cfg.love_weight)
             solution = solve_baseline_love(
                 surface.rwg, surface.bc, probe.bc, ctx, e, h, policy,
-                surface.projectors, surface.static_double(),
-                love_weight=cfg.love_weight, near=surface.near())
+                surface.projectors, surface.static_double,
+                love_weight=cfg.love_weight, near=surface.near)
         return solution, None
     with _stage("assembly"):
         plan = PLANS.operator(surface, probe, ctx)
@@ -718,7 +712,7 @@ def run_frequency_sweep(cfg: ExperimentConfig) -> str:
                 system.trace_efie,
                 interior_coupling(surface.rwg, surface.bc,
                                   system.trace_double,
-                                  surface.static_double(),
+                                  surface.static_double,
                                   surface.projectors, corrected=False))
             kappa_raw = condition_at_threshold(plain.dense(), policy)
             kappa_scaled = condition_at_threshold(plan.stabilized.matrix(),
@@ -905,7 +899,7 @@ def _suite_interior_identity():
     rwg, bc = scene.surface.rwg, scene.surface.bc
     identity_map = assemble_calderon_interior(
         rwg, bc, plan.system.coupling,
-        calderon_blocks(rwg, bc, scene.ctx, near=scene.surface.near()))
+        calderon_blocks(rwg, bc, scene.ctx, near=scene.surface.near))
     stack = np.concatenate([-solution.m, solution.j])
     recovered = float(np.linalg.norm(identity_map @ stack)
                       / np.linalg.norm(stack))

@@ -57,8 +57,7 @@ def _quadrature_tables(space, coeffs):
     local = (space.local @ np.asarray(coeffs)).reshape(-1, 3)
     values = np.einsum("...a,...ac->...c", local[:, None, :],
                        fine.rt0_values(_DEGREE))
-    div_slot = fine.face_edge_signs / fine.face_areas[:, None]
-    divs = (div_slot * local).sum(axis=1)
+    divs = (2.0 * fine.rt0_scale * local).sum(axis=1)
     return values, divs
 
 

@@ -69,7 +69,7 @@ def _efie(block, k):
     return k * block["single"] + block["hyper"] / k
 
 
-def double_layer(rwg, bc, ctx, options=None, near=None):
+def double_layer(rwg, bc, ctx, near=None):
     """Primal-dual double layer of one surface, tested on itself.
 
     ``near``, here and in every same-surface pass below, is the
@@ -77,11 +77,11 @@ def double_layer(rwg, bc, ctx, options=None, near=None):
     one for its own mesh.
     """
     k = _wavenumber(ctx)
-    return assemble_blocks(rwg, [(bc, ("double",))], k, options,
+    return assemble_blocks(rwg, [(bc, ("double",))], k,
                            near=near)[0]["double"]
 
 
-def static_double_layer(rwg, bc, options=None, near=None):
+def static_double_layer(rwg, bc, near=None):
     """Primal-dual double layer at the static wavenumber.
 
     It does not depend on the working frequency, so one block serves
@@ -89,7 +89,7 @@ def static_double_layer(rwg, bc, options=None, near=None):
     Its near pairs fold the same static blocks as every dynamic pass
     with the same ``near``.
     """
-    return double_layer(rwg, bc, _STATIC_WAVENUMBER, options, near)
+    return double_layer(rwg, bc, _STATIC_WAVENUMBER, near)
 
 
 def _self_requests(rwg, bc):
@@ -97,10 +97,9 @@ def _self_requests(rwg, bc):
     return [(rwg, ("single", "hyper")), (bc, ("double",))]
 
 
-def _self_pass(rwg, bc, k, options, near):
+def _self_pass(rwg, bc, k, near):
     """EFIE trace and double layer of one surface from one pass."""
-    blocks = assemble_blocks(rwg, _self_requests(rwg, bc), k, options,
-                             near=near)
+    blocks = assemble_blocks(rwg, _self_requests(rwg, bc), k, near=near)
     return _efie(blocks[0], k), blocks[1]["double"]
 
 
@@ -118,8 +117,7 @@ class CalderonBlocks(NamedTuple):
     dual_efie: np.ndarray
 
 
-def calderon_blocks(rwg, bc, ctx, options=None,
-                    near=None) -> CalderonBlocks:
+def calderon_blocks(rwg, bc, ctx, near=None) -> CalderonBlocks:
     """Self-pass and dual-tested blocks of one surface from one pass.
 
     RWG and BC functions live on one barycentric refinement, so all
@@ -130,7 +128,7 @@ def calderon_blocks(rwg, bc, ctx, options=None,
     blocks = assemble_blocks(
         rwg, _self_requests(rwg, bc) + [(rwg, ("double",), bc),
                                         (bc, ("single", "hyper"), bc)],
-        k, options, near=near)
+        k, near=near)
     return CalderonBlocks(_efie(blocks[0], k), blocks[1]["double"],
                           blocks[2]["double"], _efie(blocks[3], k))
 
@@ -224,7 +222,7 @@ class SPSystem:
 
 
 def build_sp_system(rwg, bc, bc_probe, ctx, projectors, static_double,
-                    options=None, near=None) -> SPSystem:
+                    near=None) -> SPSystem:
     """Assemble the single-current system for one working point.
 
     ``rwg`` and ``bc`` live on the radiating surface, ``bc_probe`` on
@@ -234,9 +232,9 @@ def build_sp_system(rwg, bc, bc_probe, ctx, projectors, static_double,
     radiation pass onto the probe tests.
     """
     k = _wavenumber(ctx)
-    trace_efie, trace_double = _self_pass(rwg, bc, k, options, near)
+    trace_efie, trace_double = _self_pass(rwg, bc, k, near)
     rad = assemble_blocks(
-        bc_probe, [(rwg, ("double",)), (bc, ("single", "hyper"))], k, options)
+        bc_probe, [(rwg, ("double",)), (bc, ("single", "hyper"))], k)
     coupling = interior_coupling(rwg, bc, trace_double, static_double,
                                  projectors)
     return SPSystem(k, rad[0]["double"], _efie(rad[1], k), trace_efie,
@@ -368,7 +366,7 @@ def check_love_weight(weight) -> float:
 
 def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
                         static_double, love_weight=None,
-                        options=None, near=None) -> CurrentSolution:
+                        near=None) -> CurrentSolution:
     """Two-current reconstruction with weighted interior constraints.
 
     Solves the stacked radiation system for both currents at once,
@@ -393,14 +391,14 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
     weight = None if love_weight is None else check_love_weight(love_weight)
     rad = assemble_blocks(
         bc_probe, [(rwg, ("double", "single", "hyper")),
-                   (bc, ("double", "single", "hyper"))], k, options)
+                   (bc, ("double", "single", "hyper"))], k)
     double_primal = rad[0]["double"]
     efie_primal = _efie(rad[0], k)
     double_dual = rad[1]["double"]
     efie_dual = _efie(rad[1], k)
     radiation = np.block([[-double_primal, efie_dual],
                           [-efie_primal, -double_dual]])
-    blocks = calderon_blocks(rwg, bc, k, options, near)
+    blocks = calderon_blocks(rwg, bc, k, near)
     coupling = interior_coupling(rwg, bc, blocks.trace_double, static_double,
                                  projectors)
     identity_map = assemble_calderon_interior(rwg, bc, coupling, blocks)

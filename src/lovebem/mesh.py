@@ -147,19 +147,19 @@ class TriangleMesh:
     @property
     def face_normals(self) -> np.ndarray:
         """Unit outward normals, shape (n_faces, 3)."""
-        def build():
-            c = self.face_corners
-            nv = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
-            return nv / np.linalg.norm(nv, axis=1, keepdims=True)
-        return self._cached("face_normals", build)
+        return self._face_frames()[0]
 
     @property
     def face_areas(self) -> np.ndarray:
+        return self._face_frames()[1]
+
+    def _face_frames(self):
         def build():
             c = self.face_corners
             nv = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
-            return 0.5 * np.linalg.norm(nv, axis=1)
-        return self._cached("face_areas", build)
+            norm = np.linalg.norm(nv, axis=1)
+            return nv / norm[:, None], 0.5 * norm
+        return self._cached("face_frames", build)
 
     @property
     def face_centroids(self) -> np.ndarray:
@@ -194,6 +194,13 @@ class TriangleMesh:
     def face_edge_signs(self) -> np.ndarray:
         """+1 where the face is the plus side of ``face_edges``."""
         return self._face_edge_tables()[1]
+
+    @property
+    def rt0_scale(self) -> np.ndarray:
+        """c_a = s_a / (2 A) of the local RT0 functions f_a(r) = c_a (r - v_a)
+        on every face, shape (n_faces, 3); 2 c_a is f_a's divergence."""
+        return self._cached("rt0_scale", lambda: (
+            self.face_edge_signs / (2.0 * self.face_areas[:, None])))
 
     def _face_edge_tables(self):
         def build():
@@ -277,9 +284,7 @@ def _face_basis(mesh: TriangleMesh, points: np.ndarray,
     its leading axes; returns shape ``(..., 3 local, 3 xyz)``.
     """
     corners = mesh.vertices[mesh.triangles[faces]]
-    scale = mesh.face_edge_signs[faces] / (2.0 * mesh.face_areas[faces])[
-        ..., None]
-    return scale[..., None] * (points[..., None, :] - corners)
+    return mesh.rt0_scale[faces][..., None] * (points[..., None, :] - corners)
 
 
 def _edge_ids(mesh: TriangleMesh, lo: np.ndarray,

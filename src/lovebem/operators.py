@@ -67,6 +67,16 @@ _KINDS = ("single", "hyper", "double")
 _NEAR_BATCH = 256
 # Plane offset, in face diameters, below which two faces count as coplanar.
 _COPLANAR_TOL = 1e-10
+# Fine faces a side of one far tile.  It changes the blocks only in the
+# last bits and sets the far pass's working set, about 144 _TILE**2
+# bytes per complex kernel buffer at the default rule: 2.1 MB, about
+# one core's L2 cache on the 2-core Xeon it was timed on.
+_TILE = 120
+# Two faces are near when their centroids are closer than this factor
+# times the sum of their diameters.
+_NEAR_DISTANCE = 1.25
+# Least face gap, in face diameters, between two surfaces of one call.
+_SEPARATION = 2.0
 
 
 @dataclass(frozen=True)
@@ -94,27 +104,15 @@ class FrequencyContext:
 
 @dataclass(frozen=True)
 class AssemblyOptions:
-    """Quadrature and tiling knobs for the dense assembly engine.
-
-    The defaults balance accuracy against the cost of single-threaded
-    assembly; doubling ``regular_degree`` or the subdivision depths is
-    the cheap way to check convergence of a result.
+    """Quadrature rules of the dense assembly engine.
 
     ``regular_degree`` sets the far tiles' rule and ``near_degree`` the
-    rule on every subtriangle of a near pair.  The static near parts,
-    kept in a ``NearPlan``, follow ``static_subdivisions`` (outer depth
-    of the touching pairs' 1/R moments) and ``double_inner_subdivisions``
-    with ``double_outer_subdivisions`` (the touching pairs' static
-    double layer).  ``double_outer_subdivisions`` also sets the outer
-    depth of the touching pairs' k-dependent remainders, whose inner
-    rule is never subdivided.  Close pairs use depth 0 throughout.
-    ``near_distance_factor`` picks the near pairs; ``separation_factor``
-    bounds how close two surfaces may be.  ``tile_size`` is the number
-    of fine faces a side of one far tile: it changes the blocks only in
-    the last bits, and sets the far pass's working set, about
-    144 ``tile_size``**2 bytes per complex kernel buffer at the default
-    rule: 2.1 MB at 120, about one core's L2 cache on the 2-core Xeon
-    the default was timed on.
+    rule on every subtriangle of a near pair.  ``static_subdivisions``
+    is the outer depth of the touching pairs' static 1/R moments;
+    ``double_outer_subdivisions`` by ``double_inner_subdivisions`` are
+    the depths of their static double layer, and the outer one also
+    that of their k-dependent remainders.  Close pairs use depth 0.
+    Raising any of them checks the convergence of a result.
     """
 
     regular_degree: int = 2
@@ -122,9 +120,6 @@ class AssemblyOptions:
     static_subdivisions: int = 2
     double_outer_subdivisions: int = 1
     double_inner_subdivisions: int = 2
-    near_distance_factor: float = 1.25
-    separation_factor: float = 2.0
-    tile_size: int = 120
 
 
 # -- kernels ---------------------------------------------------------
@@ -252,11 +247,6 @@ def _weighted_monomials(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 # -- sparse congruence factors ---------------------------------------
 
-def _rt0_scale(fine: TriangleMesh) -> np.ndarray:
-    """c_a = s_a / (2 A) of f_a(r) = c_a (r - v_a) on every face, (n, 3)."""
-    return fine.face_edge_signs / (2.0 * fine.face_areas[:, None])
-
-
 class _Factors:
     """Sparse maps from coarse coefficients to fine-face moment weights.
 
@@ -269,7 +259,7 @@ class _Factors:
 
     def __init__(self, space: BasisSpace) -> None:
         n = space.fine.n_faces
-        base = _rt0_scale(space.fine)
+        base = space.fine.rt0_scale
         slots = np.arange(3 * n + 1)
 
         def row_sums(w: np.ndarray) -> sp.csr_matrix:
@@ -369,14 +359,14 @@ _SIGNS = {"single": 1j, "hyper": -1j, "double": -1.0}
 def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
     """Add the far pairs to every request's blocks, tile by tile.
 
-    A tile pair holds ``opts.tile_size`` faces a side, so its kernel
-    buffers and moment tables keep one fixed, cache-sized working set
-    whatever the meshes' sizes.  ``lookup`` marks the near pairs of a
+    A tile pair holds ``_TILE`` faces a side, so its kernel buffers
+    and moment tables keep one fixed, cache-sized working set whatever
+    the meshes' sizes.  ``lookup`` marks the near pairs of a
     same-surface call, which are zeroed here and left to
     ``_apply_near``; it is None across surfaces, where
-    ``check_clearance`` has kept every pair at least two face diameters
-    apart.  Every buffer is released on return, before the near pass
-    allocates its own.
+    ``check_clearance`` has kept every pair ``_SEPARATION`` face
+    diameters apart.  Every buffer is released on return, before the
+    near pass allocates its own.
     """
     need_helm = any(kind in ("single", "hyper")
                     for req in reqs for kind in req.kinds)
@@ -387,20 +377,19 @@ def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
     phi_s = phi_t if fine_s is fine_t else _weighted_monomials(pts_s, wts_s)
     nt = fine_t.n_faces
     ns = fine_s.n_faces
-    tile = max(1, int(opts.tile_size))
     q = pts_t.shape[1]
     p = pts_s.shape[1]
-    spans = [(j0, min(j0 + tile, ns)) for j0 in range(0, ns, tile)]
+    spans = [(j0, min(j0 + _TILE, ns)) for j0 in range(0, ns, _TILE)]
     # Each source map's rows, sliced once per source tile.
     maps = {id(req.factors): req.factors for req in reqs}
     src_rows = {key: [f.rows(j0, j1) for j0, j1 in spans]
                 for key, f in maps.items()}
     # Two buffers take kR and the phase of every tile.
-    size = min(tile, nt) * q * min(tile, ns) * p
+    size = min(_TILE, nt) * q * min(_TILE, ns) * p
     scaled_buffer = np.empty(size)
     phase_buffer = np.empty(size, dtype=np.complex128)
-    for i0 in range(0, nt, tile):
-        i1 = min(i0 + tile, nt)
+    for i0 in range(0, nt, _TILE):
+        i1 = min(i0 + _TILE, nt)
         ft = phi_t[i0:i1]
         xt = pts_t[i0:i1].reshape(-1, 3)
         # (N, I) accumulators: source dofs by test faces of the tile
@@ -473,7 +462,7 @@ def _vertex_sharing_pairs(fine: TriangleMesh) -> np.ndarray:
     return np.stack([adj.row[keep], adj.col[keep]], axis=1)
 
 
-def _near_face_pairs(fine: TriangleMesh, options: AssemblyOptions):
+def _near_face_pairs(fine: TriangleMesh):
     """Unordered near pairs (t <= s) with every self pair included.
 
     Returns the pair array and a mask marking the pairs that share at
@@ -483,11 +472,11 @@ def _near_face_pairs(fine: TriangleMesh, options: AssemblyOptions):
     cents = fine.face_centroids
     diam = fine.face_diameters
     tree = cKDTree(cents)
-    radius = options.near_distance_factor * 2.0 * float(diam.max())
+    radius = _NEAR_DISTANCE * 2.0 * float(diam.max())
     cand = tree.query_pairs(radius, output_type="ndarray")
     if cand.size:
         gap = np.linalg.norm(cents[cand[:, 0]] - cents[cand[:, 1]], axis=1)
-        near = gap <= options.near_distance_factor * (diam[cand[:, 0]] + diam[cand[:, 1]])
+        near = gap <= _NEAR_DISTANCE * (diam[cand[:, 0]] + diam[cand[:, 1]])
         cand = cand[near]
     touch = _vertex_sharing_pairs(fine)
     n = fine.n_faces
@@ -521,17 +510,17 @@ def _near_pattern(tp: np.ndarray, sq: np.ndarray, n: int) -> sp.csr_matrix:
         shape=(3 * n, 3 * n)).tocsr()
 
 
-def check_clearance(fine_t, fine_s, options):
+def check_clearance(fine_t, fine_s):
     """Reject surfaces too close for far-only cross-surface quadrature.
 
     Raises ``ValueError`` when the face gap between the refined meshes
-    is below ``options.separation_factor`` face diameters.
+    is below ``_SEPARATION`` face diameters.
     """
     tree = cKDTree(fine_s.face_centroids)
     dist, _ = tree.query(fine_t.face_centroids, k=1)
     reach = 0.5 * (fine_t.face_diameters.max() + fine_s.face_diameters.max())
     gap = float(dist.min()) - reach
-    limit = options.separation_factor * float(
+    limit = _SEPARATION * float(
         max(fine_t.face_diameters.max(), fine_s.face_diameters.max()))
     if gap < limit:
         raise ValueError(
@@ -634,7 +623,7 @@ def _helmholtz_moments(tables, tp, sq, k, depth, static):
 
 def _rt0(fine, faces, corners, pts):
     """The faces' three RT0 functions at ``pts``, shape (b, q, 3, 3)."""
-    scale = _rt0_scale(fine)[faces]
+    scale = fine.rt0_scale[faces]
     return scale[:, None, :, None] * (pts[:, :, None, :] - corners[:, None])
 
 
@@ -723,7 +712,7 @@ class NearPlan:
 
     def __init__(self, fine: TriangleMesh, options=None) -> None:
         opts = options if options is not None else AssemblyOptions()
-        pairs, touching = _near_face_pairs(fine, opts)
+        pairs, touching = _near_face_pairs(fine)
         self.fine, self.options, self.scale = fine, opts, 1.0
         both = np.concatenate([pairs, pairs[:, ::-1]])
         self.lookup = sp.csr_matrix((np.ones(len(both)), both.T),
@@ -838,7 +827,7 @@ def _apply_near(out, reqs, fine, near, k, floor, opts):
     pair_blocks = {"double": np.concatenate(double)} if double else {}
     if moments:
         m = np.concatenate(moments)
-        c = _rt0_scale(fine)
+        c = fine.rt0_scale
         cc = c[tp][:, :, None] * c[sq][:, None, :]
         s0 = m[:, 3, 3, None, None]
         pair_blocks["hyper"] = 4.0 * cc * s0
@@ -950,7 +939,7 @@ def assemble_blocks(test, requests, k, options=None, near=None):
     fine_s = reqs[0].space.fine
     same = fine_t is fine_s
     if not same:
-        check_clearance(fine_t, fine_s, opts)
+        check_clearance(fine_t, fine_s)
 
     floor = _distance_floor(fine_t.quadrature(opts.regular_degree)[0],
                             fine_s.quadrature(opts.regular_degree)[0])

@@ -20,7 +20,6 @@ from lovebem.experiments import (ExperimentConfig, OperatorPlans,
 from lovebem import operators
 from lovebem.formulations import calderon_blocks, static_double_layer
 from lovebem.mesh import generate_sphere_mesh
-from lovebem.operators import AssemblyOptions
 from lovebem.quadrature import TriangleRule
 from lovebem.spaces import basis_pair
 
@@ -119,9 +118,18 @@ class TestConfigParsing:
         {"geometry": {"surface_radius": "r"}},
         {"dipole": {"moment": ["a", 0, 1]}},
         {"curve_radii": [None]},
+        {"geometry": 5},
+        {"dipole": 5},
+        {"frequency_sweep": 5},
+        {"curve_radii": 5},
+        {"dipole": {"moment": 5}},
+        {"frequency_sweep": "123"},
+        {"curve_points": 2.5},
+        {"frequency": True},
     ])
     def test_non_numbers_are_config_errors(self, raw, tmp_path, capsys):
-        with pytest.raises(StageError, match="must be a number") as info:
+        with pytest.raises(StageError, match="must be an? (number|positive "
+                           "integer|object|list)") as info:
             ExperimentConfig.from_dict(raw)
         assert info.value.stage == "config"
         path = tmp_path / "cfg.json"
@@ -610,7 +618,7 @@ def artifact_bytes(paths):
 def stub_operator_plans(monkeypatch):
     """Operator plans that build nothing, for tests of keys and bounds."""
     monkeypatch.setattr(experiments, "OperatorPlan",
-                        lambda surface, probe, ctx, options: object())
+                        lambda surface, probe, ctx: object())
 
 
 class TestOperatorPlans:
@@ -652,16 +660,12 @@ class TestOperatorPlans:
         assert calls == []
         assert warm == cold
 
-    def test_keys_cover_wavenumber_options_and_contents(
-            self, stub_operator_plans):
+    def test_keys_cover_wavenumber_and_contents(self, stub_operator_plans):
         plans = OperatorPlans(bound=4)
         surface, probe = small_pair(plans)
         first = plans.operator(surface, probe, 1.0)
         assert plans.operator(surface, probe, 1.0) is first
         assert plans.operator(surface, probe, 1.1) is not first
-        assert plans.operator(surface, probe, 1.0,
-                              AssemblyOptions(regular_degree=3)) \
-            is not first
         # A new radius or edge length is a new geometry of the same shape.
         for moved in (plans.geometry(1.01, 1.0), plans.geometry(1.0, 0.9)):
             assert moved is not surface
@@ -670,7 +674,7 @@ class TestOperatorPlans:
         again, _ = small_pair(plans)
         assert again is surface
         assert plans.hits == {"shape": 2, "geometry": 2, "operator": 1}
-        assert plans.misses == {"shape": 2, "geometry": 4, "operator": 5}
+        assert plans.misses == {"shape": 2, "geometry": 4, "operator": 4}
 
     def test_lru_evicts_at_bound(self, stub_operator_plans):
         plans = OperatorPlans(bound=1)
@@ -704,7 +708,7 @@ class TestOperatorPlans:
         system = plan.system
         for arr in (system.dense(), system.coupling, system.trace_efie,
                     system.field_double, system.field_efie,
-                    system.trace_double, surface.shape.static_double(),
+                    system.trace_double, surface.shape.static_double,
                     plan.stabilized.matrix(), system.factors.u,
                     plan.stabilized.factors.vh):
             with pytest.raises(ValueError, match="read-only"):
@@ -862,7 +866,7 @@ class TestShapePlans:
                 assert shared.to_fine is owned.to_fine
                 assert abs(direct.to_fine - shared.to_fine).max() <= 1e-14
             direct = static_double_layer(rwg, bc)
-            shared = geometry.static_double()
+            shared = geometry.static_double
             assert (np.linalg.norm(shared - direct)
                     <= 1e-12 * np.linalg.norm(direct))
         assert plans.misses["shape"] == 1
@@ -872,7 +876,7 @@ class TestShapePlans:
         def blocks(plans, radius):
             geometry = plans.geometry(radius, radius)
             return calderon_blocks(geometry.rwg, geometry.bc, 1.0,
-                                   near=geometry.near())
+                                   near=geometry.near)
 
         ab, ba = OperatorPlans(), OperatorPlans()
         a_miss, b_hit, a_hit = (blocks(ab, r) for r in (1.0, 1.1, 1.0))

@@ -286,7 +286,7 @@ class TestTestQualifiedRequests:
 def refined_near(small_sphere):
     """Near pairs of the refined 120-edge sphere: 480 fine faces."""
     fine = basis_pair(small_sphere)[0].fine
-    pairs, touching = _near_face_pairs(fine, AssemblyOptions())
+    pairs, touching = _near_face_pairs(fine)
     return fine, pairs[:, 0], pairs[:, 1], touching
 
 
@@ -369,43 +369,45 @@ class TestTiling:
         assert got.shape == (n_j, n_i, 4, 4)
         assert rel(got, ref) < 1e-14
 
-    def test_ragged_tiles_on_one_surface(self):
+    def test_ragged_tiles_on_one_surface(self, monkeypatch):
         # 80 faces in tiles of 37, 37 and 6, with near pairs that
         # straddle tile edges and so get zeroed off the tile diagonal
         mesh = generate_sphere_mesh(1.0, 0.55)
-        pairs, _ = _near_face_pairs(mesh, AssemblyOptions())
+        pairs, _ = _near_face_pairs(mesh)
         assert np.any(pairs[:, 0] // 37 != pairs[:, 1] // 37)
         space = identity_space(mesh)
         ref = assemble_blocks(space, [(space, KINDS)], 1.3)[0]
-        got = assemble_blocks(space, [(space, KINDS)], 1.3,
-                              AssemblyOptions(tile_size=37))[0]
+        monkeypatch.setattr(operators, "_TILE", 37)
+        got = assemble_blocks(space, [(space, KINDS)], 1.3)[0]
         for kind in KINDS:
             assert rel(got[kind], ref[kind]) < 1e-12
 
-    def test_ragged_tiles_across_surfaces(self):
+    def test_ragged_tiles_across_surfaces(self, monkeypatch):
         base = generate_sphere_mesh(1.0, 0.55)
         other = TriangleMesh(
             base.vertices + np.array([5.0, 0.0, 0.0]), base.triangles)
         test, src = identity_space(base), identity_space(other)
         ref = assemble_blocks(test, [(src, KINDS)], 1.3)[0]
-        got = assemble_blocks(test, [(src, KINDS)], 1.3,
-                              AssemblyOptions(tile_size=37))[0]
+        monkeypatch.setattr(operators, "_TILE", 37)
+        got = assemble_blocks(test, [(src, KINDS)], 1.3)[0]
         for kind in KINDS:
             assert rel(got[kind], ref[kind]) < 1e-12
 
-    def test_default_tiles_match_one_tile(self, small_sphere):
+    def test_default_tiles_match_one_tile(self, small_sphere, monkeypatch):
         # The 480 fine faces of the 0.04 m sphere span several default
-        # tiles, with near pairs across their edges.
+        # tiles, with near pairs across their edges.  One kept near plan
+        # serves both tilings: nothing in it depends on the tile.
         rwg, bc = basis_pair(small_sphere)
-        tile = AssemblyOptions().tile_size
-        pairs, _ = _near_face_pairs(rwg.fine, AssemblyOptions())
+        tile = operators._TILE
+        pairs, _ = _near_face_pairs(rwg.fine)
         assert rwg.fine.n_faces > tile
         assert np.any(pairs[:, 0] // tile != pairs[:, 1] // tile)
         k = FrequencyContext(2e9).wavenumber
         requests = [(rwg, KINDS), (bc, KINDS)]
-        got = assemble_blocks(rwg, requests, k)
-        ref = assemble_blocks(rwg, requests, k,
-                              AssemblyOptions(tile_size=rwg.fine.n_faces))
+        near = NearPlan(rwg.fine)
+        got = assemble_blocks(rwg, requests, k, near=near)
+        monkeypatch.setattr(operators, "_TILE", rwg.fine.n_faces)
+        ref = assemble_blocks(rwg, requests, k, near=near)
         for g, r in zip(got, ref):
             for kind in KINDS:
                 assert rel(g[kind], r[kind]) < 1e-13
