@@ -324,13 +324,15 @@ def load_config(path=None, output_dir=None, threshold=None) -> ExperimentConfig:
     raw = {}
     if path is not None:
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 raw = json.load(handle)
         except OSError as err:
             raise StageError("config", f"cannot read config: {err}") from err
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON, or bytes that are not UTF-8
             raise StageError("config", f"config is not valid JSON: {err}") \
                 from err
+    if not isinstance(raw, dict):
+        raise StageError("config", "config root must be an object")
     if output_dir is not None:
         raw["output_dir"] = str(output_dir)
     if threshold is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dipole import DipoleSource, field_arrays
-from .operators import ETA0, _phase
+from .operators import _phase
 
 __all__ = [
     "ErrorCurve",
@@ -139,15 +139,13 @@ def _kernel_rows(points, y, w, k, fresh):
         yield a[:2 * n], g[:2 * n]
 
 
-def _radiate(solution, rwg, bc, points, rows=None, magnetic=True):
-    """E of ``m`` and of ``j`` at exterior points, and the total H.
+def _radiate(solution, rwg, bc, points, rows=None):
+    """E of ``m`` and of ``j`` at exterior points.
 
     Also returns the current values and weights at the quadrature
     points the fields were radiated from, as ``(m_vals, j_vals, wts)``.
     ``rows``, a ``KernelRows`` of this surface and wavenumber, supplies
     the points' kernel rows if it holds them and keeps them if they fit.
-    With ``magnetic`` false the tables and products hold E's columns
-    only, and H is ``None``.
     """
     if rwg.fine is not bc.fine:
         raise ValueError("spaces must share the same refined mesh")
@@ -160,23 +158,18 @@ def _radiate(solution, rwg, bc, points, rows=None, magnetic=True):
         _reject_near(rwg.mesh, points)
     k = float(solution.wavenumber)
     pts, wts = rwg.fine.quadrature(_DEGREE)
-    m_vals, m_divs = _quadrature_tables(rwg, solution.m)
+    m_vals, _ = _quadrature_tables(rwg, solution.m)
     j_vals, j_divs = _quadrature_tables(bc, solution.j)
-    # E is the curl of m plus the potentials of j, H the curl of j plus
-    # the potentials of m.  Per quadrature point y, a field's group holds
-    # v for the kernel, and v, y × v, div, y·div for the gradient kernel
-    # g, as with d = x - y, Σ g d × v = x × Σ g v - Σ g y × v and
-    # Σ g d div = x Σ g div - Σ g y div.  E's group comes first, so H
-    # only appends its own.
+    # E is the curl of m plus the potentials of j.  Per quadrature point
+    # y, the potential table holds v of j for the kernel, and the
+    # gradient table v, y × v of m and div, y·div of j for the gradient
+    # kernel g, as with d = x - y, Σ g d × v = x × Σ g v - Σ g y × v and
+    # Σ g d div = x Σ g div - Σ g y div.
     y = pts.reshape(-1, 3)
     m_v, j_v = m_vals.reshape(-1, 3), j_vals.reshape(-1, 3)
-    m_div, j_div = (np.repeat(d, pts.shape[1])[:, None]
-                    for d in (m_divs, j_divs))
-    groups = [(m_v, j_v, j_div), (j_v, m_v, m_div)][:2 if magnetic else 1]
-    potential_table = _float_table([pot for _, pot, _ in groups])
-    gradient_table = _float_table([
-        col for curled, _, div in groups
-        for col in (curled, np.cross(y, curled), div, y * div)])
+    j_div = np.repeat(j_divs, pts.shape[1])[:, None]
+    potential_table = _float_table([j_v])
+    gradient_table = _float_table([m_v, np.cross(y, m_v), j_div, y * j_div])
     if chunks is None:
         # a and g: two (2n, Q) float arrays per chunk of n points.
         size = 2 * 2 * len(points) * len(y) * 8
@@ -199,13 +192,11 @@ def _radiate(solution, rwg, bc, points, rows=None, magnetic=True):
         pot[:, start:start + n] = (a @ potential_table).reshape(2, n, -1)
         sums[:, start:start + n] = (g @ gradient_table).reshape(2, n, -1)
     pot, sums = pot.view(complex), sums.view(complex)
-    pot = (pot[0] + 1j * pot[1]).reshape(-1, len(groups), 3)
-    sums = (sums[0] + 1j * sums[1]).reshape(-1, len(groups), 10)
-    curl = np.cross(points[:, None], sums[..., 0:3]) - sums[..., 3:6]
-    charge = points[:, None] * sums[..., 6:7] - sums[..., 7:10]
-    scalar = (1j / k) * (k * k * pot + charge)
-    h = (curl[:, 1] + scalar[:, 1]) / ETA0 if magnetic else None
-    return -curl[:, 0], scalar[:, 0], h, (m_vals, j_vals, wts)
+    pot = pot[0] + 1j * pot[1]
+    sums = sums[0] + 1j * sums[1]
+    curl = np.cross(points, sums[:, 0:3]) - sums[:, 3:6]
+    charge = points * sums[:, 6:7] - sums[:, 7:10]
+    return -curl, (1j / k) * (k * k * pot + charge), (m_vals, j_vals, wts)
 
 
 def _float_table(columns):
@@ -217,19 +208,17 @@ def _float_table(columns):
     return np.concatenate(columns, axis=1).astype(complex).view(np.float64)
 
 
-def radiate_arrays(solution, rwg, bc, points, *, rows=None, magnetic=True):
-    """Electric and magnetic fields of a solution at exterior points.
+def radiate_arrays(solution, rwg, bc, points, *, rows=None):
+    """Electric field of a solution at exterior points.
 
-    ``solution.m`` radiates through the magnetic-current potentials in
-    the RWG space, ``solution.j`` through the scaled electric-current
+    ``solution.m`` radiates through the curl of its potential in the
+    RWG space, ``solution.j`` through the scaled electric-current
     potentials in the BC space; a missing ``j`` contributes nothing.
     ``rows`` is an optional ``KernelRows`` store of this surface and
-    wavenumber.  Returns two complex arrays of shape ``(n_points, 3)``;
-    with ``magnetic`` false only E is radiated, on half the table
-    columns, and H is ``None``.
+    wavenumber.  Returns a complex array of shape ``(n_points, 3)``.
     """
-    e_m, e_j, h, _ = _radiate(solution, rwg, bc, points, rows, magnetic)
-    return e_j + e_m, h
+    e_m, e_j, _ = _radiate(solution, rwg, bc, points, rows)
+    return e_j + e_m
 
 
 @dataclass(frozen=True)
@@ -264,8 +253,8 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
 
     ``radii`` are offsets from the surface in wavelengths; every sphere
     is sampled with the same deterministic direction set and compared
-    against the source electric field over all vector components, so
-    only E is radiated.  ``rows`` is passed on to ``radiate_arrays``.
+    against the source electric field over all vector components.
+    ``rows`` is passed on to ``radiate_arrays``.
     """
     k = float(solution.wavenumber)
     if abs(source.ctx.wavenumber - k) > 1e-9 * k:
@@ -278,8 +267,7 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
     directions = fibonacci_directions(n_points)
     sphere_radii = surface_radius + radii * wavelength
     points = (center + sphere_radii[:, None, None] * directions).reshape(-1, 3)
-    e_rec, _ = radiate_arrays(solution, rwg, bc, points, rows=rows,
-                              magnetic=False)
+    e_rec = radiate_arrays(solution, rwg, bc, points, rows=rows)
     e_ref, _ = field_arrays(source, points, magnetic=False)
     shape = (len(radii), n_points, 3)
     shells = zip(e_rec.reshape(shape), e_ref.reshape(shape))
@@ -298,11 +286,11 @@ def check_love_condition(solution, rwg, bc, interior_points, *, rows=None):
     radiates nothing inward at the sampled points.  Returns
     ``(residual, residual_without_j)`` from one evaluation: the leak of
     the pair, and the leak of ``m`` alone, normalized as if ``j`` were
-    missing.  Only E is radiated.  ``rows`` is an optional
-    ``KernelRows`` store, as for ``radiate_arrays``.
+    missing.  ``rows`` is an optional ``KernelRows`` store, as for
+    ``radiate_arrays``.
     """
-    e_m, e_j, _, (m_vals, j_vals, wts) = _radiate(
-        solution, rwg, bc, interior_points, rows, magnetic=False)
+    e_m, e_j, (m_vals, j_vals, wts) = _radiate(
+        solution, rwg, bc, interior_points, rows)
     area = wts.sum()
     mean_m = float((np.linalg.norm(m_vals, axis=2) * wts).sum() / area)
     mean_j = float((np.linalg.norm(j_vals, axis=2) * wts).sum() / area)

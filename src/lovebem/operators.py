@@ -253,8 +253,8 @@ class _Factors:
     With f_a(r) = c_a (r - v_a) on a fine face, a coarse basis
     contributes c_a per unit coefficient of local function a to the
     linear part of the moment and c_a v_a to the constant part; its
-    surface charge is 2 c_a.  Each map sums a face's three rows of
-    ``space.local`` with those weights.
+    surface charge is 2 c_a, so the charge map is 2 ``half``.  Each map
+    sums a face's three rows of ``space.local`` with those weights.
     """
 
     def __init__(self, space: BasisSpace) -> None:
@@ -270,13 +270,11 @@ class _Factors:
         corners = space.fine.face_corners
         self.half = row_sums(base)
         self.corner = tuple(row_sums(base * corners[:, :, c]) for c in range(3))
-        self.charge = (2.0 * self.half).tocsr()
 
     def rows(self, r0: int, r1: int) -> "_Rows":
         """The maps' rows of faces r0:r1, transposed: (N, r1 - r0) each."""
         return _Rows(self.half[r0:r1].T,
-                     tuple(c[r0:r1].T for c in self.corner),
-                     self.charge[r0:r1].T)
+                     tuple(c[r0:r1].T for c in self.corner))
 
 
 class _Rows(NamedTuple):
@@ -284,7 +282,6 @@ class _Rows(NamedTuple):
 
     half: sp.csc_matrix
     corner: tuple
-    charge: sp.csc_matrix
 
 
 # -- tiled far-field moments -----------------------------------------
@@ -424,7 +421,7 @@ def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
                     if "single" in req.kinds:
                         _push_single(acc["single"], tr, sv, svp, s0, rows)
                     if "hyper" in req.kinds:
-                        acc["hyper"][0] += rows.charge @ s0
+                        acc["hyper"][0] += rows.half @ s0
             if need_grad:
                 # The phase, no longer needed, becomes the gradient
                 # kernel in place, slab by slab.
@@ -443,7 +440,8 @@ def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
         for req, acc, blocks in zip(reqs, w, out):
             rows = req.test_factors.rows(i0, i1)
             for kind in req.kinds:
-                fold = (np.asarray(rows.charge @ acc[kind][0].T)
+                # Both sides' charge maps are 2 ``half``.
+                fold = (4.0 * np.asarray(rows.half @ acc[kind][0].T)
                         if kind == "hyper" else _fold_left(rows, acc[kind]))
                 blocks[kind] += _SIGNS[kind] * fold
 
@@ -541,34 +539,6 @@ def _subdivided_rule(corners: np.ndarray, depth: int, degree: int):
     return pts.reshape(lead, -1, 3), wts.reshape(lead, -1)
 
 
-class _NearTables:
-    """Per-face rules and weighted monomials of one refined mesh.
-
-    They depend only on the face and the subdivision depth, so each is
-    built once, on first use, and gathered per pair.
-    """
-
-    def __init__(self, fine: TriangleMesh, degree: int) -> None:
-        self.fine = fine
-        self.degree = degree
-        self._built = {}
-
-    def _get(self, key, build):
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
-
-    def rule(self, depth):
-        """Points (n, q, 3) and weights (n, q) per face at ``depth``."""
-        return self._get(("rule", depth), lambda: _subdivided_rule(
-            self.fine.face_corners, depth, self.degree))
-
-    def monomials(self, depth):
-        """Weighted monomials (x, y, z, 1) of ``rule(depth)``."""
-        return self._get(("monomials", depth),
-                         lambda: _weighted_monomials(*self.rule(depth)))
-
-
 def _coplanar(fine: TriangleMesh, tp: np.ndarray,
               sq: np.ndarray) -> np.ndarray:
     """Mask of the pairs whose source face lies in the test face's plane.
@@ -582,28 +552,28 @@ def _coplanar(fine: TriangleMesh, tp: np.ndarray,
     return height <= _COPLANAR_TOL * fine.face_diameters[tp]
 
 
-def _static_moments(tables, tp, sq, depth):
+def _static_moments(fine, outer, tp, sq):
     """4x4 moments of 1 / (4 pi R) for near face pairs.
 
     The inner integral over the source face is closed-form at the
-    points of the test face's rule of ``depth``.
+    points of the test faces' ``outer`` rule, per-face points and
+    weights as ``_subdivided_rule`` returns them.
     """
-    op_ = tables.rule(depth)[0][tp]
-    phi_out = tables.monomials(depth)[tp]
-    src = tables.fine.face_corners[sq]
+    op_ = outer[0][tp]
+    phi_out = _weighted_monomials(op_, outer[1][tp])
+    src = fine.face_corners[sq]
     stat0, stat1 = static_moments(src[:, None, :, :], op_)
     ist = np.concatenate([stat1, stat0[..., None]], axis=-1)
     return np.matmul(phi_out.transpose(0, 2, 1), ist) / _FOUR_PI
 
 
-def _helmholtz_moments(tables, tp, sq, k, depth, static):
+def _helmholtz_moments(fine, outer, inner, tp, sq, k, static):
     """Full 4x4 Helmholtz moments for near face pairs.
 
     ``static`` holds the 1/R part; the constant ik / (4 pi) part uses
     exact linear moments, and the smooth remainder falls to the test
-    face's rule of ``depth`` against the plain source rule.
+    faces' ``outer`` rule against the source faces' ``inner`` rule.
     """
-    fine = tables.fine
     area_t = fine.face_areas[tp]
     area_s = fine.face_areas[sq]
     mom_t = np.concatenate(
@@ -612,12 +582,11 @@ def _helmholtz_moments(tables, tp, sq, k, depth, static):
         [area_s[:, None] * fine.face_centroids[sq], area_s[:, None]], axis=1)
     m = static + (1j * k / _FOUR_PI) * mom_t[:, :, None] * mom_s[:, None, :]
 
-    op_ = tables.rule(depth)[0][tp]
-    phi_out = tables.monomials(depth)[tp]
-    ip = tables.rule(0)[0][sq]
+    op_, ip = outer[0][tp], inner[0][sq]
     kern = _smooth_remainder(_pairwise_distance(op_, ip), k)
+    phi_out = _weighted_monomials(op_, outer[1][tp])
     m = m + np.matmul(phi_out.transpose(0, 2, 1),
-                      np.matmul(kern, tables.monomials(0)[sq]))
+                      np.matmul(kern, _weighted_monomials(ip, inner[1][sq])))
     return m
 
 
@@ -749,11 +718,12 @@ class NearPlan:
         """Static moments of the tier's pairs on the plan's own mesh."""
         def build():
             opts = self.options
-            tables = _NearTables(self.fine, opts.near_degree)
             depth = opts.static_subdivisions if tier == 0 else 0
+            outer = _subdivided_rule(self.fine.face_corners, depth,
+                                     opts.near_degree)
             tp, sq = self.tiers[tier]
             return _in_batches(len(tp), (4, 4), lambda rows: _static_moments(
-                tables, tp[rows], sq[rows], depth), dtype=np.float64)
+                self.fine, outer, tp[rows], sq[rows]), dtype=np.float64)
         return self._get(("moments", tier), build)
 
     def double(self, tier: int) -> np.ndarray:
@@ -798,7 +768,6 @@ def _apply_near(out, reqs, fine, near, k, floor, opts):
     matrix once through its spaces' ``local`` maps.
     """
     kinds_present = {kind for req in reqs for kind in req.kinds}
-    tables = _NearTables(fine, opts.near_degree)
     helm_outer, grad_outer, grad_inner = _remainder_depths(opts)
     factor = near.scale ** _MOMENT_POWERS
     moments, double = [], []
@@ -806,9 +775,12 @@ def _apply_near(out, reqs, fine, near, k, floor, opts):
         touching = tier == 0
         if kinds_present & {"single", "hyper"}:
             static = near.moments(tier)
+            plain = fine.quadrature(opts.near_degree)
+            outer = (_subdivided_rule(fine.face_corners, helm_outer,
+                                      opts.near_degree)
+                     if touching else plain)
             moments.append(_in_batches(len(tp), (4, 4), lambda rows: (
-                _helmholtz_moments(tables, tp[rows], sq[rows], k,
-                                   helm_outer if touching else 0,
+                _helmholtz_moments(fine, outer, plain, tp[rows], sq[rows], k,
                                    static[rows] * factor))))
         if "double" in kinds_present:
             live = near.live[tier]

@@ -36,8 +36,7 @@ def test_tracer_installs_and_restores(monkeypatch):
 
 def test_traced_radiation_with_a_store(monkeypatch):
     # The tracer reads radiate_arrays' points and degree by position, so
-    # the row store and the electric-only switch, passed by keyword,
-    # must not shift either.
+    # the row store, passed by keyword, must not shift either.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -52,11 +51,9 @@ def test_traced_radiation_with_a_store(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        # A miss that keeps the rows, a hit, then an electric-only hit.
-        for _ in range(2):
+        # A miss that keeps the rows, then two hits.
+        for _ in range(3):
             fields.radiate_arrays(solution, rwg, bc, points, rows=rows)
-        fields.radiate_arrays(solution, rwg, bc, points, rows=rows,
-                              magnetic=False)
     finally:
         tracer.uninstall()
     sums = tracing.totals(tracer.spans)

@@ -49,7 +49,7 @@ def shell_points(radius, n=50):
 
 
 def einsum_fields(solution, rwg, bc, points, degree=4):
-    """Reference radiation: the direct per-pair sums over ``d = x - y``.
+    """Reference E: the direct per-pair sums over ``d = x - y``.
 
     Forms every (point, face, quadrature point) term explicitly, so it
     shares no algebra with the table products of ``radiate_arrays``.
@@ -74,17 +74,12 @@ def einsum_fields(solution, rwg, bc, points, degree=4):
     kernel = np.exp(1j * k * r) / (4 * np.pi * r) * wts
     grad = np.exp(1j * k * r) * (1j * k * r - 1.0) / (4 * np.pi * r**3) * wts
 
-    def smoothed(vals, divs):
-        pot = np.einsum("pfq,fqc->pc", kernel, vals)
-        charge = np.einsum("pfq,pfqc,f->pc", grad, d, divs)
-        curl = np.einsum("pfq,pfqc->pc", grad, np.cross(d, vals[None]))
-        return pot, charge, curl
-
-    m_pot, m_charge, m_curl = smoothed(*tables(rwg, solution.m))
-    j_pot, j_charge, j_curl = smoothed(*tables(bc, solution.j))
-    e = (1j / k) * (k * k * j_pot + j_charge) - m_curl
-    h = (j_curl + (1j / k) * (k * k * m_pot + m_charge)) / ETA0
-    return e, h
+    m_vals, _ = tables(rwg, solution.m)
+    j_vals, j_divs = tables(bc, solution.j)
+    j_pot = np.einsum("pfq,fqc->pc", kernel, j_vals)
+    j_charge = np.einsum("pfq,pfqc,f->pc", grad, d, j_divs)
+    m_curl = np.einsum("pfq,pfqc->pc", grad, np.cross(d, m_vals[None]))
+    return (1j / k) * (k * k * j_pot + j_charge) - m_curl
 
 
 class TestDirections:
@@ -111,8 +106,8 @@ class TestRadiation:
         sol = CurrentSolution(m=np.zeros(rwg.n_dofs), j=np.zeros(bc.n_dofs),
                               wavenumber=CTX.wavenumber,
                               formulation="projected", report=None)
-        e, h = radiate_arrays(sol, rwg, bc, shell_points(0.2))
-        assert np.all(e == 0.0) and np.all(h == 0.0)
+        e = radiate_arrays(sol, rwg, bc, shell_points(0.2))
+        assert np.all(e == 0.0)
 
     def test_linear_in_the_currents(self, surface, traced_pair):
         _, rwg, bc = surface
@@ -121,10 +116,9 @@ class TestRadiation:
                                  j=(2.0 - 1j) * traced_pair.j,
                                  wavenumber=CTX.wavenumber,
                                  formulation="projected", report=None)
-        e1, h1 = radiate_arrays(traced_pair, rwg, bc, pts)
-        e2, h2 = radiate_arrays(scaled, rwg, bc, pts)
+        e1 = radiate_arrays(traced_pair, rwg, bc, pts)
+        e2 = radiate_arrays(scaled, rwg, bc, pts)
         np.testing.assert_allclose(e2, (2.0 - 1j) * e1, rtol=1e-12)
-        np.testing.assert_allclose(h2, (2.0 - 1j) * h1, rtol=1e-12)
 
     def test_missing_j_equals_zero_j(self, surface, traced_pair):
         _, rwg, bc = surface
@@ -135,10 +129,9 @@ class TestRadiation:
         zeroed = CurrentSolution(m=traced_pair.m, j=np.zeros(bc.n_dofs),
                                  wavenumber=CTX.wavenumber,
                                  formulation="projected", report=None)
-        e1, h1 = radiate_arrays(without, rwg, bc, pts)
-        e2, h2 = radiate_arrays(zeroed, rwg, bc, pts)
+        e1 = radiate_arrays(without, rwg, bc, pts)
+        e2 = radiate_arrays(zeroed, rwg, bc, pts)
         np.testing.assert_allclose(e1, e2, rtol=0, atol=1e-30)
-        np.testing.assert_allclose(h1, h2, rtol=0, atol=1e-30)
 
     def test_rejects_near_surface_points(self, surface, traced_pair):
         _, rwg, bc = surface
@@ -167,20 +160,18 @@ class TestRadiation:
                               wavenumber=CTX.wavenumber,
                               formulation="projected", report=None)
         pts = shell_points(radius, 40)
-        e, h = radiate_arrays(sol, rwg, bc, pts)
-        e_ref, h_ref = einsum_fields(sol, rwg, bc, pts)
+        e = radiate_arrays(sol, rwg, bc, pts)
+        e_ref = einsum_fields(sol, rwg, bc, pts)
         np.testing.assert_allclose(e, e_ref, rtol=1e-10, atol=0)
-        np.testing.assert_allclose(h, h_ref, rtol=1e-10, atol=0)
 
     def test_chunks_match_separate_calls(self, surface, traced_pair):
         _, rwg, bc = surface
         pts = shell_points(0.2, 2 * _CHUNK + 44)
-        e, h = radiate_arrays(traced_pair, rwg, bc, pts)
+        e = radiate_arrays(traced_pair, rwg, bc, pts)
         cuts = [0, 100, _CHUNK + 7, len(pts)]
         for a, b in zip(cuts, cuts[1:]):
-            e_part, h_part = radiate_arrays(traced_pair, rwg, bc, pts[a:b])
+            e_part = radiate_arrays(traced_pair, rwg, bc, pts[a:b])
             np.testing.assert_allclose(e[a:b], e_part, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(h[a:b], h_part, rtol=1e-12, atol=0)
 
 
 def row_bytes(pts, rwg):
@@ -216,8 +207,7 @@ class TestKernelRows:
         hits = [radiate_arrays(sol, rwg, bc, self.PTS.copy(), rows=rows)
                 for sol in (traced_pair, other)]
         for got, want in zip((miss, *hits), (plain[0], *plain)):
-            for field, expected in zip(got, want):
-                assert np.array_equal(field, expected)
+            assert np.array_equal(got, want)
 
     def test_kept_rows_are_read_only(self, surface, traced_pair):
         _, rwg, bc = surface
@@ -232,10 +222,10 @@ class TestKernelRows:
                                                   traced_pair):
         _, rwg, bc = surface
         rows = KernelRows(row_bytes(self.PTS, rwg) - 1)
-        e, h = radiate_arrays(traced_pair, rwg, bc, self.PTS, rows=rows)
+        e = radiate_arrays(traced_pair, rwg, bc, self.PTS, rows=rows)
         assert rows.sets == {} and rows.nbytes == 0
-        e_ref, h_ref = radiate_arrays(traced_pair, rwg, bc, self.PTS)
-        assert np.array_equal(e, e_ref) and np.array_equal(h, h_ref)
+        e_ref = radiate_arrays(traced_pair, rwg, bc, self.PTS)
+        assert np.array_equal(e, e_ref)
 
     def test_bound_covers_all_kept_sets(self, surface, traced_pair):
         _, rwg, bc = surface
@@ -265,73 +255,21 @@ class TestKernelRows:
         assert list(rows.sets) == [pts.tobytes()]
 
 
-class TestElectricOnly:
-    # Chunks of 16, 16 and 5 points.
-    PTS = shell_points(0.2, 2 * _CHUNK + 5)
-
-    @pytest.mark.parametrize("with_j", [True, False])
-    def test_matches_the_full_path(self, surface, traced_pair, with_j):
-        _, rwg, bc = surface
-        sol = replace(traced_pair, j=traced_pair.j if with_j else None)
-        e, h = radiate_arrays(sol, rwg, bc, self.PTS, magnetic=False)
-        e_full, _ = radiate_arrays(sol, rwg, bc, self.PTS)
-        assert h is None
-        np.testing.assert_allclose(e, e_full, rtol=1e-12, atol=0)
-
-    def test_kept_rows_give_the_same_bits(self, surface, traced_pair):
-        _, rwg, bc = surface
-        plain, _ = radiate_arrays(traced_pair, rwg, bc, self.PTS,
-                                  magnetic=False)
-        rows = KernelRows(row_bytes(self.PTS, rwg))
-        for _ in range(2):  # A miss that keeps the rows, then a hit.
-            e, h = radiate_arrays(traced_pair, rwg, bc, self.PTS.copy(),
-                                  rows=rows, magnetic=False)
-            assert h is None and np.array_equal(e, plain)
-        assert list(rows.sets) == [self.PTS.tobytes()]
-
-    @pytest.mark.parametrize("electric_first", [True, False])
-    def test_one_store_serves_both_paths(self, surface, traced_pair,
-                                         electric_first):
-        _, rwg, bc = surface
-        e_only, _ = radiate_arrays(traced_pair, rwg, bc, self.PTS,
-                                   magnetic=False)
-        e_full, h_full = radiate_arrays(traced_pair, rwg, bc, self.PTS)
-        rows = KernelRows(row_bytes(self.PTS, rwg))
-        order = [False, True] if electric_first else [True, False]
-        got = {magnetic: radiate_arrays(traced_pair, rwg, bc, self.PTS,
-                                        rows=rows, magnetic=magnetic)
-               for magnetic in order}
-        assert list(rows.sets) == [self.PTS.tobytes()]
-        assert np.array_equal(got[False][0], e_only) and got[False][1] is None
-        assert np.array_equal(got[True][0], e_full)
-        assert np.array_equal(got[True][1], h_full)
-
-
 class TestAgainstSource:
     def test_traced_pair_reproduces_the_source(self, surface, source,
                                                traced_pair):
         _, rwg, bc = surface
         pts = shell_points(0.04 + 2 * CTX.wavelength)
-        e_rec, h_rec = radiate_arrays(traced_pair, rwg, bc, pts)
-        e_ref, h_ref = field_arrays(source, pts)
+        e_rec = radiate_arrays(traced_pair, rwg, bc, pts)
+        e_ref, _ = field_arrays(source, pts, magnetic=False)
         e_err = np.linalg.norm(e_rec - e_ref) / np.linalg.norm(e_ref)
-        h_err = np.linalg.norm(h_rec - h_ref) / np.linalg.norm(h_ref)
         assert 1e-3 < e_err < 5e-2
-        assert 1e-3 < h_err < 5e-2
-
-    def test_far_zone_impedance(self, surface, traced_pair):
-        _, rwg, bc = surface
-        pts = shell_points(20 * CTX.wavelength, 30)
-        e, h = radiate_arrays(traced_pair, rwg, bc, pts)
-        ratio = (np.linalg.norm(e, axis=1)
-                 / (ETA0 * np.linalg.norm(h, axis=1)))
-        np.testing.assert_allclose(ratio, 1.0, rtol=1e-2)
 
     def test_radial_decay(self, surface, traced_pair):
         _, rwg, bc = surface
         r1, r2 = 20 * CTX.wavelength, 40 * CTX.wavelength
-        e1, _ = radiate_arrays(traced_pair, rwg, bc, shell_points(r1, 30))
-        e2, _ = radiate_arrays(traced_pair, rwg, bc, shell_points(r2, 30))
+        e1 = radiate_arrays(traced_pair, rwg, bc, shell_points(r1, 30))
+        e2 = radiate_arrays(traced_pair, rwg, bc, shell_points(r2, 30))
         scaled1 = r1 * np.linalg.norm(e1, axis=1)
         scaled2 = r2 * np.linalg.norm(e2, axis=1)
         np.testing.assert_allclose(scaled1, scaled2, rtol=1e-2)
@@ -390,10 +328,8 @@ class TestLoveCondition:
 
         mean_m = mean_level(rwg, traced_pair.m)
         mean_j = mean_level(bc, traced_pair.j)
-        e_pair, _ = radiate_arrays(traced_pair, rwg, bc, pts,
-                                   magnetic=False)
-        e_m, _ = radiate_arrays(replace(traced_pair, j=None), rwg, bc, pts,
-                                magnetic=False)
+        e_pair = radiate_arrays(traced_pair, rwg, bc, pts)
+        e_m = radiate_arrays(replace(traced_pair, j=None), rwg, bc, pts)
         expected = (
             float(np.linalg.norm(e_pair, axis=1).max() / max(mean_m, mean_j)),
             float(np.linalg.norm(e_m, axis=1).max() / mean_m))
