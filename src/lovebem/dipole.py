@@ -54,18 +54,21 @@ def field_arrays(src: DipoleSource, points: np.ndarray, *,
         raise ValueError("evaluation point coincides with the dipole")
     n = d / r[:, None]
     m = src.moment
-    n_x_m = np.cross(n, np.broadcast_to(m, n.shape))
-    transverse = np.cross(n_x_m, n)
-    radial = n * (n @ m)[:, None]
     phase = _phase(k * r)
-    outer = (phase / r)[:, None]
-    inner = (phase * (1.0 / r ** 3 - 1j * k / r ** 2))[:, None]
-    e = (1j * ETA0 / (4.0 * np.pi * k)) * (
-        k ** 2 * transverse * outer + (3.0 * radial - m) * inner)
+    outer = phase / r
+    inner = phase * (1.0 / r ** 3 - 1j * k / r ** 2)
+    # With a = k^2 outer and b = inner, the transverse part (n x m) x n
+    # = m - n (n.m) and the radial part n (n.m) combine into
+    # c [(a - b) m + (3 b - a) n (n.m)].
+    far = k ** 2 * outer
+    c = 1j * ETA0 / (4.0 * np.pi * k)
+    e = np.multiply.outer(c * (far - inner), m)
+    e += (c * (3.0 * inner - far) * (n @ m))[:, None] * n
     if not magnetic:
         return e, None
-    h = (1j * k / (4.0 * np.pi)) * n_x_m * outer * (
-        1.0 - 1.0 / (1j * k * r))[:, None]
+    n_x_m = np.cross(n, np.broadcast_to(m, n.shape))
+    h = (1j * k / (4.0 * np.pi)) * n_x_m * (
+        outer * (1.0 - 1.0 / (1j * k * r)))[:, None]
     return e, h
 
 
@@ -90,9 +93,17 @@ def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
     if rotated:
         test = np.cross(fine.face_normals[:, None, None, :], test)
     e, h = field_arrays(src, pts.reshape(-1, 3), magnetic=magnetic)
+    # The weighted test table: for each face, its three local functions
+    # against (quadrature point, component), so testing a field is one
+    # batched real product on the field's float view.
+    n_faces, n_quad = wts.shape
+    weighted = np.empty((n_faces, 3, n_quad, 3))
+    np.multiply(test.transpose(0, 2, 1, 3), wts[:, None, :, None],
+                out=weighted)
+    weighted = weighted.reshape(n_faces, 3, 3 * n_quad)
 
     def tested(field):
-        per_face = np.einsum("fqac,fqc,fq->fa", test,
-                             field.reshape(pts.shape), wts)
+        values = field.reshape(n_faces, 3 * n_quad, 1).view(np.float64)
+        per_face = (weighted @ values).view(complex)
         return bc_test.local.T @ per_face.reshape(-1)
     return tested(e), (tested(h) if magnetic else None)

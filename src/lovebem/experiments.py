@@ -33,7 +33,8 @@ import scipy.sparse as sp
 from . import __version__, operators
 from .dipole import DipoleSource, field_arrays, sample_measurement
 from .fields import (KernelRows, check_love_condition, error_curve,
-                     fibonacci_directions, save_error_curve)
+                     fibonacci_directions, radiation_tables,
+                     save_error_curve)
 from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
                            assemble_calderon_interior, calderon_blocks,
                            check_love_weight, double_layer,
@@ -626,15 +627,17 @@ def run_reconstruction(cfg: ExperimentConfig) -> dict:
     rwg, bc = scene.surface.rwg, scene.surface.bc
     gamma, probe = scene.surface.mesh, scene.probe.mesh
     with _stage("evaluate"):
+        tables = radiation_tables(solution, rwg, bc)
         # Configured radii are clearances above the surface; the curve
         # evaluator wants origin-centered sphere radii in wavelengths.
         shift = cfg.surface_radius / scene.ctx.wavelength
         curve = error_curve(solution, scene.src, rwg, bc,
                             [shift + r for r in cfg.curve_radii],
-                            n_points=cfg.curve_points, rows=rows)
+                            n_points=cfg.curve_points, rows=rows,
+                            tables=tables)
         interior = (0.25 * cfg.surface_radius) * fibonacci_directions(50)
         residual, residual_without_j = check_love_condition(
-            solution, rwg, bc, interior, rows=rows)
+            solution, rwg, bc, interior, rows=rows, tables=tables)
     with _stage("write"):
         paths = {
             "currents": out / "currents.csv",

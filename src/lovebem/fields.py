@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +23,12 @@ from .operators import _phase
 __all__ = [
     "ErrorCurve",
     "KernelRows",
+    "RadiationTables",
     "check_love_condition",
     "error_curve",
     "fibonacci_directions",
     "radiate_arrays",
+    "radiation_tables",
     "save_error_curve",
 ]
 
@@ -54,9 +57,13 @@ def _quadrature_tables(space, coeffs):
     if coeffs is None:
         return (np.zeros(fine.quadrature(_DEGREE)[1].shape + (3,),
                          dtype=complex), np.zeros(fine.n_faces, dtype=complex))
-    local = (space.local @ np.asarray(coeffs)).reshape(-1, 3)
-    values = np.einsum("...a,...ac->...c", local[:, None, :],
-                       fine.rt0_values(_DEGREE))
+    local = (space.local @ np.asarray(coeffs, dtype=complex)).reshape(-1, 3)
+    # Per quadrature point, its face's RT0 values (3 functions by 3
+    # components) against the real and imaginary parts of the face's
+    # local coefficients, as one batched real product.
+    values = fine.rt0_values(_DEGREE).transpose(0, 1, 3, 2) @ (
+        local.view(np.float64).reshape(-1, 1, 3, 2))
+    values = values.view(complex)[..., 0]
     divs = (2.0 * fine.rt0_scale * local).sum(axis=1)
     return values, divs
 
@@ -139,24 +146,30 @@ def _kernel_rows(points, y, w, k, fresh):
         yield a[:2 * n], g[:2 * n]
 
 
-def _radiate(solution, rwg, bc, points, rows=None):
-    """E of ``m`` and of ``j`` at exterior points.
+class RadiationTables(NamedTuple):
+    """What ``_radiate`` multiplies with the kernel rows, for one solution.
 
-    Also returns the current values and weights at the quadrature
-    points the fields were radiated from, as ``(m_vals, j_vals, wts)``.
-    ``rows``, a ``KernelRows`` of this surface and wavenumber, supplies
-    the points' kernel rows if it holds them and keeps them if they fit.
+    ``m_vals`` and ``j_vals`` are the currents at the quadrature points
+    and ``wts`` their weights; ``potential`` and ``gradient`` are the
+    float tables the kernel rows are multiplied with.
+    """
+
+    m_vals: np.ndarray
+    j_vals: np.ndarray
+    wts: np.ndarray
+    potential: np.ndarray
+    gradient: np.ndarray
+
+
+def radiation_tables(solution, rwg, bc) -> RadiationTables:
+    """The current tables of ``solution``, built once for any points.
+
+    ``solution.m`` lives in ``rwg`` and ``solution.j`` in ``bc``; pass
+    the result as ``tables`` to radiate one solution onto several point
+    sets.
     """
     if rwg.fine is not bc.fine:
         raise ValueError("spaces must share the same refined mesh")
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("points must have shape (n, 3)")
-    key = points.tobytes()
-    chunks = None if rows is None else rows.sets.get(key)
-    if chunks is None:
-        _reject_near(rwg.mesh, points)
-    k = float(solution.wavenumber)
     pts, wts = rwg.fine.quadrature(_DEGREE)
     m_vals, _ = _quadrature_tables(rwg, solution.m)
     j_vals, j_divs = _quadrature_tables(bc, solution.j)
@@ -168,9 +181,26 @@ def _radiate(solution, rwg, bc, points, rows=None):
     y = pts.reshape(-1, 3)
     m_v, j_v = m_vals.reshape(-1, 3), j_vals.reshape(-1, 3)
     j_div = np.repeat(j_divs, pts.shape[1])[:, None]
-    potential_table = _float_table([j_v])
-    gradient_table = _float_table([m_v, np.cross(y, m_v), j_div, y * j_div])
+    return RadiationTables(
+        m_vals, j_vals, wts, _float_table([j_v]),
+        _float_table([m_v, np.cross(y, m_v), j_div, y * j_div]))
+
+
+def _radiate(tables, rwg, points, k, rows):
+    """E of ``m`` and of ``j`` at exterior points, from ``tables``.
+
+    ``rows``, a ``KernelRows`` of this surface and wavenumber, supplies
+    the points' kernel rows if it holds them and keeps them if they fit.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError("points must have shape (n, 3)")
+    key = points.tobytes()
+    chunks = None if rows is None else rows.sets.get(key)
     if chunks is None:
+        _reject_near(rwg.mesh, points)
+        pts, wts = rwg.fine.quadrature(_DEGREE)
+        y = pts.reshape(-1, 3)
         # a and g: two (2n, Q) float arrays per chunk of n points.
         size = 2 * 2 * len(points) * len(y) * 8
         keep = rows is not None and rows.nbytes + size <= rows.bound
@@ -185,18 +215,19 @@ def _radiate(solution, rwg, bc, points, rows=None):
     # Per chunk, the cos and sin rows against the potential table and
     # the real and imaginary gradient rows against the gradient table;
     # the x-dependent parts then follow for all points at once.
-    pot = np.empty((2, len(points), potential_table.shape[1]))
-    sums = np.empty((2, len(points), gradient_table.shape[1]))
+    potential, gradient = tables.potential, tables.gradient
+    pot = np.empty((2, len(points), potential.shape[1]))
+    sums = np.empty((2, len(points), gradient.shape[1]))
     for start, (a, g) in zip(range(0, len(points), _CHUNK), chunks):
         n = len(a) // 2
-        pot[:, start:start + n] = (a @ potential_table).reshape(2, n, -1)
-        sums[:, start:start + n] = (g @ gradient_table).reshape(2, n, -1)
+        pot[:, start:start + n] = (a @ potential).reshape(2, n, -1)
+        sums[:, start:start + n] = (g @ gradient).reshape(2, n, -1)
     pot, sums = pot.view(complex), sums.view(complex)
     pot = pot[0] + 1j * pot[1]
     sums = sums[0] + 1j * sums[1]
     curl = np.cross(points, sums[:, 0:3]) - sums[:, 3:6]
     charge = points * sums[:, 6:7] - sums[:, 7:10]
-    return -curl, (1j / k) * (k * k * pot + charge), (m_vals, j_vals, wts)
+    return -curl, (1j / k) * (k * k * pot + charge)
 
 
 def _float_table(columns):
@@ -205,19 +236,24 @@ def _float_table(columns):
     Complex even for real currents: the view holds the real and
     imaginary parts of each column next to each other.
     """
-    return np.concatenate(columns, axis=1).astype(complex).view(np.float64)
+    return np.concatenate(columns, axis=1).astype(
+        complex, copy=False).view(np.float64)
 
 
-def radiate_arrays(solution, rwg, bc, points, *, rows=None):
+def radiate_arrays(solution, rwg, bc, points, *, rows=None, tables=None):
     """Electric field of a solution at exterior points.
 
     ``solution.m`` radiates through the curl of its potential in the
     RWG space, ``solution.j`` through the scaled electric-current
     potentials in the BC space; a missing ``j`` contributes nothing.
     ``rows`` is an optional ``KernelRows`` store of this surface and
-    wavenumber.  Returns a complex array of shape ``(n_points, 3)``.
+    wavenumber, and ``tables`` the solution's ``radiation_tables``, built
+    here if not given.  Returns a complex array of shape
+    ``(n_points, 3)``.
     """
-    e_m, e_j, _ = _radiate(solution, rwg, bc, points, rows)
+    if tables is None:
+        tables = radiation_tables(solution, rwg, bc)
+    e_m, e_j = _radiate(tables, rwg, points, float(solution.wavenumber), rows)
     return e_j + e_m
 
 
@@ -248,13 +284,14 @@ def _surface_center(mesh):
 
 
 def error_curve(solution, source: DipoleSource, rwg, bc, radii,
-                n_points: int = 200, *, rows=None) -> ErrorCurve:
+                n_points: int = 200, *, rows=None,
+                tables=None) -> ErrorCurve:
     """Relative L2 field error on concentric evaluation spheres.
 
     ``radii`` are offsets from the surface in wavelengths; every sphere
     is sampled with the same deterministic direction set and compared
     against the source electric field over all vector components.
-    ``rows`` is passed on to ``radiate_arrays``.
+    ``rows`` and ``tables`` are passed on to ``radiate_arrays``.
     """
     k = float(solution.wavenumber)
     if abs(source.ctx.wavenumber - k) > 1e-9 * k:
@@ -267,7 +304,8 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
     directions = fibonacci_directions(n_points)
     sphere_radii = surface_radius + radii * wavelength
     points = (center + sphere_radii[:, None, None] * directions).reshape(-1, 3)
-    e_rec = radiate_arrays(solution, rwg, bc, points, rows=rows)
+    e_rec = radiate_arrays(solution, rwg, bc, points, rows=rows,
+                           tables=tables)
     e_ref, _ = field_arrays(source, points, magnetic=False)
     shape = (len(radii), n_points, 3)
     shells = zip(e_rec.reshape(shape), e_ref.reshape(shape))
@@ -277,7 +315,8 @@ def error_curve(solution, source: DipoleSource, rwg, bc, radii,
                       formulation=solution.formulation)
 
 
-def check_love_condition(solution, rwg, bc, interior_points, *, rows=None):
+def check_love_condition(solution, rwg, bc, interior_points, *, rows=None,
+                         tables=None):
     """Worst interior field leak relative to the surface current level.
 
     Radiates the pair onto points strictly inside the surface and
@@ -286,11 +325,13 @@ def check_love_condition(solution, rwg, bc, interior_points, *, rows=None):
     radiates nothing inward at the sampled points.  Returns
     ``(residual, residual_without_j)`` from one evaluation: the leak of
     the pair, and the leak of ``m`` alone, normalized as if ``j`` were
-    missing.  ``rows`` is an optional ``KernelRows`` store, as for
-    ``radiate_arrays``.
+    missing.  ``rows`` and ``tables`` are as for ``radiate_arrays``.
     """
-    e_m, e_j, (m_vals, j_vals, wts) = _radiate(
-        solution, rwg, bc, interior_points, rows)
+    if tables is None:
+        tables = radiation_tables(solution, rwg, bc)
+    e_m, e_j = _radiate(tables, rwg, interior_points,
+                        float(solution.wavenumber), rows)
+    m_vals, j_vals, wts = tables.m_vals, tables.j_vals, tables.wts
     area = wts.sum()
     mean_m = float((np.linalg.norm(m_vals, axis=2) * wts).sum() / area)
     mean_j = float((np.linalg.norm(j_vals, axis=2) * wts).sum() / area)

@@ -17,7 +17,6 @@ what the interior identity map annihilates.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -429,17 +428,16 @@ def save_solution(solution: CurrentSolution, path, extra=None) -> None:
     }
     if extra:
         meta.update(extra)
+    currents = {"m": solution.m}
+    if solution.j is not None:
+        currents["j"] = solution.j
+    header = ["edge"] + [f"{part}_{name}" for name in currents
+                         for part in ("re", "im")]
+    columns = [part.tolist() for values in currents.values()
+               for part in (np.real(values), np.imag(values))]
+    # One string with the bytes csv.writer gives: repr floats, \r\n ends.
+    lines = [",".join(header)] + [",".join([str(i), *map(repr, row)])
+                                  for i, row in enumerate(zip(*columns))]
     with open(path, "w", newline="") as handle:
         handle.write("# " + json.dumps(meta) + "\n")
-        writer = csv.writer(handle)
-        if solution.j is None:
-            writer.writerow(["edge", "re_m", "im_m"])
-            for i, val in enumerate(solution.m):
-                writer.writerow(
-                    [i, repr(float(val.real)), repr(float(val.imag))])
-        else:
-            writer.writerow(["edge", "re_m", "im_m", "re_j", "im_j"])
-            for i, (mv, jv) in enumerate(zip(solution.m, solution.j)):
-                writer.writerow(
-                    [i, repr(float(mv.real)), repr(float(mv.imag)),
-                     repr(float(jv.real)), repr(float(jv.imag))])
+        handle.write("\r\n".join(lines) + "\r\n")

@@ -62,8 +62,8 @@ _FOUR_PI = 4.0 * math.pi
 _KINDS = ("single", "hyper", "double")
 # Near pairs per batch.  It bounds the temporaries of one batch's
 # integrals, a few MB; the near pass peaks later, in _apply_near's
-# fold, where every kind's pair blocks and the sparse matrix each
-# fills on the plan's pattern are alive at once.
+# fold, where one kind's pair blocks meet the sparse matrix they fill
+# on the plan's pattern.
 _NEAR_BATCH = 256
 # Plane offset, in face diameters, below which two faces count as coplanar.
 _COPLANAR_TOL = 1e-10
@@ -764,62 +764,73 @@ def _apply_near(out, reqs, fine, near, k, floor, opts):
     integrated here: the ik / (4 pi) term, the touching tier's
     remainders on the rules of ``_remainder_depths`` and the close
     tier's remainders on the plain rules.  Each kind's 3x3 blocks of
-    all pairs fill ``near.pattern`` once; each request folds that
-    matrix once through its spaces' ``local`` maps.
+    all pairs fill ``near.pattern`` once, one kind after the other;
+    each request folds that matrix once through its spaces' ``local``
+    maps.
     """
     kinds_present = {kind for req in reqs for kind in req.kinds}
     helm_outer, grad_outer, grad_inner = _remainder_depths(opts)
     factor = near.scale ** _MOMENT_POWERS
-    moments, double = [], []
-    for tier, (tp, sq) in enumerate(near.tiers):
-        touching = tier == 0
-        if kinds_present & {"single", "hyper"}:
-            static = near.moments(tier)
-            plain = fine.quadrature(opts.near_degree)
-            outer = (_subdivided_rule(fine.face_corners, helm_outer,
-                                      opts.near_degree)
-                     if touching else plain)
-            moments.append(_in_batches(len(tp), (4, 4), lambda rows: (
-                _helmholtz_moments(fine, outer, plain, tp[rows], sq[rows], k,
-                                   static[rows] * factor))))
-        if "double" in kinds_present:
-            live = near.live[tier]
-            to, so = tp[live], sq[live]
-            static = near.double(tier)
-            depths = (grad_outer, grad_inner) if touching else (0, 0)
-            loc = np.zeros((len(tp), 3, 3), dtype=np.complex128)
-            loc[live] = _in_batches(len(to), (3, 3), lambda rows: (
-                static[rows] + _double_layer_local(
-                    fine, to[rows], so[rows],
-                    lambda r: _gradient_remainder(r, k, floor),
-                    *depths, opts.near_degree)))
-            double.append(loc)
-
     tp, sq = near.pairs
-    pair_blocks = {"double": np.concatenate(double)} if double else {}
-    if moments:
-        m = np.concatenate(moments)
-        c = fine.rt0_scale
-        cc = c[tp][:, :, None] * c[sq][:, None, :]
-        s0 = m[:, 3, 3, None, None]
-        pair_blocks["hyper"] = 4.0 * cc * s0
-        # (r - v_a) . (r' - w_b) against the monomial moments
-        v, w = fine.face_corners[tp], fine.face_corners[sq]
-        tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
-        w_sv = np.einsum("pbc,pc->pb", w, m[:, :3, 3])
-        v_svp = np.einsum("pac,pc->pa", v, m[:, 3, :3])
-        pair_blocks["single"] = cc * (
-            tr[:, None, None] - w_sv[:, None, :] - v_svp[:, :, None]
-            + np.einsum("pac,pbc->pab", v, w) * s0)
-
+    # Each tier's pairs, as a slice of the stacked pairs.
+    spans = np.cumsum([0] + [len(tier_tp) for tier_tp, _ in near.tiers])
     pattern = near.pattern
-    for kind, b in pair_blocks.items():
+
+    def fold(kind, b):
         mat = sp.csr_matrix((b.ravel()[pattern.data], pattern.indices,
                              pattern.indptr), shape=pattern.shape)
         for req, blocks in zip(reqs, out):
             if kind in req.kinds:
-                fold = req.test.local.T @ (mat @ req.space.local)
-                blocks[kind] += _SIGNS[kind] * fold.toarray()
+                part = req.test.local.T @ (mat @ req.space.local)
+                blocks[kind] += _SIGNS[kind] * part.toarray()
+
+    # One kind at a time, and the moments freed before the first of
+    # theirs, so the matrix a kind fills meets no other kind's blocks.
+    if "double" in kinds_present:
+        double = np.zeros((len(tp), 3, 3), dtype=np.complex128)
+        for tier, (tier_tp, tier_sq) in enumerate(near.tiers):
+            live = near.live[tier]
+            to, so = tier_tp[live], tier_sq[live]
+            static = near.double(tier)
+            depths = (grad_outer, grad_inner) if tier == 0 else (0, 0)
+            double[spans[tier]:spans[tier + 1]][live] = _in_batches(
+                len(to), (3, 3), lambda rows: (
+                    static[rows] + _double_layer_local(
+                        fine, to[rows], so[rows],
+                        lambda r: _gradient_remainder(r, k, floor),
+                        *depths, opts.near_degree)))
+        fold("double", double)
+        del double
+    if not kinds_present & {"single", "hyper"}:
+        return
+    m = np.empty((len(tp), 4, 4), dtype=np.complex128)
+    plain = fine.quadrature(opts.near_degree)
+    for tier, (tier_tp, tier_sq) in enumerate(near.tiers):
+        static = near.moments(tier)
+        outer = (_subdivided_rule(fine.face_corners, helm_outer,
+                                  opts.near_degree)
+                 if tier == 0 else plain)
+        m[spans[tier]:spans[tier + 1]] = _in_batches(
+            len(tier_tp), (4, 4), lambda rows: (
+                _helmholtz_moments(fine, outer, plain, tier_tp[rows],
+                                   tier_sq[rows], k, static[rows] * factor)))
+    c = fine.rt0_scale
+    cc = c[tp][:, :, None] * c[sq][:, None, :]
+    s0 = m[:, 3, 3, None, None].copy()
+    # (r - v_a) . (r' - w_b) against the monomial moments
+    v, w = fine.face_corners[tp], fine.face_corners[sq]
+    tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+    w_sv = np.einsum("pbc,pc->pb", w, m[:, :3, 3])
+    v_svp = np.einsum("pac,pc->pa", v, m[:, 3, :3])
+    del m
+    if "single" in kinds_present:
+        single = cc * (
+            tr[:, None, None] - w_sv[:, None, :] - v_svp[:, :, None]
+            + np.einsum("pac,pbc->pab", v, w) * s0)
+        fold("single", single)
+        del single
+    if "hyper" in kinds_present:
+        fold("hyper", 4.0 * cc * s0)
 
 
 # -- public assembly -------------------------------------------------

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from lovebem import fields, formulations, operators
+from lovebem import experiments, fields, formulations, operators
+from lovebem.experiments import ExperimentConfig, OperatorPlans
 from lovebem.formulations import CurrentSolution
 from lovebem.mesh import generate_sphere_mesh
 from lovebem.operators import FrequencyContext
@@ -61,3 +62,33 @@ def test_traced_radiation_with_a_store(monkeypatch):
     assert sums["fields.points"] == 3 * len(points)
     assert sums["fields.point_quad"] == (
         3 * len(points) * rwg.fine.quadrature(4)[1].size)
+
+
+def test_traced_warm_requests_on_the_repeat_fixture(monkeypatch, tmp_path):
+    # The tables a request builds once reach error_curve by keyword, so
+    # the tracer still reads the curve's points and one measurement.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    monkeypatch.setattr(experiments, "PLANS", OperatorPlans())
+    rng = np.random.default_rng(0)
+    configs = [ExperimentConfig.from_dict(
+        {**workloads.recon_repeat(rng, i), "output_dir": str(tmp_path)})
+        for i in range(3)]
+    experiments.run_reconstruction(configs[0])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # The first warm request keeps the field rows, the second hits.
+        for i, cfg in enumerate(configs[1:]):
+            tracer.wrap_request(i, experiments.run_reconstruction)(cfg)
+    finally:
+        tracer.uninstall()
+    sums = tracing.totals(tracer.spans)
+    requests = sums[f"{tracing.REQUEST}.calls"]
+    assert requests == 2
+    assert sums["fields.points"] == 384 * requests
+    assert sums["fields.radiate_arrays.calls"] == requests
+    assert sums["dipole.sample_measurement.calls"] == requests
+    assert sums["operators.assemble_blocks.calls"] == 0

@@ -27,6 +27,35 @@ def measurement_setup():
     return mesh, basis_pair(mesh)[1]
 
 
+def cross_product_field(src, points):
+    """E of the closed form as written with cross products."""
+    k = src.ctx.wavenumber
+    d = points - src.position
+    r = np.linalg.norm(d, axis=-1)
+    n = d / r[:, None]
+    m = np.broadcast_to(src.moment, n.shape)
+    transverse = np.cross(np.cross(n, m), n)
+    radial = n * (n * m).sum(axis=1)[:, None]
+    phase = np.exp(1j * k * r)
+    outer = (phase / r)[:, None]
+    inner = (phase * (1.0 / r ** 3 - 1j * k / r ** 2))[:, None]
+    return (1j * ETA0 / (4.0 * np.pi * k)) * (
+        k ** 2 * transverse * outer + (3.0 * radial - m) * inner)
+
+
+def einsum_measurement(src, bc_test, degree, rotated):
+    """Tested E, with the test functions applied by one einsum."""
+    fine = bc_test.fine
+    pts, wts = fine.quadrature(degree)
+    test = fine.rt0_values(degree)
+    if rotated:
+        test = np.cross(fine.face_normals[:, None, None, :], test)
+    field = cross_product_field(src, pts.reshape(-1, 3))
+    per_face = np.einsum("fqac,fqc,fq->fa", test, field.reshape(pts.shape),
+                         wts)
+    return bc_test.local.T @ per_face.reshape(-1)
+
+
 def curl_fd(func, pts, step):
     out = np.zeros((len(pts), 3), dtype=np.complex128)
     for axis, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
@@ -113,6 +142,15 @@ class TestClosedForms:
         assert h is None
         assert np.array_equal(e_only, e)
 
+    def test_matches_the_cross_product_form(self, tilted_source):
+        rng = np.random.default_rng(12)
+        # Near, middle and far zones of the 3.16 GHz dipole.
+        pts = rng.standard_normal((300, 3)) * np.repeat(
+            [[1e-3], [3e-2], [3.0]], 100, axis=0)
+        e, _ = field_arrays(tilted_source, pts, magnetic=False)
+        np.testing.assert_allclose(
+            e, cross_product_field(tilted_source, pts), rtol=1e-13, atol=0)
+
     def test_singular_point_rejected(self, axial_source):
         with pytest.raises(ValueError, match="coincides"):
             field_arrays(axial_source, np.zeros((1, 3)))
@@ -159,3 +197,12 @@ class TestMeasurement:
                                        rotated=rotated, magnetic=False)
         assert h is None
         assert np.array_equal(e_only, e)
+
+    @pytest.mark.parametrize("rotated", [True, False])
+    def test_matches_an_einsum(self, tilted_source, measurement_setup,
+                               rotated):
+        mesh, bc = measurement_setup
+        e, _ = sample_measurement(tilted_source, mesh, bc, rotated=rotated,
+                                  magnetic=False)
+        want = einsum_measurement(tilted_source, bc, 4, rotated)
+        assert np.abs(e - want).max() <= 1e-13 * np.abs(want).max()

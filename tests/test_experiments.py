@@ -294,6 +294,19 @@ class TestReconstruction:
         for name, path in again.items():
             assert open(path, "rb").read() == before[name]
 
+    def test_radiation_tables_are_built_once(self, sp_run, monkeypatch):
+        # One table of m and one of j serve the curve and the Love check.
+        cfg, _ = sp_run
+        real, calls = fields._quadrature_tables, []
+
+        def counted(space, coeffs):
+            calls.append(space)
+            return real(space, coeffs)
+
+        monkeypatch.setattr(fields, "_quadrature_tables", counted)
+        run_reconstruction(cfg)
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
     def test_baseline_doubles_unknowns(self, baseline_run):
         _, paths, _, _ = baseline_run
         with open(paths["solve_report"]) as handle:

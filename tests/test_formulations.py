@@ -365,3 +365,34 @@ class TestSerialization:
         assert np.array_equal(loaded.j, solution.j)
         assert loaded.wavenumber == solution.wavenumber
         assert loaded.formulation == solution.formulation
+
+    @pytest.mark.parametrize("with_j", [False, True])
+    def test_bytes_match_a_csv_writer(self, solution, tmp_path, with_j):
+        # Awkward values too: signed zeros, tiny and huge exponents.
+        m = solution.m.copy()
+        m[:4] = [-0.0, 1e-300 - 0.0j, -2.5e17 + 1j / 3.0, complex(0.0, -0.0)]
+        sol = CurrentSolution(m=m, j=solution.j if with_j else None,
+                              wavenumber=solution.wavenumber,
+                              formulation=solution.formulation,
+                              report=solution.report)
+        path = tmp_path / "currents.csv"
+        save_solution(sol, path, extra={"seed": 3})
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as handle:
+            with open(path, newline="") as written:
+                handle.write(written.readline())
+            writer = csv.writer(handle)
+            if sol.j is None:
+                writer.writerow(["edge", "re_m", "im_m"])
+                for i, val in enumerate(sol.m):
+                    writer.writerow(
+                        [i, repr(float(val.real)), repr(float(val.imag))])
+            else:
+                writer.writerow(["edge", "re_m", "im_m", "re_j", "im_j"])
+                for i, (mv, jv) in enumerate(zip(sol.m, sol.j)):
+                    writer.writerow(
+                        [i, repr(float(mv.real)), repr(float(mv.imag)),
+                         repr(float(jv.real)), repr(float(jv.imag))])
+        written = path.read_bytes()
+        assert written == reference.read_bytes()
+        assert written.count(b"\r\n") == len(sol.m) + 1
