@@ -365,9 +365,11 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 # 480 tests, which requests that never repeat carry as dead weight.
 PLAN_BOUND = 1
 # Bytes of field kernel rows one operator plan keeps over all its point
-# sets.  Six 64-point curve spheres and the 50 interior points of the
-# 120-edge test surface (2 880 quadrature points) take 38 MiB; a point
-# set that does not fit is radiated without keeping.
+# sets, at 32 bytes per point and fine-face corner.  Six 64-point curve
+# spheres and the 50 interior points of the 120-edge test surface
+# (1 440 corners) take 19 MiB, so the bound leaves room for a surface
+# or point set about three times as large; a point set that does not
+# fit is radiated without keeping.
 FIELD_ROWS_BOUND = 64 * 2**20
 
 

@@ -18,7 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dipole import DipoleSource, field_arrays
+from .mesh import _face_basis
 from .operators import _phase
+from .quadrature import triangle_rule
 
 __all__ = [
     "ErrorCurve",
@@ -34,7 +36,7 @@ __all__ = [
 
 _FOUR_PI = 4.0 * math.pi
 # Points per kernel block, so a block's (16, 2880) real arrays of 0.37 MB
-# stay in cache.
+# at the quadrature points stay in cache; its corner rows are (32, 1440).
 _CHUNK = 16
 # Polynomial degree of the product rule on the refined mesh.
 _DEGREE = 4
@@ -51,21 +53,27 @@ def fibonacci_directions(n: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _quadrature_tables(space, coeffs):
-    """Current values at the mesh's quadrature points and face divergences."""
+def _corner_tables(space, coeffs):
+    """Current values at the fine-face corners and face divergences.
+
+    On each face the current is affine, so its three corner values fix
+    it.  Returns arrays of shape (n_faces, 3 corners, 3 xyz) and
+    (n_faces,).
+    """
     fine = space.fine
+    corners = fine.face_corners
     if coeffs is None:
-        return (np.zeros(fine.quadrature(_DEGREE)[1].shape + (3,),
-                         dtype=complex), np.zeros(fine.n_faces, dtype=complex))
+        return (np.zeros(corners.shape, dtype=complex),
+                np.zeros(fine.n_faces, dtype=complex))
     local = (space.local @ np.asarray(coeffs, dtype=complex)).reshape(-1, 3)
-    # Per quadrature point, its face's RT0 values (3 functions by 3
-    # components) against the real and imaginary parts of the face's
-    # local coefficients, as one batched real product.
-    values = fine.rt0_values(_DEGREE).transpose(0, 1, 3, 2) @ (
+    # Per corner, its face's RT0 values (3 functions by 3 components)
+    # against the real and imaginary parts of the face's local
+    # coefficients, as one batched real product.
+    basis = _face_basis(fine, corners, np.arange(fine.n_faces)[:, None])
+    values = basis.transpose(0, 1, 3, 2) @ (
         local.view(np.float64).reshape(-1, 1, 3, 2))
-    values = values.view(complex)[..., 0]
     divs = (2.0 * fine.rt0_scale * local).sum(axis=1)
-    return values, divs
+    return values.view(complex)[..., 0], divs
 
 
 def _reject_near(mesh, points):
@@ -86,10 +94,11 @@ class KernelRows:
     The rows ``_radiate`` multiplies with the current tables depend on
     the refined mesh, the wavenumber and the points only, so radiating
     new currents onto known points needs just the two products.  The
-    owner keys a store on the surface and the wavenumber; the store keys
-    point sets on the exact bytes of their array.  A point set is kept
-    only while all kept rows fit in ``bound`` bytes; one that does not
-    fit is computed afresh on every call.
+    rows hold one column per fine-face corner: 32 bytes per point and
+    corner.  The owner keys a store on the surface and the wavenumber;
+    the store keys point sets on the exact bytes of their array.  A
+    point set is kept only while all kept rows fit in ``bound`` bytes;
+    one that does not fit is computed afresh on every call.
     """
 
     def __init__(self, bound: int):
@@ -102,25 +111,33 @@ class KernelRows:
                    for chunks in self.sets.values() for a, g in chunks)
 
 
-def _kernel_rows(points, y, w, k, fresh):
-    """Kernel rows ``(a, g)`` of each chunk of points, in order.
+def _kernel_rows(points, y, w, k, bary, fresh):
+    """Corner kernel rows ``(a, g)`` of each chunk of points, in order.
 
     For a chunk of n points, a = (a_c; a_s) holds the cos and sin rows
     of the kernel e^{ikR} w / R and g = (g_r; g_i) the real and
     imaginary rows of the gradient factor (ik/R - 1/R^2) times the
-    kernel, each of shape (2n, Q).  With ``fresh`` every chunk gets
-    arrays of its own; otherwise the next chunk overwrites them.
+    kernel, first at the Q quadrature points ``y``.  Each face's points
+    are then folded onto its three corners with the rule's barycentric
+    table ``bary``, giving rows of shape (2n, 3F) for the F faces.  With
+    ``fresh`` every chunk gets rows of its own; otherwise the next chunk
+    overwrites them.
     """
     n_max = min(_CHUNK, len(points))
+    per_face = len(bary)
+    width = len(y) // per_face * 3
     r = np.empty((n_max, len(y)))
     scratch = np.empty_like(r)
     phase = np.empty(r.shape, dtype=complex)
+    a_q = np.empty((2 * n_max, len(y)))
+    # The phase is spent once a is formed, so g takes its bytes.
+    g_q = phase.view(np.float64).reshape(a_q.shape)
     a = None
     for start in range(0, len(points), _CHUNK):
         x = points[start:start + _CHUNK]
         n = len(x)
         if fresh or a is None:
-            a, g = np.empty((2 * n, len(y))), np.empty((2 * n, len(y)))
+            a, g = np.empty((2 * n, width)), np.empty((2 * n, width))
         r2, d = r[:n], scratch[:n]
         np.subtract.outer(x[:, 0], y[:, 0], out=r2)
         r2 *= r2
@@ -131,11 +148,11 @@ def _kernel_rows(points, y, w, k, fresh):
         dist = np.sqrt(r2, out=r2)
         ph = _phase(np.multiply(dist, k, out=d), out=phase[:n])
         weight = np.divide(w, dist, out=d)
-        a_c, a_s = a[:n], a[n:2 * n]
+        a_c, a_s = a_q[:n], a_q[n:2 * n]
         np.multiply(ph.real, weight, out=a_c)
         np.multiply(ph.imag, weight, out=a_s)
         inv_r = np.divide(1.0, dist, out=dist)
-        g_r, g_i = g[:n], g[n:2 * n]
+        g_r, g_i = g_q[:n], g_q[n:2 * n]
         np.multiply(a_c, inv_r, out=g_r)
         g_r += k * a_s
         g_r *= inv_r
@@ -143,20 +160,23 @@ def _kernel_rows(points, y, w, k, fresh):
         np.multiply(a_s, inv_r, out=g_i)
         np.subtract(k * a_c, g_i, out=g_i)
         g_i *= inv_r
+        for rows, out in ((a_q, a), (g_q, g)):
+            np.matmul(rows[:2 * n].reshape(-1, per_face), bary,
+                      out=out[:2 * n].reshape(-1, 3))
         yield a[:2 * n], g[:2 * n]
 
 
 class RadiationTables(NamedTuple):
     """What ``_radiate`` multiplies with the kernel rows, for one solution.
 
-    ``m_vals`` and ``j_vals`` are the currents at the quadrature points
-    and ``wts`` their weights; ``potential`` and ``gradient`` are the
-    float tables the kernel rows are multiplied with.
+    ``m_corners`` and ``j_corners`` are the currents at the fine-face
+    corners, shape (n_faces, 3, 3); ``potential`` and ``gradient`` are
+    the float tables the kernel rows are multiplied with, one row per
+    corner.
     """
 
-    m_vals: np.ndarray
-    j_vals: np.ndarray
-    wts: np.ndarray
+    m_corners: np.ndarray
+    j_corners: np.ndarray
     potential: np.ndarray
     gradient: np.ndarray
 
@@ -170,20 +190,21 @@ def radiation_tables(solution, rwg, bc) -> RadiationTables:
     """
     if rwg.fine is not bc.fine:
         raise ValueError("spaces must share the same refined mesh")
-    pts, wts = rwg.fine.quadrature(_DEGREE)
-    m_vals, _ = _quadrature_tables(rwg, solution.m)
-    j_vals, j_divs = _quadrature_tables(bc, solution.j)
-    # E is the curl of m plus the potentials of j.  Per quadrature point
-    # y, the potential table holds v of j for the kernel, and the
-    # gradient table v, y × v of m and div, y·div of j for the gradient
-    # kernel g, as with d = x - y, Σ g d × v = x × Σ g v - Σ g y × v and
-    # Σ g d div = x Σ g div - Σ g y div.
-    y = pts.reshape(-1, 3)
-    m_v, j_v = m_vals.reshape(-1, 3), j_vals.reshape(-1, 3)
-    j_div = np.repeat(j_divs, pts.shape[1])[:, None]
+    m_v, _ = _corner_tables(rwg, solution.m)
+    j_v, j_divs = _corner_tables(bc, solution.j)
+    # E is the curl of m plus the potentials of j.  Per corner y, the
+    # potential table holds v of j for the kernel, and the gradient
+    # table v, y × v of m and div, y·div of j for the gradient kernel g,
+    # as with d = x - y, Σ g d × v = x × Σ g v - Σ g y × v and
+    # Σ g d div = x Σ g div - Σ g y div.  Every entry is affine on its
+    # face, so the corner rows, which fold the quadrature points into
+    # the corners, give the quadrature sums.
+    y = rwg.fine.face_corners.reshape(-1, 3)
+    m_y, j_y = m_v.reshape(-1, 3), j_v.reshape(-1, 3)
+    j_div = np.repeat(j_divs, 3)[:, None]
     return RadiationTables(
-        m_vals, j_vals, wts, _float_table([j_v]),
-        _float_table([m_v, np.cross(y, m_v), j_div, y * j_div]))
+        m_v, j_v, _float_table([j_y]),
+        _float_table([m_y, np.cross(y, m_y), j_div, y * j_div]))
 
 
 def _radiate(tables, rwg, points, k, rows):
@@ -200,12 +221,12 @@ def _radiate(tables, rwg, points, k, rows):
     if chunks is None:
         _reject_near(rwg.mesh, points)
         pts, wts = rwg.fine.quadrature(_DEGREE)
-        y = pts.reshape(-1, 3)
-        # a and g: two (2n, Q) float arrays per chunk of n points.
-        size = 2 * 2 * len(points) * len(y) * 8
+        # a and g: two (2n, 3F) float arrays per chunk of n points.
+        size = 2 * 2 * len(points) * 3 * len(wts) * 8
         keep = rows is not None and rows.nbytes + size <= rows.bound
-        chunks = _kernel_rows(points, y, wts.reshape(-1) / _FOUR_PI, k,
-                              fresh=keep)
+        chunks = _kernel_rows(points, pts.reshape(-1, 3),
+                              wts.reshape(-1) / _FOUR_PI, k,
+                              triangle_rule(_DEGREE).points, fresh=keep)
         if keep:
             chunks = rows.sets[key] = list(chunks)
             for a, g in chunks:
@@ -331,10 +352,14 @@ def check_love_condition(solution, rwg, bc, interior_points, *, rows=None,
         tables = radiation_tables(solution, rwg, bc)
     e_m, e_j = _radiate(tables, rwg, interior_points,
                         float(solution.wavenumber), rows)
-    m_vals, j_vals, wts = tables.m_vals, tables.j_vals, tables.wts
+    # The mean levels integrate |v| with the rule, so they need v at the
+    # quadrature points: the corner values weighted barycentrically.
+    bary = triangle_rule(_DEGREE).points
+    wts = rwg.fine.quadrature(_DEGREE)[1]
     area = wts.sum()
-    mean_m = float((np.linalg.norm(m_vals, axis=2) * wts).sum() / area)
-    mean_j = float((np.linalg.norm(j_vals, axis=2) * wts).sum() / area)
+    mean_m, mean_j = (
+        float((np.linalg.norm(bary @ corners, axis=2) * wts).sum() / area)
+        for corners in (tables.m_corners, tables.j_corners))
     return (_leak(e_j + e_m, max(mean_m, mean_j)), _leak(e_m, mean_m))
 
 

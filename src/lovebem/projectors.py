@@ -33,6 +33,8 @@ class _Incidence:
 
     def __init__(self, matrix: sp.spmatrix) -> None:
         self.csr = sp.csr_matrix(matrix)
+        # Kept, since ``csr.T`` builds a new transpose on every call.
+        self._csr_t = self.csr.T.tocsr()
         coo = self.csr.tocoo()
         self._rows = coo.row
         self._cols = coo.col
@@ -54,7 +56,7 @@ class _Incidence:
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         if _wants_extended(x):
             return self._scatter(self._cols, self._rows, x, self.shape[1])
-        return self.csr.T @ x
+        return self._csr_t @ x
 
 
 class _GroundedLaplacian:

@@ -4,6 +4,7 @@ import gc
 import json
 import weakref
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lovebem.mesh import generate_sphere_mesh
 from lovebem.quadrature import TriangleRule
 from lovebem.spaces import basis_pair
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GATE_GEOMETRY = {"surface_edge": 0.02, "probe_edge_m": 0.055}
 SWEEP_GEOMETRY = {"surface_edge": 0.02, "probe_offset_m": 0.07,
                   "probe_edge_m": 0.03}
@@ -297,13 +299,13 @@ class TestReconstruction:
     def test_radiation_tables_are_built_once(self, sp_run, monkeypatch):
         # One table of m and one of j serve the curve and the Love check.
         cfg, _ = sp_run
-        real, calls = fields._quadrature_tables, []
+        real, calls = fields._corner_tables, []
 
         def counted(space, coeffs):
             calls.append(space)
             return real(space, coeffs)
 
-        monkeypatch.setattr(fields, "_quadrature_tables", counted)
+        monkeypatch.setattr(fields, "_corner_tables", counted)
         run_reconstruction(cfg)
         assert len(calls) == 2 and calls[0] is not calls[1]
 
@@ -794,9 +796,9 @@ class TestFieldRows:
             cold = artifact_bytes(run_reconstruction(cfgs[2]))
             # A bound that holds the interior rows but not the curve's:
             # the curve is radiated without keeping.
-            quad = only_plan(plans).surface.rwg.fine.quadrature(4)[1].size
+            corners = 3 * only_plan(plans).surface.rwg.fine.n_faces
             monkeypatch.setattr(experiments, "FIELD_ROWS_BOUND",
-                                2 * 2 * len(interior) * quad * 8)
+                                2 * 2 * len(interior) * corners * 8)
             bounded = artifact_bytes(run_reconstruction(cfgs[2]))
             rows = only_plan(plans).rows
         assert artifacts[2] == cold
@@ -811,6 +813,27 @@ class TestFieldRows:
     def test_evicted_plan_frees_its_rows(self, row_runs):
         *_, outlived = row_runs
         assert not outlived
+
+    def test_repeat_fixture_keeps_corner_rows(self, monkeypatch, tmp_path):
+        # A warm plan of the benchmark's recon-repeat fixture keeps a and
+        # g of its 434 points (six 64-point curve spheres and 50 interior
+        # points) per face corner: 2·2·434·3F·8 bytes, 19.07 MiB at
+        # F = 480.  Rows per quadrature point would take twice that.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        rng = np.random.default_rng(0)
+        cfgs = [ExperimentConfig.from_dict(
+            {**workloads.recon_repeat(rng, i), "output_dir": str(tmp_path)})
+            for i in range(2)]
+        with cold_plans() as plans:
+            for cfg in cfgs:
+                run_reconstruction(cfg)
+            plan = only_plan(plans)
+        n_faces = plan.surface.rwg.fine.n_faces
+        assert n_faces == 480
+        assert len(plan.rows.sets) == 2
+        assert plan.rows.nbytes == 2 * 2 * 434 * 3 * n_faces * 8
 
 
 @pytest.fixture(scope="module")

@@ -150,10 +150,12 @@ class TestRadiation:
             radiate_arrays(traced_pair, rwg, other_bc, shell_points(0.2))
 
     @pytest.mark.parametrize("with_j", [True, False])
-    @pytest.mark.parametrize("radius", [0.2, 0.01],
+    # Inside, the pair's field cancels to a small remainder, so it keeps
+    # fewer correct digits than outside.
+    @pytest.mark.parametrize("radius, rtol", [(0.2, 1e-12), (0.01, 1e-10)],
                              ids=["exterior", "interior"])
     def test_matches_einsum_reference(self, surface, traced_pair, with_j,
-                                      radius):
+                                      radius, rtol):
         _, rwg, bc = surface
         sol = CurrentSolution(m=traced_pair.m,
                               j=traced_pair.j if with_j else None,
@@ -162,7 +164,7 @@ class TestRadiation:
         pts = shell_points(radius, 40)
         e = radiate_arrays(sol, rwg, bc, pts)
         e_ref = einsum_fields(sol, rwg, bc, pts)
-        np.testing.assert_allclose(e, e_ref, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(e, e_ref, rtol=rtol, atol=0)
 
     def test_chunks_match_separate_calls(self, surface, traced_pair):
         _, rwg, bc = surface
@@ -174,9 +176,41 @@ class TestRadiation:
             np.testing.assert_allclose(e[a:b], e_part, rtol=1e-12, atol=0)
 
 
+class TestCornerTables:
+    def test_corners_give_the_values_at_the_quadrature_points(
+            self, surface, traced_pair):
+        # Every table entry is affine on its face, so the rule's
+        # barycentric weights of its corner values give its values at the
+        # quadrature points, formed here from the RT0 values there.
+        _, rwg, bc = surface
+        fine = rwg.fine
+        n = fine.n_faces
+        y = fine.quadrature(4)[0]
+        tables = fields.radiation_tables(traced_pair, rwg, bc)
+        potential = tables.potential.view(complex).reshape(n, 3, 3)
+        gradient = tables.gradient.view(complex).reshape(n, 3, 10)
+
+        def at_points(space, coeffs):
+            local = (space.local @ coeffs).reshape(-1, 3)
+            values = np.einsum("fqac,fa->fqc", fine.rt0_values(4), local)
+            divs = (2.0 * fine.rt0_scale * local).sum(axis=1)
+            return values, np.broadcast_to(divs[:, None, None], (n, 6, 1))
+
+        m, _ = at_points(rwg, traced_pair.m)
+        j, div = at_points(bc, traced_pair.j)
+        bary = triangle_rule(4).points
+        for corners, want in [(tables.m_corners, m), (tables.j_corners, j),
+                              (gradient[..., 0:3], m), (potential, j),
+                              (gradient[..., 3:6], np.cross(y, m)),
+                              (gradient[..., 6:7], div),
+                              (gradient[..., 7:10], y * div)]:
+            got = bary @ corners
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def row_bytes(pts, rwg):
-    """Bytes of the kernel rows a and g of ``pts``: (2n, Q) floats each."""
-    return 2 * 2 * len(pts) * rwg.fine.quadrature(4)[1].size * 8
+    """Bytes of the kernel rows a and g of ``pts``: (2n, 3F) floats each."""
+    return 2 * 2 * len(pts) * 3 * rwg.fine.n_faces * 8
 
 
 class TestKernelRows:
@@ -208,6 +242,16 @@ class TestKernelRows:
                 for sol in (traced_pair, other)]
         for got, want in zip((miss, *hits), (plain[0], *plain)):
             assert np.array_equal(got, want)
+
+    def test_kept_chunks_hold_one_column_per_face_corner(
+            self, surface, traced_pair):
+        _, rwg, bc = surface
+        rows = KernelRows(row_bytes(self.PTS, rwg))
+        radiate_arrays(traced_pair, rwg, bc, self.PTS, rows=rows)
+        corners = 3 * rwg.fine.n_faces
+        assert [(a.shape, g.shape)
+                for a, g in rows.sets[self.PTS.tobytes()]] == [
+            ((2 * n, corners),) * 2 for n in (_CHUNK, _CHUNK, 5)]
 
     def test_kept_rows_are_read_only(self, surface, traced_pair):
         _, rwg, bc = surface
