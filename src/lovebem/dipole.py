@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriangleMesh
 from .operators import ETA0, FrequencyContext, _phase
 from .spaces import BasisSpace
 
@@ -72,9 +71,9 @@ def field_arrays(src: DipoleSource, points: np.ndarray, *,
     return e, h
 
 
-def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
-                       bc_test: BasisSpace, degree: int = 4,
-                       rotated: bool = True, magnetic: bool = True
+def sample_measurement(src: DipoleSource, bc_test: BasisSpace,
+                       degree: int = 4, rotated: bool = True,
+                       magnetic: bool = True
                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """Tested measurement vectors e_i = <n x g_i, E> and h_i = <n x g_i, H>.
 
@@ -85,8 +84,6 @@ def sample_measurement(src: DipoleSource, gamma_m: TriangleMesh,
     paths consume that flavour (see the formulation solvers).  With
     ``magnetic=False`` H is not tested and ``h`` is None.
     """
-    if bc_test.mesh is not gamma_m:
-        raise ValueError("test space does not live on the given surface")
     fine = bc_test.fine
     pts, wts = fine.quadrature(degree)
     test = fine.rt0_values(degree)

@@ -40,7 +40,7 @@ from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
                            check_love_weight, double_layer,
                            interior_coupling, recover_electric_current,
                            save_solution, solve_baseline_love, solve_sp,
-                           solve_stabilized, static_double_layer)
+                           solve_stabilized, static_coupling)
 from .mesh import (_octahedron, barycentric_refine, generate_sphere_mesh,
                    unit_icosphere)
 from .operators import ETA0, FrequencyContext, NearPlan, gram_matrix
@@ -389,8 +389,9 @@ class ShapePlan:
     and BC coefficient maps (fluxes, so free of scale), the loop/star
     projectors (connectivity only) and, on first use, the near plan
     (near pairs with their static integrals, which scale by known
-    powers of the radius) and the static double layer, which is
-    dimensionless for unit-flux functions.  Since no scaled mesh
+    powers of the radius) and the static coupling, the frequency-free
+    part of the interior coupling block, which is dimensionless for
+    unit-flux functions.  Since no scaled mesh
     ever reaches it, every sphere of the level gets the same bits,
     whatever the order of requests.
     """
@@ -412,8 +413,8 @@ class ShapePlan:
         return NearPlan(self.rwg.fine)
 
     @cached_property
-    def static_double(self):
-        block = static_double_layer(self.rwg, self.bc, self.near)
+    def static_coupling(self):
+        block = static_coupling(self.rwg, self.bc, self.projectors, self.near)
         _freeze(block)
         return block
 
@@ -425,9 +426,8 @@ class GeometryPlan:
     an equal but distinct mesh, and its RWG/BC pair: the barycentric
     refinement of the mesh with the shape's coefficient maps.  The
     projectors, the near plan (scaled to the radius) and the static
-    double layer are the shape's.
-    ``coupling`` builds the corrected interior block of one wavenumber
-    without keeping it.
+    coupling are the shape's.  ``coupling`` adds the double layer of
+    one wavenumber to the static coupling without keeping the sum.
     """
 
     def __init__(self, key, mesh, shape: ShapePlan):
@@ -447,13 +447,12 @@ class GeometryPlan:
         return self.shape.near.scaled(self.key[0])
 
     @property
-    def static_double(self):
-        return self.shape.static_double
+    def static_coupling(self):
+        return self.shape.static_coupling
 
     def coupling(self, ctx):
         dynamic = double_layer(self.rwg, self.bc, ctx, self.near)
-        return interior_coupling(self.rwg, self.bc, dynamic,
-                                 self.static_double, self.projectors)
+        return interior_coupling(dynamic, self.static_coupling)
 
     def check_clearance(self, probe: "GeometryPlan"):
         """Raise unless ``probe`` clears this surface; once per probe."""
@@ -472,8 +471,8 @@ class OperatorPlan:
     def __init__(self, surface: GeometryPlan, probe: GeometryPlan, ctx):
         self.surface, self.probe, self.ctx = surface, probe, ctx
         self.system = build_sp_system(
-            surface.rwg, surface.bc, probe.bc, ctx, surface.projectors,
-            surface.static_double, near=surface.near)
+            surface.rwg, surface.bc, probe.bc, ctx, surface.static_coupling,
+            near=surface.near)
         system = self.system
         _freeze(system.field_double, system.field_efie, system.trace_efie,
                 system.trace_double, system.coupling, system.dense())
@@ -588,7 +587,7 @@ def _solve_scene(cfg: ExperimentConfig, scene: _Scene):
         surface.check_clearance(probe)
         # Only the baseline reads the tested H.
         e, h = sample_measurement(
-            scene.src, probe.mesh, probe.bc, rotated=False,
+            scene.src, probe.bc, rotated=False,
             magnetic=cfg.formulation == "baseline-love")
     policy = cfg.policy()
     if cfg.formulation == "baseline-love":
@@ -598,8 +597,8 @@ def _solve_scene(cfg: ExperimentConfig, scene: _Scene):
                 check_love_weight(cfg.love_weight)
             solution = solve_baseline_love(
                 surface.rwg, surface.bc, probe.bc, ctx, e, h, policy,
-                surface.projectors, surface.static_double,
-                love_weight=cfg.love_weight, near=surface.near)
+                surface.static_coupling, love_weight=cfg.love_weight,
+                near=surface.near)
         return solution, None
     with _stage("assembly"):
         plan = PLANS.operator(surface, probe, ctx)
@@ -683,9 +682,10 @@ def run_frequency_sweep(cfg: ExperimentConfig) -> str:
     Per frequency the CSV reports two numbers.  The stabilized column
     is the condition of the scaled system built on the cleaned
     interior block.  The raw column is the condition of the plain
-    discretization, assembled without the static decoupling correction
-    and without scaling maps, which is what a direct pseudo-inversion
-    of the formulation would face.
+    discretization, whose coupling is half the rotated Gram of the
+    mesh plus the double layer, with no static decoupling correction
+    and no scaling maps, which is what a direct pseudo-inversion of
+    the formulation would face.
 
     The geometry is held fixed in meters, so the config must give the
     probe placement metrically.  A failure at a single frequency is
@@ -707,6 +707,8 @@ def run_frequency_sweep(cfg: ExperimentConfig) -> str:
     with _stage("assembly"):
         surface.check_clearance(scene.probe)
     policy = cfg.policy()
+    half_gram = 0.5 * gram_matrix(surface.rwg, surface.bc,
+                                  rotated=True).toarray()
     rows = []
     for frequency in cfg.sweep:
         try:
@@ -717,10 +719,7 @@ def run_frequency_sweep(cfg: ExperimentConfig) -> str:
             plain = SPSystem(
                 ctx.wavenumber, system.field_double, system.field_efie,
                 system.trace_efie,
-                interior_coupling(surface.rwg, surface.bc,
-                                  system.trace_double,
-                                  surface.static_double,
-                                  surface.projectors, corrected=False))
+                interior_coupling(system.trace_double, half_gram))
             kappa_raw = condition_at_threshold(plain.dense(), policy)
             kappa_scaled = condition_at_threshold(plan.stabilized.matrix(),
                                                   policy)

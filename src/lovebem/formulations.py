@@ -49,7 +49,7 @@ __all__ = [
     "solve_baseline_love",
     "solve_sp",
     "solve_stabilized",
-    "static_double_layer",
+    "static_coupling",
 ]
 
 _STATIC_WAVENUMBER = 1e-30
@@ -80,15 +80,28 @@ def double_layer(rwg, bc, ctx, near=None):
                            near=near)[0]["double"]
 
 
-def static_double_layer(rwg, bc, near=None):
-    """Primal-dual double layer at the static wavenumber.
+def static_coupling(rwg, bc, projectors, near=None):
+    """Frequency-free part of the interior coupling block of one surface.
 
-    It does not depend on the working frequency, so one block serves
-    the decoupling correction of every wavenumber on the same mesh.
-    Its near pairs fold the same static blocks as every dynamic pass
-    with the same ``near``.
+    The coupling of wavenumber k is half the rotated mixed Gram plus the
+    primal-dual double layer of k.  On a closed surface its static limit
+    cannot couple charge-carrying inputs to circulation test rows, but
+    the near-pair quadrature leaks a small such coupling, and that leak
+    freezes the low-frequency decay of the inverse around the quadrature
+    error.  So the star-to-loop part of the statically assembled block
+    is subtracted from the half Gram: that removes the leak and changes
+    the matrix only within quadrature error, since the term is exactly
+    zero in exact arithmetic.  The static pass folds the same near
+    statics as every dynamic pass with the same ``near``.
+
+    For unit-flux functions the block is dimensionless and free of
+    frequency, so one serves every wavenumber and radius of a shape.
     """
-    return double_layer(rwg, bc, _STATIC_WAVENUMBER, near)
+    half_gram = 0.5 * gram_matrix(rwg, bc, rotated=True).toarray()
+    static = double_layer(rwg, bc, _STATIC_WAVENUMBER, near)
+    leak = projectors.onto_loops(
+        projectors.onto_stars((half_gram + static).T).T)
+    return half_gram - leak
 
 
 def _self_requests(rwg, bc):
@@ -132,33 +145,18 @@ def calderon_blocks(rwg, bc, ctx, near=None) -> CalderonBlocks:
                           blocks[2]["double"], _efie(blocks[3], k))
 
 
-def interior_coupling(rwg, bc, dynamic_double, static_double, projectors,
-                      corrected=True):
-    """Dual-tested interior trace block, cleaned for static decoupling.
+def interior_coupling(dynamic_double, static_coupling):
+    """Dual-tested interior trace block of one wavenumber.
 
-    The block is half the rotated mixed Gram plus the primal-dual
-    double layer ``dynamic_double`` of the working wavenumber.  On a
-    closed surface its static limit cannot couple charge-carrying
-    inputs to circulation test rows, but the near-pair quadrature leaks
-    a small such coupling, and that leak freezes the low-frequency
-    decay of the inverse around the quadrature error.  Subtracting the
-    star-to-loop part of the statically assembled block
-    (``static_double``, from ``static_double_layer``) removes the leak
-    while changing the matrix only within quadrature error, since the
-    subtracted term is exactly zero in exact arithmetic.
-
-    ``corrected=False`` skips that subtraction and returns the block
-    exactly as assembled.  Systems built on the uncorrected block show
-    the conditioning breakdown of the naive discretization at low
-    frequency, which the sweep diagnostics report next to the scaled
-    path.
+    Adds the primal-dual double layer ``dynamic_double`` of the working
+    wavenumber to the frequency-free part built by ``static_coupling``.
+    Passed the bare half rotated Gram instead, it gives the block
+    exactly as assembled, without the static decoupling correction:
+    systems built on that show the conditioning breakdown of the naive
+    discretization at low frequency, which the sweep diagnostics report
+    next to the scaled path.
     """
-    half_gram = 0.5 * gram_matrix(rwg, bc, rotated=True).toarray()
-    if not corrected:
-        return half_gram + dynamic_double
-    ps = projectors
-    leak = ps.onto_loops(ps.onto_stars((half_gram + static_double).T).T)
-    return half_gram + dynamic_double - leak
+    return static_coupling + dynamic_double
 
 
 class SPSystem:
@@ -220,22 +218,21 @@ class SPSystem:
         return factorize(self._matrix)
 
 
-def build_sp_system(rwg, bc, bc_probe, ctx, projectors, static_double,
+def build_sp_system(rwg, bc, bc_probe, ctx, static_coupling,
                     near=None) -> SPSystem:
     """Assemble the single-current system for one working point.
 
     ``rwg`` and ``bc`` live on the radiating surface, ``bc_probe`` on
-    the measurement surface.  ``projectors`` and ``static_double`` are
-    the frequency-independent inputs of ``interior_coupling``.  Runs
-    two tiled passes: the self pass on the radiating surface and the
+    the measurement surface.  ``static_coupling`` is the
+    frequency-free part of ``interior_coupling``.  Runs two tiled
+    passes: the self pass on the radiating surface and the
     radiation pass onto the probe tests.
     """
     k = _wavenumber(ctx)
     trace_efie, trace_double = _self_pass(rwg, bc, k, near)
     rad = assemble_blocks(
         bc_probe, [(rwg, ("double",)), (bc, ("single", "hyper"))], k)
-    coupling = interior_coupling(rwg, bc, trace_double, static_double,
-                                 projectors)
+    coupling = interior_coupling(trace_double, static_coupling)
     return SPSystem(k, rad[0]["double"], _efie(rad[1], k), trace_efie,
                     coupling, trace_double=trace_double)
 
@@ -363,8 +360,8 @@ def check_love_weight(weight) -> float:
     return weight
 
 
-def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
-                        static_double, love_weight=None,
+def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
+                        static_coupling, love_weight=None,
                         near=None) -> CurrentSolution:
     """Two-current reconstruction with weighted interior constraints.
 
@@ -374,11 +371,10 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
     ``e`` and ``h`` hold plain dual tests of the measured fields,
     <g_i, E> and <g_i, H>; the impedance scaling of ``h`` is applied
     here.  ``love_weight=None`` balances the spectral norms of the two
-    stacks, zero disables the constraint.  ``projectors`` and
-    ``static_double`` are the frequency-independent inputs of
-    ``interior_coupling``.  Two passes run: the radiation pass onto the
-    probe tests and ``calderon_blocks``, whose self-surface blocks are
-    the ones ``build_sp_system`` makes.
+    stacks, zero disables the constraint.  ``static_coupling`` is the
+    frequency-free part of ``interior_coupling``.  Two passes run: the
+    radiation pass onto the probe tests and ``calderon_blocks``, whose
+    self-surface blocks are the ones ``build_sp_system`` makes.
     """
     k = _wavenumber(ctx)
     e = np.asarray(e)
@@ -398,8 +394,7 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy, projectors,
     radiation = np.block([[-double_primal, efie_dual],
                           [-efie_primal, -double_dual]])
     blocks = calderon_blocks(rwg, bc, k, near)
-    coupling = interior_coupling(rwg, bc, blocks.trace_double, static_double,
-                                 projectors)
+    coupling = interior_coupling(blocks.trace_double, static_coupling)
     identity_map = assemble_calderon_interior(rwg, bc, coupling, blocks)
     if weight is None:
         weight = check_love_weight(np.linalg.norm(radiation, 2)

@@ -22,9 +22,9 @@ def axial_source():
 
 
 @pytest.fixture(scope="module")
-def measurement_setup():
+def probe_bc():
     mesh = generate_sphere_mesh(0.04 + CTX.wavelength, CTX.wavelength / 5)
-    return mesh, basis_pair(mesh)[1]
+    return basis_pair(mesh)[1]
 
 
 def cross_product_field(src, points):
@@ -161,48 +161,35 @@ class TestMeasurement:
         assert CTX.wavelength == pytest.approx(0.09487, abs=1e-5)
         assert 0.04 + CTX.wavelength == pytest.approx(0.1349, abs=1e-4)
 
-    def test_quadrature_self_convergence(self, axial_source,
-                                         measurement_setup):
-        mesh, bc = measurement_setup
-        e4, _ = sample_measurement(axial_source, mesh, bc, degree=4)
-        e5, _ = sample_measurement(axial_source, mesh, bc, degree=5)
+    def test_quadrature_self_convergence(self, axial_source, probe_bc):
+        e4, _ = sample_measurement(axial_source, probe_bc, degree=4)
+        e5, _ = sample_measurement(axial_source, probe_bc, degree=5)
         assert np.linalg.norm(e4 - e5) <= 1e-8 * np.linalg.norm(e5)
 
-    def test_linear_in_moment(self, axial_source, measurement_setup):
-        mesh, bc = measurement_setup
+    def test_linear_in_moment(self, axial_source, probe_bc):
         scaled = DipoleSource(axial_source.position,
                               3.0 * axial_source.moment, CTX)
-        e1, h1 = sample_measurement(axial_source, mesh, bc)
-        e3, h3 = sample_measurement(scaled, mesh, bc)
+        e1, h1 = sample_measurement(axial_source, probe_bc)
+        e3, h3 = sample_measurement(scaled, probe_bc)
         assert np.abs(e3 - 3.0 * e1).max() <= 1e-12 * np.abs(e1).max()
         assert np.abs(h3 - 3.0 * h1).max() <= 1e-12 * np.abs(h1).max()
 
-    def test_vector_lengths(self, axial_source, measurement_setup):
-        mesh, bc = measurement_setup
-        e, h = sample_measurement(axial_source, mesh, bc)
-        assert e.shape == h.shape == (bc.n_dofs,)
-
-    def test_wrong_surface_rejected(self, axial_source, measurement_setup):
-        _, bc = measurement_setup
-        other = generate_sphere_mesh(0.2, 0.1)
-        with pytest.raises(ValueError, match="surface"):
-            sample_measurement(axial_source, other, bc)
+    def test_vector_lengths(self, axial_source, probe_bc):
+        e, h = sample_measurement(axial_source, probe_bc)
+        assert e.shape == h.shape == (probe_bc.n_dofs,)
 
     @pytest.mark.parametrize("rotated", [True, False])
-    def test_electric_only_keeps_the_bits(self, axial_source,
-                                          measurement_setup, rotated):
-        mesh, bc = measurement_setup
-        e, _ = sample_measurement(axial_source, mesh, bc, rotated=rotated)
-        e_only, h = sample_measurement(axial_source, mesh, bc,
+    def test_electric_only_keeps_the_bits(self, axial_source, probe_bc,
+                                          rotated):
+        e, _ = sample_measurement(axial_source, probe_bc, rotated=rotated)
+        e_only, h = sample_measurement(axial_source, probe_bc,
                                        rotated=rotated, magnetic=False)
         assert h is None
         assert np.array_equal(e_only, e)
 
     @pytest.mark.parametrize("rotated", [True, False])
-    def test_matches_an_einsum(self, tilted_source, measurement_setup,
-                               rotated):
-        mesh, bc = measurement_setup
-        e, _ = sample_measurement(tilted_source, mesh, bc, rotated=rotated,
+    def test_matches_an_einsum(self, tilted_source, probe_bc, rotated):
+        e, _ = sample_measurement(tilted_source, probe_bc, rotated=rotated,
                                   magnetic=False)
-        want = einsum_measurement(tilted_source, bc, 4, rotated)
+        want = einsum_measurement(tilted_source, probe_bc, 4, rotated)
         assert np.abs(e - want).max() <= 1e-13 * np.abs(want).max()

@@ -17,11 +17,16 @@ from lovebem.experiments import (ExperimentConfig, OperatorPlans,
                                  StageError, dump_operator, load_config,
                                  run_frequency_sweep, run_property_suite,
                                  run_reconstruction)
+from lovebem import formulations
 from lovebem import operators
-from lovebem.formulations import calderon_blocks, static_double_layer
+from lovebem.formulations import (SPSystem, calderon_blocks, double_layer,
+                                  static_coupling)
 from lovebem.mesh import generate_sphere_mesh
+from lovebem.operators import FrequencyContext
+from lovebem.projectors import ProjectorSet, build_projectors
 from lovebem.quadrature import TriangleRule
-from lovebem.spaces import basis_pair
+from lovebem.spaces import basis_pair, build_loop_star, gram_matrix
+from lovebem.tsvd import RegularizationPolicy, condition_at_threshold
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GATE_GEOMETRY = {"surface_edge": 0.02, "probe_edge_m": 0.055}
@@ -388,6 +393,27 @@ class TestFrequencySweep:
         raw = np.array([float(row[2]) for row in rows])
         assert not np.allclose(stabilized, raw, rtol=1e-3)
 
+    def test_raw_column_is_the_uncorrected_system(self, mini_sweep):
+        # kappa_raw is the condition of the system whose coupling is
+        # half the geometry's rotated Gram plus the double layer.
+        cfg, path, _ = mini_sweep
+        _, _, rows = read_commented_csv(path)
+        with cold_plans() as plans:
+            scene = experiments._build_scene(cfg, cfg.sweep[-1])
+            surface = scene.surface
+            half_gram = 0.5 * gram_matrix(surface.rwg, surface.bc,
+                                          rotated=True).toarray()
+            for frequency, row in zip(cfg.sweep, rows):
+                ctx = FrequencyContext(frequency)
+                system = plans.operator(surface, scene.probe, ctx).system
+                dynamic = double_layer(surface.rwg, surface.bc, ctx,
+                                       surface.near)
+                raw = SPSystem(ctx.wavenumber, system.field_double,
+                               system.field_efie, system.trace_efie,
+                               half_gram + dynamic)
+                assert float(row[2]) == condition_at_threshold(
+                    raw.dense(), cfg.policy())
+
     def test_static_layer_assembled_once(self, mini_sweep):
         cfg, _, calls = mini_sweep
         # One static pass per sweep, then a self and a radiation pass
@@ -710,6 +736,36 @@ class TestOperatorPlans:
         assert plans.operator(first, probe, 1.0) is not low
         assert plans.misses["operator"] == 3
 
+    def test_misses_share_the_shape_coupling(self, monkeypatch):
+        # The Gram and the projections of the static coupling run once,
+        # for the shape; neither an operator-plan miss nor a baseline
+        # solve on that shape repeats them.
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(formulations, "gram_matrix",
+                            counted("gram", formulations.gram_matrix))
+        monkeypatch.setattr(ProjectorSet, "onto_loops",
+                            counted("onto_loops", ProjectorSet.onto_loops))
+        plans = OperatorPlans()
+        surface, probe = small_pair(plans)
+        for k in (1.0, 1.1):
+            plans.operator(surface, probe, k)
+        assert plans.misses["operator"] == 2
+        assert calls == ["gram", "onto_loops"]
+        zeros = np.zeros(probe.bc.n_dofs)
+        formulations.solve_baseline_love(
+            surface.rwg, surface.bc, probe.bc, 1.0, zeros, zeros,
+            RegularizationPolicy(threshold=1e-6), surface.static_coupling,
+            near=surface.near)
+        # The only new Gram is the one of the interior identity map.
+        assert calls == ["gram", "onto_loops", "gram"]
+
     def test_cached_arrays_are_read_only(self):
         plans = OperatorPlans()
         surface, probe = small_pair(plans)
@@ -717,7 +773,7 @@ class TestOperatorPlans:
         system = plan.system
         for arr in (system.dense(), system.coupling, system.trace_efie,
                     system.field_double, system.field_efie,
-                    system.trace_double, surface.shape.static_double,
+                    system.trace_double, surface.shape.static_coupling,
                     plan.stabilized.matrix(), system.factors.u,
                     plan.stabilized.factors.vh):
             with pytest.raises(ValueError, match="read-only"):
@@ -895,10 +951,11 @@ class TestShapePlans:
                                            geometry.shape.bc)):
                 assert shared.to_fine is owned.to_fine
                 assert abs(direct.to_fine - shared.to_fine).max() <= 1e-14
-            direct = static_double_layer(rwg, bc)
-            shared = geometry.static_double
+            direct = static_coupling(
+                rwg, bc, build_projectors(*build_loop_star(mesh)))
+            shared = geometry.static_coupling
             assert (np.linalg.norm(shared - direct)
-                    <= 1e-12 * np.linalg.norm(direct))
+                    <= 1e-13 * np.linalg.norm(direct))
         assert plans.misses["shape"] == 1
 
     def test_near_statics_give_order_free_bits(self):

@@ -36,8 +36,8 @@ def source():
 def traced_pair(surface, source):
     """Analytic surface traces projected onto the coefficient spaces."""
     gamma, rwg, bc = surface
-    ef, _ = sample_measurement(source, gamma, rwg)
-    _, hg = sample_measurement(source, gamma, bc)
+    ef, _ = sample_measurement(source, rwg)
+    _, hg = sample_measurement(source, bc)
     m = np.linalg.solve(gram_matrix(rwg, rwg).toarray(), ef)
     j = np.linalg.solve(gram_matrix(bc, bc).toarray(), -ETA0 * hg)
     return CurrentSolution(m=m, j=j, wavenumber=CTX.wavenumber,
@@ -362,22 +362,31 @@ class TestLoveCondition:
         _, rwg, bc = surface
         pts = shell_points(0.01)
         fine = rwg.fine
-        quad, wts = triangle_rule(4).map_to(fine.face_corners)
-        faces = np.arange(fine.n_faces)[:, None]
+        quad, wts = fine.quadrature(4)
+        tables = fields.radiation_tables(traced_pair, rwg, bc)
+        bary = triangle_rule(4).points
 
-        def mean_level(space, coeffs):
-            values = evaluate_rt0(fine, space.to_fine @ coeffs, faces, quad)
+        def mean_level(values):
             return float((np.linalg.norm(values, axis=2) * wts).sum()
                          / wts.sum())
 
-        mean_m = mean_level(rwg, traced_pair.m)
-        mean_j = mean_level(bc, traced_pair.j)
+        mean_m, mean_j = (mean_level(bary @ corners)
+                          for corners in (tables.m_corners, tables.j_corners))
         e_pair = radiate_arrays(traced_pair, rwg, bc, pts)
         e_m = radiate_arrays(replace(traced_pair, j=None), rwg, bc, pts)
         expected = (
             float(np.linalg.norm(e_pair, axis=1).max() / max(mean_m, mean_j)),
             float(np.linalg.norm(e_m, axis=1).max() / mean_m))
         assert check_love_condition(traced_pair, rwg, bc, pts) == expected
+        # The corner form is exact only in exact arithmetic: the levels
+        # agree with the current evaluated at the quadrature points to
+        # within rounding.
+        faces = np.arange(fine.n_faces)[:, None]
+        for level, space, coeffs in ((mean_m, rwg, traced_pair.m),
+                                     (mean_j, bc, traced_pair.j)):
+            direct = mean_level(
+                evaluate_rt0(fine, space.to_fine @ coeffs, faces, quad))
+            assert level == pytest.approx(direct, rel=1e-14, abs=0.0)
 
 
 class TestErrorCurve:
