@@ -920,6 +920,43 @@ def _suite_interior_identity():
     return entry
 
 
+# Largest rotation defect of each kind's self-pass block, over its
+# largest entry: the near rules are not rotation-invariant, and the
+# touching-pair double layer holds about two digits.
+_DEFECT_BOUNDS = {"single": 1e-5, "hyper": 1e-5, "double": 5e-2}
+
+
+def _suite_rotation_defect():
+    """Self-pass blocks must be signed permutations of themselves.
+
+    Every rotation that keeps the mesh and its near pairs maps each
+    block onto itself, up to signs, in exact arithmetic; the defect
+    max_g max_ij ||B[g i, g j]| - |B[i, j]|| measures the near rules'
+    departure from that on the 120-edge, r = 0.04 m surface at 2 GHz.
+    Fewer than 60 rotations fails too: the far tiles would then run
+    on more orbits than the generated spheres have.
+    """
+    plan = PLANS.geometry(0.04, 0.02)
+    blocks = operators.assemble_blocks(
+        plan.rwg, [(plan.rwg, ("single", "hyper")), (plan.bc, ("double",))],
+        FrequencyContext(2e9).wavenumber, near=plan.near)
+    rot = plan.mesh.rotations
+    perms = rot.perm[np.isin(rot.ids, plan.near.rotations)]
+    defects = {}
+    for kind, block in {**blocks[0], **blocks[1]}.items():
+        size = np.abs(block)
+        defects[kind] = max(
+            float(np.abs(size[np.ix_(perm, perm)] - size).max())
+            for perm in perms) / float(size.max())
+    worst = max(defects[kind] / bound
+                for kind, bound in _DEFECT_BOUNDS.items())
+    entry = _check("rotation-defect", worst, 1.0,
+                   detail={"order": len(perms), "defects": defects,
+                           "bounds": _DEFECT_BOUNDS})
+    entry["passed"] = entry["passed"] and len(perms) >= 60
+    return entry
+
+
 _PROPERTY_CHECKS = (
     ("solenoidal-cancellation", _suite_solenoidal),
     ("projector-algebra", _suite_projector_algebra),
@@ -927,6 +964,7 @@ _PROPERTY_CHECKS = (
     ("limit-property", _suite_limit_property),
     ("dipole-maxwell", _suite_dipole_oracle),
     ("interior-identity", _suite_interior_identity),
+    ("rotation-defect", _suite_rotation_defect),
 )
 
 

@@ -16,10 +16,13 @@ traverses the edge tail -> head (called the plus side) and
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .quadrature import triangle_rule
 
@@ -275,6 +278,16 @@ class TriangleMesh:
             return fans
         return self._cached("vertex_fans", build)
 
+    @property
+    def rotations(self) -> "Rotations":
+        """The icosahedron's rotations that map this mesh onto itself.
+
+        Every generated sphere keeps all 60; a mesh without symmetry
+        keeps the identity alone.  Kept with the mesh's read-only
+        arrays, so the result follows its contents.
+        """
+        return self._cached("rotations", lambda: _mesh_rotations(self))
+
 
 def _face_basis(mesh: TriangleMesh, points: np.ndarray,
                 faces: np.ndarray) -> np.ndarray:
@@ -315,6 +328,68 @@ def _icosahedron():
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ], dtype=np.int64)
     return verts, faces
+
+
+class Rotations(NamedTuple):
+    """Rotations that map a mesh onto itself, as signed edge maps.
+
+    ``ids`` index ``_icosahedral_rotations()`` in ascending order, so
+    the identity, id 0, comes first.  Rotation ``ids[g]`` takes edge
+    ``e`` to edge ``perm[g, e]``; ``sign[g, e]`` is -1 where it
+    reverses the edge's lo < hi orientation, so an RWG or BC function
+    on ``e`` turns into ``sign[g, e]`` times that on ``perm[g, e]``.
+    """
+
+    ids: np.ndarray
+    perm: np.ndarray
+    sign: np.ndarray
+
+
+@functools.cache
+def _icosahedral_rotations() -> np.ndarray:
+    """The 60 proper rotations of ``_icosahedron()``, shape (60, 3, 3).
+
+    Rotation 5 i + j sends vertex 0 to vertex i and the lowest-indexed
+    neighbour of vertex 0 to the j-th lowest of vertex i's five, so
+    rotation 0 is the identity, set exactly: every mesh keeps it, even
+    one far from the origin.
+    """
+    verts, faces = _icosahedron()
+
+    def neighbours(v):
+        return sorted({int(u) for face in faces if v in face for u in face}
+                      - {v})
+
+    def frame(a, b):
+        u = b - (a @ b) * a
+        u /= np.linalg.norm(u)
+        return np.column_stack([a, u, np.cross(a, u)])
+
+    source = frame(verts[0], verts[neighbours(0)[0]])
+    rotations = np.array([frame(verts[i], verts[j]) @ source.T
+                          for i in range(len(verts)) for j in neighbours(i)])
+    rotations[0] = np.eye(3)
+    rotations.setflags(write=False)
+    return rotations
+
+
+def _mesh_rotations(mesh: TriangleMesh) -> Rotations:
+    """Keep the candidate rotations that map vertices onto vertices.
+
+    A vertex matches within 1e-9 of the mesh's extent; a rotation is
+    kept when every vertex and every edge has an image in the mesh.
+    """
+    verts = mesh.vertices
+    tol = 1e-9 * float(np.ptp(verts, axis=0).max())
+    rotated = verts @ _icosahedral_rotations().transpose(0, 2, 1)
+    dist, image = cKDTree(verts).query(rotated, distance_upper_bound=tol)
+    ids = np.flatnonzero(np.isfinite(dist).all(axis=1))
+    lo, hi = image[ids][:, mesh.edges[:, 0]], image[ids][:, mesh.edges[:, 1]]
+    perm = np.minimum(_edge_ids(mesh, lo, hi), mesh.n_edges - 1)
+    kept = ((mesh.edges[perm, 0] == np.minimum(lo, hi))
+            & (mesh.edges[perm, 1] == np.maximum(lo, hi))).all(axis=1)
+    sign = np.where(lo < hi, 1, -1).astype(np.int8)
+    return Rotations(ids[kept], perm[kept], sign[kept])
 
 
 def _octahedron() -> TriangleMesh:

@@ -25,12 +25,21 @@ A request may name its own test space on the same refined mesh, so
 blocks tested by RWG and by BC functions of one surface come from one
 sweep over the kernel.
 
+Every generated sphere maps onto itself under the icosahedron's 60
+proper rotations, and each rotation turns every basis function into
+plus or minus another.  So the far tiles compute the rows of one test
+function per rotation orbit only, and every other row follows from
+those by a signed permutation (Allgower, Boehmer, Georg & Miranda,
+SIAM J. Numer. Anal. 29, 1992).  A mesh without symmetry keeps the
+identity alone, and every row is its own orbit.
+
 Sign conventions follow the exp(-i omega t) time dependence with the
 outgoing Green function exp(+ikR) / (4 pi R).
 """
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -271,10 +280,13 @@ class _Factors:
         self.half = row_sums(base)
         self.corner = tuple(row_sums(base * corners[:, :, c]) for c in range(3))
 
-    def rows(self, r0: int, r1: int) -> "_Rows":
-        """The maps' rows of faces r0:r1, transposed: (N, r1 - r0) each."""
-        return _Rows(self.half[r0:r1].T,
-                     tuple(c[r0:r1].T for c in self.corner))
+    def rows(self, faces, dofs=None) -> "_Rows":
+        """The maps' rows ``faces``, and columns ``dofs`` if given,
+        transposed: (dofs, faces) each."""
+        def pick(m):
+            m = m[faces]
+            return (m if dofs is None else m[:, dofs]).T
+        return _Rows(pick(self.half), tuple(pick(c) for c in self.corner))
 
 
 class _Rows(NamedTuple):
@@ -353,59 +365,64 @@ def _fold_left(rows, w):
 _SIGNS = {"single": 1j, "hyper": -1j, "double": -1.0}
 
 
-def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
-    """Add the far pairs to every request's blocks, tile by tile.
+def _apply_far(out, reqs, tiles, fine_s, lookup, k, floor, opts):
+    """Add the far pairs to the representatives' rows, tile by tile.
 
-    A tile pair holds ``_TILE`` faces a side, so its kernel buffers
-    and moment tables keep one fixed, cache-sized working set whatever
-    the meshes' sizes.  ``lookup`` marks the near pairs of a
-    same-surface call, which are zeroed here and left to
-    ``_apply_near``; it is None across surfaces, where
-    ``check_clearance`` has kept every pair ``_SEPARATION`` face
-    diameters apart.  Every buffer is released on return, before the
-    near pass allocates its own.
+    ``out`` holds, per request and kind, one row per representative of
+    its test space; ``tiles`` lists the test faces of each tile, with
+    the test space and representatives they serve (``_far_tiles``).
+    Source faces go ``_TILE`` at a time, so the kernel buffers and
+    moment tables keep one fixed, cache-sized working set whatever the
+    meshes' sizes.  ``lookup`` marks the near pairs of a same-surface
+    call, which are zeroed here and left to ``_apply_near``; it is None
+    across surfaces, where ``check_clearance`` has kept every pair
+    ``_SEPARATION`` face diameters apart.  Every buffer is released on
+    return, before the near pass allocates its own.
     """
-    need_helm = any(kind in ("single", "hyper")
-                    for req in reqs for kind in req.kinds)
-    need_grad = any("double" in req.kinds for req in reqs)
+    fine_t = reqs[0].test.fine
     pts_t, wts_t = fine_t.quadrature(opts.regular_degree)
     pts_s, wts_s = fine_s.quadrature(opts.regular_degree)
     phi_t = _weighted_monomials(pts_t, wts_t)
     phi_s = phi_t if fine_s is fine_t else _weighted_monomials(pts_s, wts_s)
-    nt = fine_t.n_faces
     ns = fine_s.n_faces
     q = pts_t.shape[1]
     p = pts_s.shape[1]
     spans = [(j0, min(j0 + _TILE, ns)) for j0 in range(0, ns, _TILE)]
     # Each source map's rows, sliced once per source tile.
     maps = {id(req.factors): req.factors for req in reqs}
-    src_rows = {key: [f.rows(j0, j1) for j0, j1 in spans]
+    src_rows = {key: [f.rows(slice(j0, j1)) for j0, j1 in spans]
                 for key, f in maps.items()}
     # Two buffers take kR and the phase of every tile.
-    size = min(_TILE, nt) * q * min(_TILE, ns) * p
+    size = max(len(faces) for faces, _, _ in tiles) * q * min(_TILE, ns) * p
     scaled_buffer = np.empty(size)
     phase_buffer = np.empty(size, dtype=np.complex128)
-    for i0 in range(0, nt, _TILE):
-        i1 = min(i0 + _TILE, nt)
-        ft = phi_t[i0:i1]
-        xt = pts_t[i0:i1].reshape(-1, 3)
+    for faces, test, reps in tiles:
+        mine = [(req, blocks) for req, blocks in zip(reqs, out)
+                if req.test is test]
+        need_helm = any(kind in ("single", "hyper")
+                        for req, _ in mine for kind in req.kinds)
+        need_grad = any("double" in req.kinds for req, _ in mine)
+        ft = phi_t[faces]
+        xt = pts_t[faces].reshape(-1, 3)
+        near_rows = None if lookup is None else lookup[faces]
         # (N, I) accumulators: source dofs by test faces of the tile
         w = [
-            {kind: [np.zeros((req.space.n_dofs, i1 - i0), dtype=np.complex128)
+            {kind: [np.zeros((req.space.n_dofs, len(faces)),
+                             dtype=np.complex128)
                     for _ in range(1 if kind == "hyper" else 4)]
              for kind in req.kinds}
-            for req in reqs]
+            for req, _ in mine]
         for jt, (j0, j1) in enumerate(spans):
             r = _pairwise_distance(xt, pts_s[j0:j1].reshape(-1, 3))
-            if lookup is None:
+            if near_rows is None:
                 dead = None
             else:
                 # Coinciding points take a unit distance; they and the
                 # near pairs get a zero kernel.
                 dead = r <= floor
                 r[dead] = 1.0
-                sub = lookup[i0:i1, j0:j1].tocoo()
-                shape4 = (i1 - i0, q, j1 - j0, p)
+                sub = near_rows[:, j0:j1].tocoo()
+                shape4 = (len(faces), q, j1 - j0, p)
                 dead.reshape(shape4)[sub.row, :, sub.col] = True
             kr = np.multiply(r, k, out=scaled_buffer[:r.size].reshape(r.shape))
             phase = _phase(kr, out=phase_buffer[:r.size].reshape(r.shape))
@@ -416,7 +433,7 @@ def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
                     vals[dead] = 0.0
                 tr, sv, svp, s0 = _helmholtz_combos(_moment_table(vals, ft, fs))
                 del vals
-                for req, acc in zip(reqs, w):
+                for (req, _), acc in zip(mine, w):
                     rows = src_rows[id(req.factors)][jt]
                     if "single" in req.kinds:
                         _push_single(acc["single"], tr, sv, svp, s0, rows)
@@ -433,17 +450,109 @@ def _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts):
                 if dead is not None:
                     phase[dead] = 0.0
                 w9, d3 = _gradient_combos(_moment_table(phase, ft, fs))
-                for req, acc in zip(reqs, w):
+                for (req, _), acc in zip(mine, w):
                     if "double" in req.kinds:
                         _push_double(acc["double"], w9, d3,
                                      src_rows[id(req.factors)][jt])
-        for req, acc, blocks in zip(reqs, w, out):
-            rows = req.test_factors.rows(i0, i1)
+        rows = mine[0][0].test_factors.rows(faces, reps)
+        for (req, blocks), acc in zip(mine, w):
             for kind in req.kinds:
                 # Both sides' charge maps are 2 ``half``.
                 fold = (4.0 * np.asarray(rows.half @ acc[kind][0].T)
                         if kind == "hyper" else _fold_left(rows, acc[kind]))
                 blocks[kind] += _SIGNS[kind] * fold
+
+
+# -- rotation orbits -------------------------------------------------
+
+class _Orbits(NamedTuple):
+    """Orbits of a test mesh's edges under a call's rotations.
+
+    ``reps`` holds one representative per orbit, ascending.  Edge i is
+    the image of representative ``reps[row[i]]`` under the call's
+    rotation ``rotation[i]``, the first that takes it there (the
+    identity for a representative), which turns the representative's
+    function into ``sign[i]`` times edge i's.
+    """
+
+    reps: np.ndarray
+    row: np.ndarray
+    rotation: np.ndarray
+    sign: np.ndarray
+
+
+def _call_rotations(reqs, near):
+    """Each space mesh's (perm, sign) under the call's rotations.
+
+    The call keeps the rotations common to all its meshes and, on one
+    surface, those that also map ``near``'s pairs onto themselves, so
+    the far pairs map onto far pairs.  The identity is always first.
+    """
+    meshes = {id(space.mesh): space.mesh
+              for req in reqs for space in (req.test, req.space)}
+    ids = [mesh.rotations.ids for mesh in meshes.values()]
+    if near is not None:
+        ids.append(near.rotations)
+    common = functools.reduce(np.intersect1d, ids)
+    maps = {}
+    for key, mesh in meshes.items():
+        rot = mesh.rotations
+        at = np.searchsorted(rot.ids, common)
+        maps[key] = (rot.perm[at], rot.sign[at])
+    return maps
+
+
+def _orbits(mesh, perm, sign) -> _Orbits:
+    """Orbits of ``mesh``'s edges under rotations ``perm`` (G, edges).
+
+    Each orbit's representative is the member whose midpoint lies
+    nearest vertex 0, the lowest index among equals.  Orbits need not
+    be free: a rotation may fix an edge, reversed or not.
+    """
+    n = mesh.n_edges
+    v = mesh.vertices
+    mid = 0.5 * (v[mesh.edges[:, 0]] + v[mesh.edges[:, 1]])
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), np.linalg.norm(mid - v[0], axis=1)))] = (
+        np.arange(n))
+    best = perm[np.argmin(rank[perm], axis=0), np.arange(n)]
+    reps = np.unique(best)
+    rotation = np.argmax(perm[:, best] == np.arange(n), axis=0)
+    return _Orbits(reps, np.searchsorted(reps, best), rotation,
+                   sign[rotation, best])
+
+
+def _far_tiles(reqs, orbits):
+    """Test faces of the far tiles, each with the space it tests.
+
+    A test space's tiles take, ``_TILE`` at a time and in ascending
+    order, the fine faces that support its representatives.  So a
+    row's far part sums the same tiles in the same order whatever
+    other requests share the call, and keeps its bits.  Returns
+    (faces, test space, representatives) per tile.
+    """
+    tiles = []
+    for test in {id(req.test): req.test for req in reqs}.values():
+        reps = orbits[id(test.mesh)].reps
+        faces = np.unique(test.local[:, reps].nonzero()[0] // 3)
+        tiles += [(faces[i0:i0 + _TILE], test, reps)
+                  for i0 in range(0, len(faces), _TILE)]
+    return tiles
+
+
+def _expand(block, orbits, perm, sign):
+    """Every row of a block from its representative's row.
+
+    F[i, perm[g, j]] = s_i sign[g, j] B[r, j] with r, g and s_i the
+    representative, rotation and sign that ``orbits`` gives edge i, in
+    one assignment that writes every entry once.
+    """
+    g = orbits.rotation
+    rows = block[orbits.row]
+    rows *= orbits.sign[:, None] * sign[g]
+    out = np.empty_like(rows)
+    out[np.arange(len(g))[:, None], perm[g]] = rows
+    return out
 
 
 # -- near pair detection ---------------------------------------------
@@ -707,6 +816,25 @@ class NearPlan:
                                 rtol=0.0, atol=1e-12 * self.scale)):
             raise ValueError("near plan belongs to another mesh")
 
+    @property
+    def rotations(self) -> np.ndarray:
+        """Ids of the mesh's rotations that map the near pairs onto
+        themselves, the same for every scaled copy."""
+        def build():
+            fine, (tp, sq) = self.fine, self.pairs
+            rot, n = fine.rotations, fine.n_faces
+            own = np.sort(tp * n + sq)
+            # A rotation takes an edge's plus face to the plus face of
+            # the edge's image, or to its minus face if it reverses it.
+            images = np.empty((len(rot.ids), n), dtype=np.int64)
+            images[:, fine.edge_faces[:, 0]] = fine.edge_faces[
+                rot.perm, np.where(rot.sign > 0, 0, 1)]
+            kept = [np.array_equal(own, np.sort(
+                np.minimum(face[tp], face[sq]) * n
+                + np.maximum(face[tp], face[sq]))) for face in images]
+            return rot.ids[kept]
+        return self._get("rotations", build)
+
     def _get(self, key, build):
         if key not in self._built:
             value = build()
@@ -903,6 +1031,16 @@ def assemble_blocks(test, requests, k, options=None, near=None):
         ``options``, kept across calls.  Without it a same-surface
         call builds them for its own mesh.  Ignored across surfaces.
 
+    The far pairs are computed for one test function per orbit of the
+    rotations that every mesh of the call keeps (``TriangleMesh.
+    rotations``) and that, on one surface, map the near pairs onto
+    themselves (``NearPlan.rotations``); every other row of the far
+    part is a signed permutation of its representative's
+    (``_expand``).  The near pairs are integrated for every row, since
+    their rules are not rotation-invariant.  Each test space's far
+    tiles cover its own representatives' supports, so every row has
+    the same bits whatever other requests share the call.
+
     Returns
     -------
     list of dict
@@ -942,13 +1080,20 @@ def assemble_blocks(test, requests, k, options=None, near=None):
                 near.double(tier)
         lookup = near.lookup
 
-    out = [
-        {kind: np.zeros((req.test.n_dofs, req.space.n_dofs),
-                        dtype=np.complex128)
+    maps = _call_rotations(reqs, near if same else None)
+    tested = {id(req.test.mesh): req.test.mesh for req in reqs}
+    orbits = {key: _orbits(mesh, *maps[key]) for key, mesh in tested.items()}
+    far = [
+        {kind: np.zeros((len(orbits[id(req.test.mesh)].reps),
+                         req.space.n_dofs), dtype=np.complex128)
          for kind in req.kinds}
         for req in reqs]
-
-    _apply_far(out, reqs, fine_t, fine_s, lookup, k, floor, opts)
+    _apply_far(far, reqs, _far_tiles(reqs, orbits), fine_s, lookup, k,
+               floor, opts)
+    out = [{kind: _expand(block, orbits[id(req.test.mesh)],
+                          *maps[id(req.space.mesh)])
+            for kind, block in blocks.items()}
+           for req, blocks in zip(reqs, far)]
     if same:
         _apply_near(out, reqs, fine_t, near, k, floor, opts)
     return out

@@ -31,6 +31,13 @@ def make_torus_mesh(n: int = 4, m: int = 4) -> TriangleMesh:
     return TriangleMesh(np.array(verts), np.array(tris))
 
 
+def turned(mesh, seed):
+    """``mesh`` turned about the origin by a seeded random rotation."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return TriangleMesh(mesh.vertices @ (q * np.linalg.det(q)).T,
+                        mesh.triangles)
+
+
 def singular_patch_points(corners, obs, n=16):
     """Reference quadrature for 1/R-type integrands on one triangle.
 

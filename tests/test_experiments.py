@@ -525,6 +525,39 @@ class TestPropertySuite:
         assert calls.count(1e-30) == 1
         assert len(calls) == 1 + len(ledger["checks"][0]["detail"]["norms"])
 
+    def test_check_names(self):
+        assert [name for name, _ in experiments._PROPERTY_CHECKS] == [
+            "solenoidal-cancellation", "projector-algebra",
+            "scaling-roundtrip", "limit-property", "dipole-maxwell",
+            "interior-identity", "rotation-defect"]
+
+    def test_rotation_defect_within_bounds(self, tmp_path):
+        cfg = ExperimentConfig(output_dir=str(tmp_path))
+        ledger = run_property_suite(cfg, names=("rotation-defect",))
+        entry = ledger["checks"][0]
+        assert entry["passed"]
+        assert entry["detail"]["order"] == 60
+        defects = entry["detail"]["defects"]
+        assert set(defects) == {"single", "hyper", "double"}
+        for kind, bound in entry["detail"]["bounds"].items():
+            assert 0.0 < defects[kind] <= bound
+        # the near double layer dominates; single and hyper hold 5 digits
+        assert defects["double"] > 100.0 * max(defects["single"],
+                                               defects["hyper"])
+
+    def test_lost_rotations_fail_the_defect_check(self, tmp_path,
+                                                  monkeypatch):
+        # a mesh that detects only the identity would silently take the
+        # slow path; the check reports it
+        monkeypatch.setattr(operators.NearPlan, "rotations",
+                            property(lambda plan: np.array([0])))
+        cfg = ExperimentConfig(output_dir=str(tmp_path))
+        ledger = run_property_suite(cfg, names=("rotation-defect",))
+        entry = ledger["checks"][0]
+        assert entry["detail"]["order"] == 1
+        assert entry["metric"] <= entry["bound"]
+        assert not entry["passed"]
+
     def test_check_exception_is_captured(self, tmp_path, monkeypatch):
         def broken(src, points):
             raise RuntimeError("synthetic oracle outage")

@@ -4,7 +4,7 @@ import pytest
 from lovebem import (TriangleMesh, MeshError,
                      generate_sphere_mesh, barycentric_refine)
 from lovebem.mesh import _octahedron, unit_icosphere
-from conftest import make_torus_mesh
+from conftest import make_torus_mesh, turned
 
 
 def signed_volume(mesh):
@@ -176,3 +176,56 @@ class TestRefinement:
         np.testing.assert_allclose(
             r.mesh.vertices[r.centroid_offset + 3],
             octahedron.face_centroids[3])
+
+
+class TestRotations:
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_icospheres_keep_all_sixty(self, level):
+        mesh = unit_icosphere(level)
+        rot = mesh.rotations
+        np.testing.assert_array_equal(rot.ids, np.arange(60))
+        assert rot.perm.shape == rot.sign.shape == (60, mesh.n_edges)
+        np.testing.assert_array_equal(rot.perm[0], np.arange(mesh.n_edges))
+        np.testing.assert_array_equal(rot.sign[0], 1)
+        for perm in rot.perm:
+            np.testing.assert_array_equal(np.sort(perm),
+                                          np.arange(mesh.n_edges))
+
+    def test_octahedron_keeps_the_tetrahedral_twelve(self, octahedron):
+        assert len(octahedron.rotations.ids) == 12
+
+    def test_edge_maps_follow_the_rotated_vertices(self, small_sphere):
+        # the rotated midpoint of edge e is the midpoint of perm[e], and
+        # sign -1 exactly where the image runs from the higher index
+        from lovebem.mesh import _icosahedral_rotations
+        mesh, rot = small_sphere, small_sphere.rotations
+        v, e = mesh.vertices, mesh.edges
+        for g, perm, sign in zip(rot.ids, rot.perm, rot.sign):
+            turn = _icosahedral_rotations()[g]
+            tail, head = v[e[:, 0]] @ turn.T, v[e[:, 1]] @ turn.T
+            np.testing.assert_allclose(tail + head,
+                                       v[e[perm, 0]] + v[e[perm, 1]],
+                                       atol=1e-15)
+            forward = np.linalg.norm(tail - v[e[perm, 0]], axis=1) < 1e-12
+            np.testing.assert_array_equal(sign, np.where(forward, 1, -1))
+
+    def test_asymmetric_meshes_keep_the_identity(self):
+        icosphere = unit_icosphere(1)
+        irregular = TriangleMesh(
+            [[0.9, 0.1, 0.0], [-0.3, 1.1, 0.2], [-0.4, -0.7, 0.1],
+             [0.1, 0.2, 1.3]], [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
+        shifted = TriangleMesh(icosphere.vertices + [0.1, 0.2, 0.3],
+                               icosphere.triangles)
+        remote = TriangleMesh(icosphere.vertices + [3e9, 0.0, 0.0],
+                              icosphere.triangles)
+        for mesh in (irregular, shifted, remote, turned(icosphere, 0),
+                     turned(icosphere, 1)):
+            rot = mesh.rotations
+            np.testing.assert_array_equal(rot.ids, [0])
+            np.testing.assert_array_equal(rot.perm, [np.arange(mesh.n_edges)])
+            np.testing.assert_array_equal(rot.sign, 1)
+
+    def test_cached_on_the_mesh(self, small_sphere):
+        assert small_sphere.rotations is small_sphere.rotations
+        with pytest.raises(ValueError):
+            small_sphere.rotations.perm[0, 0] = 1

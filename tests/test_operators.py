@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lovebem.mesh import TriangleMesh, generate_sphere_mesh
 from lovebem import operators
-from lovebem.mesh import unit_icosphere
+from lovebem.mesh import barycentric_refine, unit_icosphere
 from lovebem.operators import (C0, AssemblyOptions, FrequencyContext,
                                NearPlan, _coplanar, _double_layer_local,
                                _gradient_remainder,
@@ -19,7 +19,7 @@ from lovebem.operators import (C0, AssemblyOptions, FrequencyContext,
                                _static_gradient, assemble_blocks)
 from lovebem.quadrature import subdivide4, triangle_rule
 from lovebem.spaces import BasisSpace, basis_pair, build_loop_star
-from conftest import singular_fans
+from conftest import singular_fans, turned
 
 FOUR_PI = 4.0 * np.pi
 KINDS = ("single", "hyper", "double")
@@ -273,6 +273,35 @@ class TestTestQualifiedRequests:
             for kind in want:
                 np.testing.assert_array_equal(got[kind], want[kind])
 
+    def test_merged_pass_matches_separate_calls_across_tiles(
+            self, monkeypatch):
+        # On a level-2 surface the merged call's supports fill more than
+        # one far tile; every row still keeps its separate call's bits.
+        rwg, bc = basis_pair(unit_icosphere(2))
+        near = NearPlan(rwg.fine)
+        tiles = []
+        real = operators._far_tiles
+
+        def spy(reqs, orbits):
+            tiles.append(real(reqs, orbits))
+            return tiles[-1]
+
+        monkeypatch.setattr(operators, "_far_tiles", spy)
+        k = 5.0
+        merged = assemble_blocks(
+            rwg, [(rwg, ("single", "hyper")), (bc, ("double",)),
+                  (rwg, ("double",), bc), (bc, ("single", "hyper"), bc)], k,
+            near=near)
+        separate = (
+            assemble_blocks(rwg, [(rwg, ("single", "hyper")),
+                                  (bc, ("double",))], k, near=near)
+            + assemble_blocks(bc, [(rwg, ("double",)),
+                                   (bc, ("single", "hyper"))], k, near=near))
+        assert len(tiles[0]) > 1
+        for got, want in zip(merged, separate):
+            for kind in want:
+                np.testing.assert_array_equal(got[kind], want[kind])
+
     def test_rejects_test_space_on_another_refined_mesh(
             self, coarse_sphere_pair):
         rwg, _ = coarse_sphere_pair
@@ -393,6 +422,16 @@ class TestTiling:
         for kind in KINDS:
             assert rel(got[kind], ref[kind]) < 1e-12
 
+    def test_ragged_tiles_on_a_turned_surface(self, monkeypatch):
+        # Turned, the surface keeps only the identity, so every face is
+        # tiled: 37-face tiles, with near pairs across their edges.
+        space = identity_space(turned(generate_sphere_mesh(1.0, 0.55), 3))
+        ref = assemble_blocks(space, [(space, KINDS)], 1.3)[0]
+        monkeypatch.setattr(operators, "_TILE", 37)
+        got = assemble_blocks(space, [(space, KINDS)], 1.3)[0]
+        for kind in KINDS:
+            assert rel(got[kind], ref[kind]) < 1e-12
+
     def test_default_tiles_match_one_tile(self, small_sphere, monkeypatch):
         # The 480 fine faces of the 0.04 m sphere span several default
         # tiles, with near pairs across their edges.  One kept near plan
@@ -428,6 +467,80 @@ class TestTiling:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+
+class TestRotationOrbits:
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_near_pairs_are_closed_under_the_group(self, level):
+        fine = barycentric_refine(unit_icosphere(level)).mesh
+        np.testing.assert_array_equal(NearPlan(fine).rotations,
+                                      np.arange(60))
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_self_blocks_match_a_turned_surface(self, level):
+        # The turned copy keeps only the identity, so it assembles
+        # every row itself; level 0 has edges fixed by a half turn.
+        mesh = unit_icosphere(level)
+        rwg, bc = basis_pair(mesh)
+        trwg, tbc = basis_pair(turned(mesh, level))
+        assert len(trwg.mesh.rotations.ids) == 1
+        k = 2.0
+        requests = [(rwg, KINDS), (bc, ("double",)), (rwg, KINDS, bc)]
+        got = assemble_blocks(rwg, requests, k)
+        ref = assemble_blocks(trwg, [(trwg, KINDS), (tbc, ("double",)),
+                                     (trwg, KINDS, tbc)], k)
+        for g, r in zip(got, ref):
+            for kind in g:
+                assert rel(g[kind], r[kind]) < 1e-13
+
+    def test_probe_blocks_match_a_turned_geometry(self, small_sphere):
+        rwg, bc = basis_pair(small_sphere)
+        probe = basis_pair(generate_sphere_mesh(0.11, 0.03))[1]
+        turn = [basis_pair(turned(mesh, 7))
+                for mesh in (small_sphere, probe.mesh)]
+        k = FrequencyContext(2e9).wavenumber
+        got = assemble_blocks(probe, [(rwg, KINDS), (bc, KINDS)], k)
+        ref = assemble_blocks(turn[1][1], [(turn[0][0], KINDS),
+                                           (turn[0][1], KINDS)], k)
+        for g, r in zip(got, ref):
+            for kind in KINDS:
+                assert rel(g[kind], r[kind]) < 1e-13
+
+    def test_far_kernel_runs_on_one_support_per_orbit(self, small_sphere,
+                                                      monkeypatch):
+        # Test faces whose far kernel is computed, counted as the rows
+        # reaching _pairwise_distance over the four 120-face source tiles
+        rwg, bc = basis_pair(small_sphere)
+        probe = basis_pair(generate_sphere_mesh(0.11, 0.03))[1]
+        rows = []
+        real = operators._pairwise_distance
+
+        def counted(x, y):
+            if x.ndim == 2:
+                rows.append(len(x))
+            return real(x, y)
+
+        monkeypatch.setattr(operators, "_pairwise_distance", counted)
+        q = len(triangle_rule(AssemblyOptions().regular_degree).weights)
+        k = FrequencyContext(2e9).wavenumber
+        near = NearPlan(rwg.fine)
+        calls = {
+            "probe": (probe, [(rwg, ("double",)), (bc, ("single", "hyper"))]),
+            "self": (rwg, [(rwg, ("single", "hyper")), (bc, ("double",))]),
+            "dual": (bc, [(rwg, ("double",)), (bc, ("single", "hyper"))]),
+            "calderon": (rwg, [(rwg, ("single", "hyper")), (bc, ("double",)),
+                               (rwg, ("double",), bc),
+                               (bc, ("single", "hyper"), bc)])}
+        faces = {}
+        for name, (test, requests) in calls.items():
+            rows.clear()
+            assemble_blocks(test, requests, k, near=near)
+            faces[name] = sum(rows) / (q * 4)
+        assert (probe.fine.n_faces, rwg.fine.n_faces) == (1920, 480)
+        assert faces["probe"] <= 200
+        assert faces["self"] <= 60 and faces["dual"] <= 60
+        # each test space's tiles cover its own supports
+        assert faces["calderon"] == faces["self"] + faces["dual"]
 
 
 class TestQuadratureDefaults:

@@ -192,3 +192,29 @@ def test_bc_matrix_entries_are_simple_fractions():
     mat = bc_matrix(barycentric_refine(mesh))
     scaled = mat.data * 10.0  # icosahedron fans have five faces per vertex
     np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-12)
+
+
+def signed_permutation(perm, sign):
+    """The matrix S with S[perm[e], e] = sign[e]."""
+    n = len(perm)
+    return sp.csr_matrix((sign.astype(float), (perm, np.arange(n))),
+                         shape=(n, n))
+
+
+class TestRotationEquivariance:
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_maps_commute_with_every_rotation(self, level):
+        # g turns f_e into sign[e] f_perm[e] on both meshes, so
+        # S_fine to_fine = to_fine S_coarse for both families
+        from lovebem.mesh import unit_icosphere
+        rwg, bc = basis_pair(unit_icosphere(level))
+        coarse, fine = rwg.mesh.rotations, rwg.fine.rotations
+        np.testing.assert_array_equal(coarse.ids, fine.ids)
+        assert len(coarse.ids) == 60
+        for g in range(len(coarse.ids)):
+            s_c = signed_permutation(coarse.perm[g], coarse.sign[g])
+            s_f = signed_permutation(fine.perm[g], fine.sign[g])
+            for space in (rwg, bc):
+                t = space.to_fine
+                gap = abs(s_f @ t - t @ s_c).max()
+                assert gap <= 1e-14 * abs(t).max()
