@@ -39,8 +39,8 @@ from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
                            assemble_calderon_interior, calderon_blocks,
                            check_love_weight, double_layer,
                            interior_coupling, recover_electric_current,
-                           save_solution, solve_baseline_love, solve_sp,
-                           solve_stabilized, static_coupling)
+                           rotated_gram, save_solution, solve_baseline_love,
+                           solve_sp, solve_stabilized, static_coupling)
 from .mesh import (_octahedron, barycentric_refine, generate_sphere_mesh,
                    unit_icosphere)
 from .operators import ETA0, FrequencyContext, NearPlan, gram_matrix
@@ -389,11 +389,11 @@ class ShapePlan:
     and BC coefficient maps (fluxes, so free of scale), the loop/star
     projectors (connectivity only) and, on first use, the near plan
     (near pairs with their static integrals, which scale by known
-    powers of the radius) and the static coupling, the frequency-free
-    part of the interior coupling block, which is dimensionless for
-    unit-flux functions.  Since no scaled mesh
-    ever reaches it, every sphere of the level gets the same bits,
-    whatever the order of requests.
+    powers of the radius), the rotated mixed Gram with its LU factors
+    and the static coupling, the frequency-free part of the interior
+    coupling block; the last two are dimensionless for unit-flux
+    functions.  Since no scaled mesh ever reaches it, every sphere of
+    the level gets the same bits, whatever the order of requests.
     """
 
     def __init__(self, level: int):
@@ -413,8 +413,15 @@ class ShapePlan:
         return NearPlan(self.rwg.fine)
 
     @cached_property
+    def gram(self):
+        dense, (lu, piv) = rotated_gram(self.rwg, self.bc)
+        _freeze(dense, lu, piv)
+        return dense, (lu, piv)
+
+    @cached_property
     def static_coupling(self):
-        block = static_coupling(self.rwg, self.bc, self.projectors, self.near)
+        block = static_coupling(self.rwg, self.bc, self.projectors,
+                                self.gram[0], self.near)
         _freeze(block)
         return block
 
@@ -425,9 +432,10 @@ class GeometryPlan:
     Holds the mesh later stages must use, since identity checks reject
     an equal but distinct mesh, and its RWG/BC pair: the barycentric
     refinement of the mesh with the shape's coefficient maps.  The
-    projectors, the near plan (scaled to the radius) and the static
-    coupling are the shape's.  ``coupling`` adds the double layer of
-    one wavenumber to the static coupling without keeping the sum.
+    projectors, the near plan (scaled to the radius), the Gram factors
+    and the static coupling are the shape's.  ``coupling`` adds the
+    double layer of one wavenumber to the static coupling without
+    keeping the sum.
     """
 
     def __init__(self, key, mesh, shape: ShapePlan):
@@ -449,6 +457,10 @@ class GeometryPlan:
     @property
     def static_coupling(self):
         return self.shape.static_coupling
+
+    @property
+    def gram_factors(self):
+        return self.shape.gram[1]
 
     def coupling(self, ctx):
         dynamic = double_layer(self.rwg, self.bc, ctx, self.near)
@@ -597,8 +609,8 @@ def _solve_scene(cfg: ExperimentConfig, scene: _Scene):
                 check_love_weight(cfg.love_weight)
             solution = solve_baseline_love(
                 surface.rwg, surface.bc, probe.bc, ctx, e, h, policy,
-                surface.static_coupling, love_weight=cfg.love_weight,
-                near=surface.near)
+                surface.static_coupling, surface.gram_factors,
+                love_weight=cfg.love_weight, near=surface.near)
         return solution, None
     with _stage("assembly"):
         plan = PLANS.operator(surface, probe, ctx)
@@ -676,6 +688,37 @@ def run_reconstruction(cfg: ExperimentConfig) -> dict:
     return {name: str(path) for name, path in paths.items()}
 
 
+def _sweep_conditions(surface, probe, frequencies, policy):
+    """(frequency, stabilized, raw condition, error) per frequency.
+
+    The columns are those of ``run_frequency_sweep``; a frequency that
+    fails is logged and gets NaN conditions and the exception's name
+    and message.
+    """
+    half_gram = 0.5 * gram_matrix(surface.rwg, surface.bc,
+                                  rotated=True).toarray()
+    rows = []
+    for frequency in frequencies:
+        try:
+            ctx = FrequencyContext(frequency)
+            plan = PLANS.operator(surface, probe, ctx)
+            system = plan.system
+            # The self pass already assembled the dynamic double layer.
+            plain = SPSystem(
+                ctx.wavenumber, system.field_double, system.field_efie,
+                system.trace_efie,
+                interior_coupling(system.trace_double, half_gram))
+            kappa_raw = condition_at_threshold(plain.dense(), policy)
+            kappa_scaled = condition_at_threshold(plan.stabilized.matrix(),
+                                                  policy)
+            rows.append((frequency, kappa_scaled, kappa_raw, ""))
+        except Exception as err:
+            log.warning("sweep point %.6g Hz failed: %s", frequency, err)
+            rows.append((frequency, float("nan"), float("nan"),
+                         f"{type(err).__name__}: {err}"))
+    return rows
+
+
 def run_frequency_sweep(cfg: ExperimentConfig) -> str:
     """Truncation-level condition numbers across a frequency sweep.
 
@@ -703,31 +746,10 @@ def run_frequency_sweep(cfg: ExperimentConfig) -> str:
             "(probe_offset_m, probe_edge_m)")
     out = _out_dir(cfg)
     scene = _build_scene(cfg, cfg.sweep[-1])
-    surface = scene.surface
     with _stage("assembly"):
-        surface.check_clearance(scene.probe)
-    policy = cfg.policy()
-    half_gram = 0.5 * gram_matrix(surface.rwg, surface.bc,
-                                  rotated=True).toarray()
-    rows = []
-    for frequency in cfg.sweep:
-        try:
-            ctx = FrequencyContext(frequency)
-            plan = PLANS.operator(surface, scene.probe, ctx)
-            system = plan.system
-            # The self pass already assembled the dynamic double layer.
-            plain = SPSystem(
-                ctx.wavenumber, system.field_double, system.field_efie,
-                system.trace_efie,
-                interior_coupling(system.trace_double, half_gram))
-            kappa_raw = condition_at_threshold(plain.dense(), policy)
-            kappa_scaled = condition_at_threshold(plan.stabilized.matrix(),
-                                                  policy)
-            rows.append((frequency, kappa_scaled, kappa_raw, ""))
-        except Exception as err:
-            log.warning("sweep point %.6g Hz failed: %s", frequency, err)
-            rows.append((frequency, float("nan"), float("nan"),
-                         f"{type(err).__name__}: {err}"))
+        scene.surface.check_clearance(scene.probe)
+    rows = _sweep_conditions(scene.surface, scene.probe, cfg.sweep,
+                             cfg.policy())
     path = out / "condition_sweep.csv"
     with _stage("write"):
         with open(path, "w", newline="") as handle:
@@ -904,8 +926,9 @@ def _suite_interior_identity():
     solution, plan = _solve_scene(cfg, scene)
     rwg, bc = scene.surface.rwg, scene.surface.bc
     identity_map = assemble_calderon_interior(
-        rwg, bc, plan.system.coupling,
-        calderon_blocks(rwg, bc, scene.ctx, near=scene.surface.near))
+        plan.system.coupling,
+        calderon_blocks(rwg, bc, scene.ctx, near=scene.surface.near),
+        scene.surface.gram_factors)
     stack = np.concatenate([-solution.m, solution.j])
     recovered = float(np.linalg.norm(identity_map @ stack)
                       / np.linalg.norm(stack))
@@ -921,8 +944,11 @@ def _suite_interior_identity():
 
 
 # Largest rotation defect of each kind's self-pass block, over its
-# largest entry: the near rules are not rotation-invariant, and the
-# touching-pair double layer holds about two digits.
+# largest entry.  A near pair is stored once, test face first by face
+# index, and a rotation may take it to a pair stored the other way
+# round, whose test and source faces sit on other rules; the
+# touching-pair double layer, whose outer and inner rules differ most,
+# holds about two digits.
 _DEFECT_BOUNDS = {"single": 1e-5, "hyper": 1e-5, "double": 5e-2}
 
 
@@ -931,10 +957,15 @@ def _suite_rotation_defect():
 
     Every rotation that keeps the mesh and its near pairs maps each
     block onto itself, up to signs, in exact arithmetic; the defect
-    max_g max_ij ||B[g i, g j]| - |B[i, j]|| measures the near rules'
-    departure from that on the 120-edge, r = 0.04 m surface at 2 GHz.
-    Fewer than 60 rotations fails too: the far tiles would then run
-    on more orbits than the generated spheres have.
+    max_g max_ij ||B[g i, g j]| - |B[i, j]|| measures the departure
+    from that on the 120-edge, r = 0.04 m surface at 2 GHz.  The far
+    tiles and the near pairs are computed once per orbit, and a pair
+    that a rotation maps onto one stored the same way round gets a
+    signed permutation of its block; what is left is the near pairs
+    that a rotation maps onto a pair stored the other way round, whose
+    two faces then swap their outer and inner rules.  Fewer than 60
+    rotations fails too: the far tiles and the near pairs would then
+    run on more orbits than the generated spheres have.
     """
     plan = PLANS.geometry(0.04, 0.02)
     blocks = operators.assemble_blocks(
@@ -957,6 +988,43 @@ def _suite_rotation_defect():
     return entry
 
 
+# Relative drift of the stabilized condition allowed from 1e5 to 1e7 Hz,
+# and the least ratio of the raw condition to it.
+_FLAT_DRIFT = 1e-3
+_RAW_RATIO = 10.0
+
+
+def _suite_lowfreq_flat():
+    """The stabilized condition must stay flat as the frequency falls.
+
+    The paper's claim, on the ``recon-mixed`` reference geometry (the
+    r = 0.04 m, 120-edge surface and its 480-edge probe 0.07 m out):
+    at 1e5, 1e6 and 1e7 Hz the truncation-level condition of the
+    scaled system stays within ``_FLAT_DRIFT`` of its 1e5 Hz value,
+    while the raw discretization's is at least ``_RAW_RATIO`` times
+    larger, at or near the truncation cap, at every point.
+    """
+    surface = PLANS.geometry(0.04, 0.02)
+    probe = PLANS.geometry(0.11, 0.03)
+    surface.check_clearance(probe)
+    rows = _sweep_conditions(surface, probe, (1e5, 1e6, 1e7),
+                             RegularizationPolicy(threshold=1e-6))
+    errors = [error for *_, error in rows if error]
+    if errors:
+        raise RuntimeError("; ".join(errors))
+    scaled = np.array([row[1] for row in rows])
+    raw = np.array([row[2] for row in rows])
+    drift = float(np.abs(scaled / scaled[0] - 1.0).max())
+    ratio = float((raw / scaled).min())
+    entry = _check("lowfreq-flat", drift, _FLAT_DRIFT,
+                   detail={"frequencies": [row[0] for row in rows],
+                           "kappa_stabilized": scaled.tolist(),
+                           "kappa_raw": raw.tolist(),
+                           "raw_ratio": ratio})
+    entry["passed"] = entry["passed"] and ratio >= _RAW_RATIO
+    return entry
+
+
 _PROPERTY_CHECKS = (
     ("solenoidal-cancellation", _suite_solenoidal),
     ("projector-algebra", _suite_projector_algebra),
@@ -965,6 +1033,7 @@ _PROPERTY_CHECKS = (
     ("dipole-maxwell", _suite_dipole_oracle),
     ("interior-identity", _suite_interior_identity),
     ("rotation-defect", _suite_rotation_defect),
+    ("lowfreq-flat", _suite_lowfreq_flat),
 )
 
 

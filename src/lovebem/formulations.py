@@ -45,6 +45,7 @@ __all__ = [
     "double_layer",
     "interior_coupling",
     "recover_electric_current",
+    "rotated_gram",
     "save_solution",
     "solve_baseline_love",
     "solve_sp",
@@ -80,7 +81,7 @@ def double_layer(rwg, bc, ctx, near=None):
                            near=near)[0]["double"]
 
 
-def static_coupling(rwg, bc, projectors, near=None):
+def static_coupling(rwg, bc, projectors, gram, near=None):
     """Frequency-free part of the interior coupling block of one surface.
 
     The coupling of wavenumber k is half the rotated mixed Gram plus the
@@ -96,8 +97,9 @@ def static_coupling(rwg, bc, projectors, near=None):
 
     For unit-flux functions the block is dimensionless and free of
     frequency, so one serves every wavenumber and radius of a shape.
+    ``gram`` is the dense rotated mixed Gram (``rotated_gram``).
     """
-    half_gram = 0.5 * gram_matrix(rwg, bc, rotated=True).toarray()
+    half_gram = 0.5 * gram
     static = double_layer(rwg, bc, _STATIC_WAVENUMBER, near)
     leak = projectors.onto_loops(
         projectors.onto_stars((half_gram + static).T).T)
@@ -331,24 +333,37 @@ def solve_stabilized(stabilized: StabilizedSystem, e,
                            formulation="single-current scaled", report=report)
 
 
-def assemble_calderon_interior(rwg, bc, coupling, blocks: CalderonBlocks):
+def rotated_gram(rwg, bc):
+    """The rotated mixed Gram G = <f_i, n x g_j>, dense, and its LU
+    factors.  Both are dimensionless for unit-flux functions."""
+    gram = gram_matrix(rwg, bc, rotated=True).toarray()
+    return gram, sla.lu_factor(gram)
+
+
+def assemble_calderon_interior(coupling, blocks: CalderonBlocks,
+                               gram_factors):
     """Interior field-identity map on stacked current coefficients.
 
     Acting on the stack ``(-m, j)`` of a radiating pair, the map
     returns coefficient residuals that vanish up to discretization
     error exactly when the pair radiates nothing into the interior.
     Rows are Gram-normalized so the output lives in the same
-    coefficient space as the input and the map can be iterated.
+    coefficient space as the input and the map can be iterated: the
+    top rows, ``-G^T / 2 + D'`` and ``-E'``, by the negated transpose
+    of the rotated mixed Gram G, the bottom rows by G.
 
     ``coupling`` is the interior coupling block of the single-current
-    system and ``blocks`` comes from ``calderon_blocks``.
+    system, ``blocks`` comes from ``calderon_blocks`` and
+    ``gram_factors`` are G's LU factors (``rotated_gram``).
     """
-    gram = gram_matrix(rwg, bc, rotated=True).toarray()
-    gram_dual = -gram.T
-    top = np.hstack([0.5 * gram_dual + blocks.dual_double, -blocks.dual_efie])
-    bottom = np.hstack([blocks.trace_efie, coupling])
-    top = sla.solve(gram_dual, top)
-    bottom = sla.solve(gram, bottom)
+    def under_dual(block):
+        return sla.lu_solve(gram_factors, block, trans=1)
+
+    top = np.hstack([0.5 * np.eye(len(coupling))
+                     - under_dual(blocks.dual_double),
+                     under_dual(blocks.dual_efie)])
+    bottom = sla.lu_solve(gram_factors,
+                          np.hstack([blocks.trace_efie, coupling]))
     return np.vstack([top, bottom])
 
 
@@ -361,7 +376,7 @@ def check_love_weight(weight) -> float:
 
 
 def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
-                        static_coupling, love_weight=None,
+                        static_coupling, gram_factors, love_weight=None,
                         near=None) -> CurrentSolution:
     """Two-current reconstruction with weighted interior constraints.
 
@@ -372,7 +387,8 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
     <g_i, E> and <g_i, H>; the impedance scaling of ``h`` is applied
     here.  ``love_weight=None`` balances the spectral norms of the two
     stacks, zero disables the constraint.  ``static_coupling`` is the
-    frequency-free part of ``interior_coupling``.  Two passes run: the
+    frequency-free part of ``interior_coupling``, and ``gram_factors``
+    those of ``assemble_calderon_interior``.  Two passes run: the
     radiation pass onto the probe tests and ``calderon_blocks``, whose
     self-surface blocks are the ones ``build_sp_system`` makes.
     """
@@ -395,7 +411,7 @@ def solve_baseline_love(rwg, bc, bc_probe, ctx, e, h, policy,
                           [-efie_primal, -double_dual]])
     blocks = calderon_blocks(rwg, bc, k, near)
     coupling = interior_coupling(blocks.trace_double, static_coupling)
-    identity_map = assemble_calderon_interior(rwg, bc, coupling, blocks)
+    identity_map = assemble_calderon_interior(coupling, blocks, gram_factors)
     if weight is None:
         weight = check_love_weight(np.linalg.norm(radiation, 2)
                                    / np.linalg.norm(identity_map, 2))

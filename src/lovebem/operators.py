@@ -30,8 +30,11 @@ proper rotations, and each rotation turns every basis function into
 plus or minus another.  So the far tiles compute the rows of one test
 function per rotation orbit only, and every other row follows from
 those by a signed permutation (Allgower, Boehmer, Georg & Miranda,
-SIAM J. Numer. Anal. 29, 1992).  A mesh without symmetry keeps the
-identity alone, and every row is its own orbit.
+SIAM J. Numer. Anal. 29, 1992).  Likewise the near integrals run once
+per orbit of stored, oriented face pairs, and every other pair's
+block is a signed permutation of its representative's.  A mesh
+without symmetry keeps the identity alone, and every row and every
+pair is its own orbit.
 
 Sign conventions follow the exp(-i omega t) time dependence with the
 outgoing Green function exp(+ikR) / (4 pi R).
@@ -765,13 +768,73 @@ _LINEAR = (np.arange(4) < 3).astype(int)
 _MOMENT_POWERS = 3 + np.add.outer(_LINEAR, _LINEAR)
 
 
+def _pair_orbits(fine: TriangleMesh, tp: np.ndarray, sq: np.ndarray):
+    """Orbits of stored, oriented near pairs under the mesh's rotations.
+
+    A pair (t, s) is stored once, with t <= s.  A rotation g takes it
+    to (g t, g s), a stored pair of the same orientation where
+    g t <= g s; the two 3x3 blocks then agree to rounding, while a pair
+    reached the other way round sits on other rules.  Corner a of face
+    t goes to corner c(a) of g t, and g turns t's local RT0 function a
+    into e(a) times that of g t at c(a), with e the product of the two
+    faces' RT0 signs.  So B[p][a, b] = e_t(a) e_s(b) B[r][c_t(a), c_s(b)]
+    with r = g p, the pair's representative: its lowest-indexed image
+    of the same orientation.
+
+    Returns the ids of the rotations that map the pairs onto
+    themselves, the representatives' indices (ascending), and, per
+    entry of each pair's 3x3 block, the entry of the representatives'
+    stacked blocks it takes and the sign, each (pairs, 3, 3).  One
+    rotation at a time, so the memory stays O(pairs).
+    """
+    rot, n, count = fine.rotations, fine.n_faces, len(tp)
+    key = tp * n + sq
+    order = np.argsort(key)
+    stored = key[order]
+    best = np.arange(count)
+    corners = np.tile(np.arange(3, dtype=np.int8), (2, count, 1))
+    flips = np.ones((2, count, 3), dtype=np.int8)
+    edges, signs = fine.face_edges, fine.face_edge_signs
+    kept = []
+    for g, gid in enumerate(rot.ids):
+        # A rotation takes an edge's plus face to the plus face of the
+        # edge's image, or to its minus face if it reverses it.
+        face = np.empty(n, dtype=np.int64)
+        face[fine.edge_faces[:, 0]] = fine.edge_faces[
+            rot.perm[g], np.where(rot.sign[g] > 0, 0, 1)]
+        gt, gs = face[tp], face[sq]
+        image_key = np.minimum(gt, gs) * n + np.maximum(gt, gs)
+        at = np.minimum(np.searchsorted(stored, image_key), count - 1)
+        if not np.array_equal(stored[at], image_key):
+            continue
+        kept.append(gid)
+        image = np.where(gt <= gs, order[at], count)
+        better = np.flatnonzero(image < best)
+        if not better.size:
+            continue
+        best[better] = image[better]
+        # Local edge a sits opposite corner a on both faces.
+        corner = np.argmax(rot.perm[g][edges][:, :, None]
+                           == edges[face][:, None, :], axis=2)
+        flip = signs * signs[face[:, None], corner]
+        for side, faces in enumerate((tp[better], sq[better])):
+            corners[side, better] = corner[faces]
+            flips[side, better] = flip[faces]
+    reps, row = np.unique(best, return_inverse=True)
+    index = (9 * row.astype(np.int32)[:, None, None]
+             + 3 * corners[0][:, :, None] + corners[1][:, None, :])
+    sign = flips[0][:, :, None] * flips[1][:, None, :]
+    return np.asarray(kept, dtype=rot.ids.dtype), reps, index, sign
+
+
 class NearPlan:
     """Near face pairs of one refined mesh and their k-independent parts.
 
     The pairs, their two tiers (pairs sharing a vertex, which see the
-    kernel singularity, and merely close ones) and the coplanar masks
-    depend only on the mesh.  So do the static parts of the near
-    integrals: the 4x4 moments of 1 / (4 pi R), on outer rules of depth
+    kernel singularity, and merely close ones), their orbits under the
+    mesh's rotations (``_pair_orbits``) and the coplanar masks depend
+    only on the mesh.  So do the static parts of the near integrals:
+    the 4x4 moments of 1 / (4 pi R), on outer rules of depth
     ``static_subdivisions`` (touching) or 0 (close), and the
     double-layer blocks of -1 / (4 pi R^3), on rules of depths
     ``double_outer_subdivisions`` by ``double_inner_subdivisions``
@@ -781,11 +844,16 @@ class NearPlan:
 
     ``pairs`` stacks the two tiers, touching first; ``pattern`` places
     their 3x3 blocks (``_near_pattern``) for every pass to fill.
+    Integrals run on the orbits' representatives only: ``tiers`` holds
+    those of each tier, ``live`` their masks of non-coplanar pairs,
+    and ``entry`` and ``sign``, aligned with ``pattern.data``, copy
+    their blocks to every pair.  A mesh without symmetry keeps the
+    identity, and every pair represents itself.
 
     ``scaled(a)`` gives the plan of the same mesh scaled by ``a``.  It
-    shares the pattern and the statics: moments of unit-flux functions
-    grow by a**(3 + [i < 3] + [j < 3]), and the double-layer blocks are
-    dimensionless.
+    shares the pattern, the orbits and the statics: moments of
+    unit-flux functions grow by a**(3 + [i < 3] + [j < 3]), and the
+    double-layer blocks are dimensionless.
     """
 
     def __init__(self, fine: TriangleMesh, options=None) -> None:
@@ -795,11 +863,16 @@ class NearPlan:
         both = np.concatenate([pairs, pairs[:, ::-1]])
         self.lookup = sp.csr_matrix((np.ones(len(both)), both.T),
                                     shape=(fine.n_faces, fine.n_faces))
-        self.tiers = tuple((pairs[mask, 0], pairs[mask, 1])
-                           for mask in (touching, ~touching))
-        self.live = tuple(~_coplanar(fine, tp, sq) for tp, sq in self.tiers)
-        self.pairs = tuple(np.concatenate(side) for side in zip(*self.tiers))
+        pairs = np.concatenate([pairs[touching], pairs[~touching]])
+        self.pairs = (pairs[:, 0], pairs[:, 1])
         self.pattern = _near_pattern(*self.pairs, fine.n_faces)
+        self._rotations, reps, index, sign = _pair_orbits(fine, *self.pairs)
+        self.entry = index.ravel()[self.pattern.data]
+        self.sign = sign.ravel()[self.pattern.data]
+        split = np.searchsorted(reps, np.count_nonzero(touching))
+        self.tiers = tuple((pairs[part, 0], pairs[part, 1])
+                           for part in np.split(reps, [split]))
+        self.live = tuple(~_coplanar(fine, tp, sq) for tp, sq in self.tiers)
         self._built = {}
 
     def scaled(self, scale: float) -> "NearPlan":
@@ -820,20 +893,7 @@ class NearPlan:
     def rotations(self) -> np.ndarray:
         """Ids of the mesh's rotations that map the near pairs onto
         themselves, the same for every scaled copy."""
-        def build():
-            fine, (tp, sq) = self.fine, self.pairs
-            rot, n = fine.rotations, fine.n_faces
-            own = np.sort(tp * n + sq)
-            # A rotation takes an edge's plus face to the plus face of
-            # the edge's image, or to its minus face if it reverses it.
-            images = np.empty((len(rot.ids), n), dtype=np.int64)
-            images[:, fine.edge_faces[:, 0]] = fine.edge_faces[
-                rot.perm, np.where(rot.sign > 0, 0, 1)]
-            kept = [np.array_equal(own, np.sort(
-                np.minimum(face[tp], face[sq]) * n
-                + np.maximum(face[tp], face[sq]))) for face in images]
-            return rot.ids[kept]
-        return self._get("rotations", build)
+        return self._rotations
 
     def _get(self, key, build):
         if key not in self._built:
@@ -888,25 +948,28 @@ def _remainder_depths(opts):
 def _apply_near(out, reqs, fine, near, k, floor, opts):
     """Add the near pairs of both tiers to every request's blocks.
 
+    Everything runs on the orbits' representatives (``near.tiers``).
     Static parts come from ``near``; only what depends on k is
     integrated here: the ik / (4 pi) term, the touching tier's
     remainders on the rules of ``_remainder_depths`` and the close
     tier's remainders on the plain rules.  Each kind's 3x3 blocks of
-    all pairs fill ``near.pattern`` once, one kind after the other;
+    the representatives fill ``near.pattern`` once, by one signed
+    gather that writes every pair's block, one kind after the other;
     each request folds that matrix once through its spaces' ``local``
     maps.
     """
     kinds_present = {kind for req in reqs for kind in req.kinds}
     helm_outer, grad_outer, grad_inner = _remainder_depths(opts)
     factor = near.scale ** _MOMENT_POWERS
-    tp, sq = near.pairs
-    # Each tier's pairs, as a slice of the stacked pairs.
+    tp, sq = (np.concatenate(side) for side in zip(*near.tiers))
+    # Each tier's representatives, as a slice of the stacked ones.
     spans = np.cumsum([0] + [len(tier_tp) for tier_tp, _ in near.tiers])
     pattern = near.pattern
 
     def fold(kind, b):
-        mat = sp.csr_matrix((b.ravel()[pattern.data], pattern.indices,
-                             pattern.indptr), shape=pattern.shape)
+        mat = sp.csr_matrix((b.ravel()[near.entry] * near.sign,
+                             pattern.indices, pattern.indptr),
+                            shape=pattern.shape)
         for req, blocks in zip(reqs, out):
             if kind in req.kinds:
                 part = req.test.local.T @ (mat @ req.space.local)
@@ -1036,10 +1099,13 @@ def assemble_blocks(test, requests, k, options=None, near=None):
     rotations``) and that, on one surface, map the near pairs onto
     themselves (``NearPlan.rotations``); every other row of the far
     part is a signed permutation of its representative's
-    (``_expand``).  The near pairs are integrated for every row, since
-    their rules are not rotation-invariant.  Each test space's far
-    tiles cover its own representatives' supports, so every row has
-    the same bits whatever other requests share the call.
+    (``_expand``).  Each test space's far tiles cover its own
+    representatives' supports, so every row has the same bits whatever
+    other requests share the call.  The near pairs are integrated once
+    per orbit of stored, oriented face pairs under ``near``'s rotations
+    (``_pair_orbits``): an image stored the same way round sits on the
+    same rules, so its block is a signed permutation of the
+    representative's to rounding.
 
     Returns
     -------

@@ -20,7 +20,7 @@ from lovebem.experiments import (ExperimentConfig, OperatorPlans,
 from lovebem import formulations
 from lovebem import operators
 from lovebem.formulations import (SPSystem, calderon_blocks, double_layer,
-                                  static_coupling)
+                                  rotated_gram, static_coupling)
 from lovebem.mesh import generate_sphere_mesh
 from lovebem.operators import FrequencyContext
 from lovebem.projectors import ProjectorSet, build_projectors
@@ -529,7 +529,29 @@ class TestPropertySuite:
         assert [name for name, _ in experiments._PROPERTY_CHECKS] == [
             "solenoidal-cancellation", "projector-algebra",
             "scaling-roundtrip", "limit-property", "dipole-maxwell",
-            "interior-identity", "rotation-defect"]
+            "interior-identity", "rotation-defect", "lowfreq-flat"]
+
+    def test_stabilized_condition_is_flat_at_low_frequency(self, tmp_path):
+        cfg = ExperimentConfig(output_dir=str(tmp_path))
+        ledger = run_property_suite(cfg, names=("lowfreq-flat",))
+        entry = ledger["checks"][0]
+        assert entry["passed"]
+        detail = entry["detail"]
+        assert detail["frequencies"] == [1e5, 1e6, 1e7]
+        scaled = np.array(detail["kappa_stabilized"])
+        assert np.abs(scaled / scaled[0] - 1.0).max() <= 1e-3
+        assert np.all(np.array(detail["kappa_raw"]) >= 10.0 * scaled)
+
+    def test_a_failed_low_frequency_point_fails_the_check(
+            self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("synthetic solver outage")
+
+        monkeypatch.setattr(experiments, "condition_at_threshold", broken)
+        cfg = ExperimentConfig(output_dir=str(tmp_path))
+        entry = run_property_suite(cfg, names=("lowfreq-flat",))["checks"][0]
+        assert not entry["passed"]
+        assert "synthetic solver outage" in entry["error"]
 
     def test_rotation_defect_within_bounds(self, tmp_path):
         cfg = ExperimentConfig(output_dir=str(tmp_path))
@@ -795,9 +817,9 @@ class TestOperatorPlans:
         formulations.solve_baseline_love(
             surface.rwg, surface.bc, probe.bc, 1.0, zeros, zeros,
             RegularizationPolicy(threshold=1e-6), surface.static_coupling,
-            near=surface.near)
-        # The only new Gram is the one of the interior identity map.
-        assert calls == ["gram", "onto_loops", "gram"]
+            surface.gram_factors, near=surface.near)
+        # The interior identity map solves with the shape's Gram factors.
+        assert calls == ["gram", "onto_loops"]
 
     def test_cached_arrays_are_read_only(self):
         plans = OperatorPlans()
@@ -807,6 +829,7 @@ class TestOperatorPlans:
         for arr in (system.dense(), system.coupling, system.trace_efie,
                     system.field_double, system.field_efie,
                     system.trace_double, surface.shape.static_coupling,
+                    surface.shape.gram[0], surface.gram_factors[0],
                     plan.stabilized.matrix(), system.factors.u,
                     plan.stabilized.factors.vh):
             with pytest.raises(ValueError, match="read-only"):
@@ -985,7 +1008,8 @@ class TestShapePlans:
                 assert shared.to_fine is owned.to_fine
                 assert abs(direct.to_fine - shared.to_fine).max() <= 1e-14
             direct = static_coupling(
-                rwg, bc, build_projectors(*build_loop_star(mesh)))
+                rwg, bc, build_projectors(*build_loop_star(mesh)),
+                rotated_gram(rwg, bc)[0])
             shared = geometry.static_coupling
             assert (np.linalg.norm(shared - direct)
                     <= 1e-13 * np.linalg.norm(direct))

@@ -11,8 +11,8 @@ from lovebem.formulations import (CurrentSolution, SPSystem,
                                   assemble_calderon_interior, build_sp_system,
                                   calderon_blocks,
                                   double_layer, interior_coupling,
-                                  recover_electric_current, save_solution,
-                                  solve_baseline_love, solve_sp,
+                                  recover_electric_current, rotated_gram,
+                                  save_solution, solve_baseline_love, solve_sp,
                                   solve_stabilized, static_coupling)
 from lovebem.mesh import generate_sphere_mesh
 from lovebem.operators import ETA0, FrequencyContext
@@ -78,10 +78,17 @@ def projectors(scene):
 
 
 @pytest.fixture(scope="module")
-def fixed(scene, projectors):
+def gram(scene):
+    """The rotated mixed Gram, dense, and its LU factors."""
+    _, rwg, bc, _, _, _, _, _ = scene
+    return rotated_gram(rwg, bc)
+
+
+@pytest.fixture(scope="module")
+def fixed(scene, projectors, gram):
     """The frequency-free input: the static coupling block."""
     _, rwg, bc, _, _, _, _, _ = scene
-    return static_coupling(rwg, bc, projectors)
+    return static_coupling(rwg, bc, projectors, gram[0])
 
 
 @pytest.fixture(scope="module")
@@ -108,10 +115,10 @@ def exact_pair(scene):
 
 
 @pytest.fixture(scope="module")
-def calderon(system, scene):
+def calderon(system, scene, gram):
     _, rwg, bc, _, _, _, _, _ = scene
-    return assemble_calderon_interior(rwg, bc, system.coupling,
-                                      calderon_blocks(rwg, bc, CTX))
+    return assemble_calderon_interior(system.coupling,
+                                      calderon_blocks(rwg, bc, CTX), gram[1])
 
 
 @pytest.fixture(scope="module")
@@ -122,19 +129,21 @@ def maps(scene, projectors):
 
 
 @pytest.fixture(scope="module")
-def baseline(scene, fixed):
+def baseline(scene, fixed, gram):
     _, rwg, bc, _, bc_m, _, e, h = scene
-    return solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY, fixed)
+    return solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY, fixed,
+                               gram[1])
 
 
 class TestInteriorCoupling:
     def test_well_conditioned_on_sphere(self, system):
         assert system.coupling_condition < 50.0
 
-    def test_deterministic(self, scene, fixed, projectors):
+    def test_deterministic(self, scene, fixed, projectors, gram):
         # A second static pass rebuilds the block bit for bit.
         _, rwg, bc, _, _, _, _, _ = scene
-        assert np.array_equal(static_coupling(rwg, bc, projectors), fixed)
+        assert np.array_equal(
+            static_coupling(rwg, bc, projectors, gram[0]), fixed)
 
     def test_system_adds_its_double_layer(self, system, fixed):
         assert np.array_equal(system.coupling,
@@ -340,26 +349,27 @@ class TestBaseline:
     def test_matches_projected_trace(self, baseline, exact_pair):
         assert rel(baseline.m, exact_pair[0]) < 0.3
 
-    def test_zero_weight_still_solves(self, scene, fixed):
+    def test_zero_weight_still_solves(self, scene, fixed, gram):
         _, rwg, bc, _, bc_m, _, e, h = scene
         sol = solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY, fixed,
-                                  love_weight=0.0)
+                                  gram[1], love_weight=0.0)
         assert np.all(np.isfinite(sol.m)) and np.all(np.isfinite(sol.j))
 
     @pytest.mark.parametrize("weight", [-1.0, np.inf, np.nan])
-    def test_rejects_bad_weight(self, scene, fixed, weight, count_assembly):
+    def test_rejects_bad_weight(self, scene, fixed, gram, weight,
+                                count_assembly):
         _, rwg, bc, _, bc_m, _, e, h = scene
         with count_assembly() as calls:
             with pytest.raises(ValueError, match="love_weight"):
                 solve_baseline_love(rwg, bc, bc_m, CTX, e, h, POLICY,
-                                    fixed, love_weight=weight)
+                                    fixed, gram[1], love_weight=weight)
         assert calls == []
 
-    def test_rejects_mismatched_data(self, scene, fixed):
+    def test_rejects_mismatched_data(self, scene, fixed, gram):
         _, rwg, bc, _, bc_m, _, e, _ = scene
         with pytest.raises(ValueError, match="probe"):
             solve_baseline_love(rwg, bc, bc_m, CTX, e, np.zeros(3), POLICY,
-                                fixed)
+                                fixed, gram[1])
 
 
 class TestSerialization:

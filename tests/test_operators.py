@@ -15,9 +15,11 @@ from lovebem.operators import (C0, AssemblyOptions, FrequencyContext,
                                NearPlan, _coplanar, _double_layer_local,
                                _gradient_remainder,
                                _moment_table, _MOMENT_POWERS,
-                               _near_face_pairs, _phase, _smooth_remainder,
+                               _near_face_pairs, _pair_orbits, _phase,
+                               _smooth_remainder,
                                _static_gradient, assemble_blocks)
 from lovebem.quadrature import subdivide4, triangle_rule
+from lovebem.formulations import calderon_blocks
 from lovebem.spaces import BasisSpace, basis_pair, build_loop_star
 from conftest import singular_fans, turned
 
@@ -541,6 +543,79 @@ class TestRotationOrbits:
         assert faces["self"] <= 60 and faces["dual"] <= 60
         # each test space's tiles cover its own supports
         assert faces["calderon"] == faces["self"] + faces["dual"]
+
+    def test_near_integrals_run_on_one_pair_per_orbit(self, small_sphere,
+                                                      monkeypatch):
+        # Pairs reaching the k-dependent near integrals of a kept plan,
+        # whose statics the first pass builds
+        rwg, bc = basis_pair(small_sphere)
+        ctx = FrequencyContext(2e9)
+        near = NearPlan(rwg.fine)
+        n_pairs = len(near.pairs[0])
+        calls = {
+            "self": lambda: assemble_blocks(
+                rwg, [(rwg, ("single", "hyper")), (bc, ("double",))],
+                ctx.wavenumber, near=near),
+            "calderon": lambda: calderon_blocks(rwg, bc, ctx, near=near)}
+        for run in calls.values():
+            run()
+        counts = {}
+        # each function's position of the test faces of its pairs
+        for name, at in (("_double_layer_local", 1),
+                         ("_helmholtz_moments", 3)):
+            real = getattr(operators, name)
+
+            def counted(*args, real=real, name=name, at=at):
+                counts[name] = counts.get(name, 0) + len(args[at])
+                return real(*args)
+
+            monkeypatch.setattr(operators, name, counted)
+        assert (rwg.fine.n_faces, n_pairs) == (480, 22680)
+        for run in calls.values():
+            counts.clear()
+            run()
+            assert set(counts) == {"_double_layer_local",
+                                   "_helmholtz_moments"}
+            assert max(counts.values()) <= n_pairs / 25
+            assert counts["_helmholtz_moments"] == 118 + 590
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_edge_reversing_rotations_flip_near_blocks(self, level):
+        # A barycentric refinement has no rotation that reverses an
+        # edge; an icosphere taken as its own refined mesh has.
+        mesh = unit_icosphere(level)
+        space, ref = identity_space(mesh), identity_space(turned(mesh, 3))
+        near = NearPlan(mesh)
+        assert np.any(near.sign < 0)
+        got = assemble_blocks(space, [(space, KINDS)], 2.0, near=near)[0]
+        want = assemble_blocks(ref, [(ref, KINDS)], 2.0)[0]
+        for kind in KINDS:
+            assert rel(got[kind], want[kind]) < 1e-13
+
+    def test_a_turned_surface_integrates_every_pair(self, small_sphere):
+        near = NearPlan(basis_pair(turned(small_sphere, 7))[0].fine)
+        np.testing.assert_array_equal(near.rotations, [0])
+        assert sum(len(tp) for tp, _ in near.tiers) == len(near.pairs[0])
+        np.testing.assert_array_equal(near.entry, near.pattern.data)
+        assert np.all(near.sign == 1)
+
+    def test_default_surface_orbits_are_small_and_lean(self):
+        # The level-3 surface of the default reconstruct request
+        fine = barycentric_refine(unit_icosphere(3)).mesh
+        tp, sq = _near_face_pairs(fine)[0].T
+        assert fine.n_faces == 7680
+        fine.rotations  # the mesh's own table, built before the trace
+        tracemalloc.start()
+        try:
+            ids, reps, index, sign = _pair_orbits(fine, tp, sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(ids, np.arange(60))
+        assert len(reps) <= len(tp) / 25
+        # measured 142 bytes a pair (352 740 pairs)
+        assert peak < 200 * len(tp)
+        assert index.shape == sign.shape == (len(tp), 3, 3)
 
 
 class TestQuadratureDefaults:
