@@ -32,10 +32,11 @@ import scipy.sparse as sp
 
 from . import __version__, operators
 from .dipole import DipoleSource, field_arrays, sample_measurement
-from .fields import (KernelRows, check_love_condition, error_curve,
-                     fibonacci_directions, radiation_tables,
-                     save_error_curve)
-from .formulations import (SPSystem, StabilizedSystem, build_sp_system,
+from .fields import (KernelRows, _orbit_directions, _orbit_points,
+                     check_love_condition, error_curve, fibonacci_directions,
+                     radiate_arrays, radiation_tables, save_error_curve)
+from .formulations import (CurrentSolution, SPSystem, StabilizedSystem,
+                           build_sp_system,
                            assemble_calderon_interior, calderon_blocks,
                            check_love_weight, double_layer,
                            interior_coupling, recover_electric_current,
@@ -432,15 +433,17 @@ class GeometryPlan:
     Holds the mesh later stages must use, since identity checks reject
     an equal but distinct mesh, and its RWG/BC pair: the barycentric
     refinement of the mesh with the shape's coefficient maps.  The
-    projectors, the near plan (scaled to the radius), the Gram factors
-    and the static coupling are the shape's.  ``coupling`` adds the
-    double layer of one wavenumber to the static coupling without
-    keeping the sum.
+    projectors, the near plan (scaled to the radius), the Gram factors,
+    the static coupling and both meshes' rotations are the shape's.
+    ``coupling`` adds the double layer of one wavenumber to the static
+    coupling without keeping the sum.
     """
 
     def __init__(self, key, mesh, shape: ShapePlan):
         self.key, self.mesh, self.shape = key, mesh, shape
         fine = barycentric_refine(mesh).mesh
+        mesh.adopt_symmetry(shape.mesh)
+        fine.adopt_symmetry(shape.rwg.fine)
         self.rwg = BasisSpace("rwg", mesh, fine, shape.rwg.to_fine)
         self.bc = BasisSpace("bc", mesh, fine, shape.bc.to_fine)
         _freeze(self.rwg.local, self.bc.local)
@@ -641,8 +644,11 @@ def run_reconstruction(cfg: ExperimentConfig) -> dict:
     gamma, probe = scene.surface.mesh, scene.probe.mesh
     with _stage("evaluate"):
         tables = radiation_tables(solution, rwg, bc)
-        # Configured radii are clearances above the surface; the curve
-        # evaluator wants origin-centered sphere radii in wavelengths.
+        # error_curve takes offsets from the surface and adds the surface
+        # radius itself, so this shift puts sphere r at 2a + r wavelengths
+        # from the centre, one radius farther out than configured.  Kept
+        # until the benchmark's field errors are re-measured: dropping it
+        # moves them (ROADMAP item 3).
         shift = cfg.surface_radius / scene.ctx.wavelength
         curve = error_curve(solution, scene.src, rwg, bc,
                             [shift + r for r in cfg.curve_radii],
@@ -1025,6 +1031,48 @@ def _suite_lowfreq_flat():
     return entry
 
 
+# Largest relative field difference allowed between kernel rows
+# gathered on rotation orbits and rows computed per point.
+_ORBIT_FIELD_BOUND = 1e-12
+
+
+def _suite_field_orbits():
+    """Fields from orbit-gathered kernel rows must match per-point rows.
+
+    On the ``recon-mixed`` reference geometry (the r = 0.04 m, 120-edge
+    surface at 2 GHz), one seeded solution is radiated onto one shell
+    0.25 wavelengths above the surface, sampled as the error curve
+    samples it (``_orbit_directions(1000)``, 1 020 points), twice:
+    through the refined mesh's rotations, with kernel rows for one
+    point per orbit, and through the identity alone, with rows for
+    every point.  The metric is the largest point-wise relative
+    difference.  Fewer than 60 rotations fails too: the error curve
+    would then compute rows for every point.
+    """
+    plan = PLANS.geometry(0.04, 0.02)
+    ctx = FrequencyContext(2e9)
+    rng = np.random.default_rng(5)
+    solution = CurrentSolution(
+        m=rng.standard_normal(plan.rwg.n_dofs)
+        + 1j * rng.standard_normal(plan.rwg.n_dofs),
+        j=rng.standard_normal(plan.bc.n_dofs)
+        + 1j * rng.standard_normal(plan.bc.n_dofs),
+        wavenumber=ctx.wavenumber, formulation="sp", report=None)
+    group = plan.rwg.fine.rotations.ids
+    directions = _orbit_directions(1000)
+    seeds = directions[:len(directions) // 60]
+    points = _orbit_points((0.04 + 0.25 * ctx.wavelength) * seeds, group)
+    orbit = radiate_arrays(solution, plan.rwg, plan.bc, points,
+                           rotations=group)
+    direct = radiate_arrays(solution, plan.rwg, plan.bc, points)
+    worst = float((np.linalg.norm(orbit - direct, axis=1)
+                   / np.linalg.norm(direct, axis=1)).max())
+    entry = _check("field-orbits", worst, _ORBIT_FIELD_BOUND,
+                   detail={"order": len(group), "points": len(points)})
+    entry["passed"] = entry["passed"] and len(group) == 60
+    return entry
+
+
 _PROPERTY_CHECKS = (
     ("solenoidal-cancellation", _suite_solenoidal),
     ("projector-algebra", _suite_projector_algebra),
@@ -1034,6 +1082,7 @@ _PROPERTY_CHECKS = (
     ("interior-identity", _suite_interior_identity),
     ("rotation-defect", _suite_rotation_defect),
     ("lowfreq-flat", _suite_lowfreq_flat),
+    ("field-orbits", _suite_field_orbits),
 )
 
 

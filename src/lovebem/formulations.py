@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -170,6 +171,9 @@ class SPSystem:
     materialized at build time, and ``factors`` the SVD of that matrix,
     made on first use and shared by every solve.  ``trace_double``, when given, keeps
     the self-surface double layer the coupling was built from.
+    ``coupling_condition`` is LAPACK's estimate of the coupling's
+    1-norm condition number from its LU factors (``gecon``), a lower
+    bound on it; a block whose estimate reaches 1e12 is rejected.
     """
 
     def __init__(self, wavenumber, field_double, field_efie, trace_efie,
@@ -188,13 +192,18 @@ class SPSystem:
         if (self.field_double.shape != self.field_efie.shape
                 or self.field_double.shape[1] != n):
             raise ValueError("radiation rows disagree with the unknown count")
-        self.coupling_condition = float(np.linalg.cond(self.coupling))
+        with warnings.catch_warnings():
+            # An exactly singular block is rejected just below.
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            self._lu = sla.lu_factor(self.coupling)
+        gecon = sla.get_lapack_funcs("gecon", (self._lu[0],))
+        rcond, _ = gecon(self._lu[0], np.linalg.norm(self.coupling, 1))
+        self.coupling_condition = math.inf if rcond == 0.0 else 1.0 / rcond
         if not self.coupling_condition < _SINGULAR_CONDITION:
             raise ValueError(
                 "interior coupling is numerically singular (condition "
                 f"{self.coupling_condition:.2e}); the surface mesh is broken "
                 "or sits on an interior resonance")
-        self._lu = sla.lu_factor(self.coupling)
         recovered = self.inner_solve(self.trace_efie)
         self._matrix = -self.field_double - self.field_efie @ recovered
 

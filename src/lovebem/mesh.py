@@ -72,6 +72,7 @@ class TriangleMesh:
         self._build_edges()
         self._check_closed_genus_zero()
         self._cache: dict = {}
+        self._symmetry = self
         # Own copies (np.array above), so the caller's arrays stay writeable.
         for arr in (self.vertices, self.triangles, self.edges,
                     self.edge_faces):
@@ -286,7 +287,38 @@ class TriangleMesh:
         keeps the identity alone.  Kept with the mesh's read-only
         arrays, so the result follows its contents.
         """
+        if self._symmetry is not self:
+            return self._symmetry.rotations
         return self._cached("rotations", lambda: _mesh_rotations(self))
+
+    @property
+    def corner_images(self):
+        """Where each of ``rotations`` takes every face and its corners.
+
+        Returns ``(face, corner)`` of shapes (G, n_faces) and
+        (G, n_faces, 3) for the G kept rotations: rotation
+        ``rotations.ids[g]`` takes face t to face ``face[g, t]`` and
+        t's local corner a to local corner ``corner[g, t, a]`` of it.
+        """
+        if self._symmetry is not self:
+            return self._symmetry.corner_images
+        return self._cached("corner_images", lambda: _corner_images(self))
+
+    def adopt_symmetry(self, unit: "TriangleMesh") -> None:
+        """Answer ``rotations`` and ``corner_images`` from ``unit``.
+
+        ``unit`` must be this mesh up to a scale about the origin, as
+        the unit sphere of a generated sphere's level is: both depend
+        on the triangles and the shape alone, so each scaled copy need
+        not match its vertices again, nor keep its own.
+        """
+        scale = np.ptp(self.vertices) / np.ptp(unit.vertices)
+        tol = 1e-9 * float(np.ptp(self.vertices))
+        if not (np.array_equal(self.triangles, unit.triangles)
+                and np.allclose(self.vertices, scale * unit.vertices,
+                                rtol=0.0, atol=tol)):
+            raise ValueError("meshes differ in more than scale")
+        self._symmetry = unit._symmetry
 
 
 def _face_basis(mesh: TriangleMesh, points: np.ndarray,
@@ -390,6 +422,22 @@ def _mesh_rotations(mesh: TriangleMesh) -> Rotations:
             & (mesh.edges[perm, 1] == np.maximum(lo, hi))).all(axis=1)
     sign = np.where(lo < hi, 1, -1).astype(np.int8)
     return Rotations(ids[kept], perm[kept], sign[kept])
+
+
+def _corner_images(mesh: TriangleMesh):
+    rot, edges = mesh.rotations, mesh.face_edges
+    face = np.empty((len(rot.ids), mesh.n_faces), dtype=np.int64)
+    corner = np.empty((len(rot.ids), mesh.n_faces, 3), dtype=np.int8)
+    # One rotation at a time, so the temporaries stay O(faces).
+    for g, (perm, sign) in enumerate(zip(rot.perm, rot.sign)):
+        # A rotation takes an edge's plus face to the plus face of the
+        # edge's image, or to its minus face if it reverses it.
+        face[g, mesh.edge_faces[:, 0]] = mesh.edge_faces[
+            perm, np.where(sign > 0, 0, 1)]
+        # Local edge a sits opposite corner a on both faces.
+        corner[g] = np.argmax(perm[edges][:, :, None]
+                              == edges[face[g]][:, None, :], axis=2)
+    return face, corner
 
 
 def _octahedron() -> TriangleMesh:

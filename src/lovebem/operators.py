@@ -785,23 +785,19 @@ def _pair_orbits(fine: TriangleMesh, tp: np.ndarray, sq: np.ndarray):
     themselves, the representatives' indices (ascending), and, per
     entry of each pair's 3x3 block, the entry of the representatives'
     stacked blocks it takes and the sign, each (pairs, 3, 3).  One
-    rotation at a time, so the memory stays O(pairs).
+    rotation at a time, so the memory beyond the mesh's
+    ``corner_images`` stays O(pairs).
     """
-    rot, n, count = fine.rotations, fine.n_faces, len(tp)
+    n, count = fine.n_faces, len(tp)
     key = tp * n + sq
     order = np.argsort(key)
     stored = key[order]
     best = np.arange(count)
     corners = np.tile(np.arange(3, dtype=np.int8), (2, count, 1))
     flips = np.ones((2, count, 3), dtype=np.int8)
-    edges, signs = fine.face_edges, fine.face_edge_signs
+    signs = fine.face_edge_signs
     kept = []
-    for g, gid in enumerate(rot.ids):
-        # A rotation takes an edge's plus face to the plus face of the
-        # edge's image, or to its minus face if it reverses it.
-        face = np.empty(n, dtype=np.int64)
-        face[fine.edge_faces[:, 0]] = fine.edge_faces[
-            rot.perm[g], np.where(rot.sign[g] > 0, 0, 1)]
+    for gid, face, corner in zip(fine.rotations.ids, *fine.corner_images):
         gt, gs = face[tp], face[sq]
         image_key = np.minimum(gt, gs) * n + np.maximum(gt, gs)
         at = np.minimum(np.searchsorted(stored, image_key), count - 1)
@@ -813,9 +809,6 @@ def _pair_orbits(fine: TriangleMesh, tp: np.ndarray, sq: np.ndarray):
         if not better.size:
             continue
         best[better] = image[better]
-        # Local edge a sits opposite corner a on both faces.
-        corner = np.argmax(rot.perm[g][edges][:, :, None]
-                           == edges[face][:, None, :], axis=2)
         flip = signs * signs[face[:, None], corner]
         for side, faces in enumerate((tp[better], sq[better])):
             corners[side, better] = corner[faces]
@@ -824,7 +817,8 @@ def _pair_orbits(fine: TriangleMesh, tp: np.ndarray, sq: np.ndarray):
     index = (9 * row.astype(np.int32)[:, None, None]
              + 3 * corners[0][:, :, None] + corners[1][:, None, :])
     sign = flips[0][:, :, None] * flips[1][:, None, :]
-    return np.asarray(kept, dtype=rot.ids.dtype), reps, index, sign
+    return (np.asarray(kept, dtype=fine.rotations.ids.dtype), reps, index,
+            sign)
 
 
 class NearPlan:

@@ -88,7 +88,8 @@ def test_traced_warm_requests_on_the_repeat_fixture(monkeypatch, tmp_path):
     sums = tracing.totals(tracer.spans)
     requests = sums[f"{tracing.REQUEST}.calls"]
     assert requests == 2
-    assert sums["fields.points"] == 384 * requests
+    # Six curve spheres of one 60-point orbit each.
+    assert sums["fields.points"] == 360 * requests
     assert sums["fields.radiate_arrays.calls"] == requests
     assert sums["dipole.sample_measurement.calls"] == requests
     assert sums["operators.assemble_blocks.calls"] == 0

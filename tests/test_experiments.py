@@ -529,7 +529,8 @@ class TestPropertySuite:
         assert [name for name, _ in experiments._PROPERTY_CHECKS] == [
             "solenoidal-cancellation", "projector-algebra",
             "scaling-roundtrip", "limit-property", "dipole-maxwell",
-            "interior-identity", "rotation-defect", "lowfreq-flat"]
+            "interior-identity", "rotation-defect", "lowfreq-flat",
+            "field-orbits"]
 
     def test_stabilized_condition_is_flat_at_low_frequency(self, tmp_path):
         cfg = ExperimentConfig(output_dir=str(tmp_path))
@@ -566,6 +567,13 @@ class TestPropertySuite:
         # the near double layer dominates; single and hyper hold 5 digits
         assert defects["double"] > 100.0 * max(defects["single"],
                                                defects["hyper"])
+
+    def test_orbit_rows_match_per_point_rows(self, tmp_path):
+        cfg = ExperimentConfig(output_dir=str(tmp_path))
+        entry = run_property_suite(cfg, names=("field-orbits",))["checks"][0]
+        assert entry["passed"]
+        assert entry["detail"] == {"order": 60, "points": 1020}
+        assert 0.0 < entry["metric"] <= 1e-12
 
     def test_lost_rotations_fail_the_defect_check(self, tmp_path,
                                                   monkeypatch):
@@ -893,9 +901,11 @@ class TestFieldRows:
     def test_third_request_reuses_the_rows(self, row_runs):
         cfgs, checks, kept, _, _ = row_runs
         # Only the plan hits keep rows: the second request keeps the
-        # curve's 384 points and the 50 interior points, the third
-        # reuses them and checks no point again.
-        radiated = [64 * len(cfgs[0].curve_radii), 50]
+        # curve's 360 points and the 50 interior points, the third
+        # reuses them and checks no point again.  64 directions make
+        # one orbit of 60, so the near check sees one representative
+        # per curve sphere.
+        radiated = [len(cfgs[0].curve_radii), 50]
         assert checks == [radiated, radiated, [], radiated]
         assert kept[1] == kept[2]
         assert len(kept[1]) == 2
@@ -928,8 +938,8 @@ class TestFieldRows:
 
     def test_repeat_fixture_keeps_corner_rows(self, monkeypatch, tmp_path):
         # A warm plan of the benchmark's recon-repeat fixture keeps a and
-        # g of its 434 points (six 64-point curve spheres and 50 interior
-        # points) per face corner: 2·2·434·3F·8 bytes, 19.07 MiB at
+        # g of its 410 points (six 60-point curve spheres and 50 interior
+        # points) per face corner: 2·2·410·3F·8 bytes, 18.02 MiB at
         # F = 480.  Rows per quadrature point would take twice that.
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import workloads
@@ -945,7 +955,7 @@ class TestFieldRows:
         n_faces = plan.surface.rwg.fine.n_faces
         assert n_faces == 480
         assert len(plan.rows.sets) == 2
-        assert plan.rows.nbytes == 2 * 2 * 434 * 3 * n_faces * 8
+        assert plan.rows.nbytes == 2 * 2 * 410 * 3 * n_faces * 8
 
 
 @pytest.fixture(scope="module")

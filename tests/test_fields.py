@@ -1,5 +1,6 @@
 """Field radiation of recovered currents and the error diagnostics."""
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +13,13 @@ from lovebem.fields import (_CHUNK, ErrorCurve, KernelRows,
                             fibonacci_directions, radiate_arrays,
                             save_error_curve)
 from lovebem.formulations import CurrentSolution
-from lovebem.mesh import generate_sphere_mesh
+from lovebem.mesh import _icosahedral_rotations, generate_sphere_mesh
 from lovebem.operators import ETA0, FrequencyContext
 from lovebem.quadrature import triangle_rule
 from lovebem.spaces import basis_pair, evaluate_rt0, gram_matrix
+from scipy.spatial import cKDTree
+
+from conftest import turned
 
 CTX = FrequencyContext(3.16e9)
 
@@ -206,6 +210,174 @@ class TestCornerTables:
                               (gradient[..., 7:10], y * div)]:
             got = bary @ corners
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestOrbitDirections:
+    @pytest.mark.parametrize("n, count", [(1, 60), (64, 60), (89, 60),
+                                          (91, 120), (200, 180),
+                                          (1000, 1020)])
+    def test_count(self, n, count):
+        assert fields._orbit_directions(n).shape == (count, 3)
+
+    def test_unit_norm(self):
+        dirs = fields._orbit_directions(1000)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [64, 1000])
+    def test_whole_orbits(self, n):
+        dirs = fields._orbit_directions(n)
+        tree = cKDTree(dirs)
+        for rotation in _icosahedral_rotations():
+            dist, _ = tree.query(dirs @ rotation.T)
+            assert dist.max() < 1e-13
+        # Rotation-major: the first rows are the seeds.
+        m = len(dirs) // 60
+        np.testing.assert_array_equal(
+            fields._orbit_points(dirs[:m], np.arange(60)), dirs)
+
+    @pytest.mark.parametrize("n", [64, 200, 1000])
+    def test_no_two_points_within_a_degree(self, n):
+        dirs = fields._orbit_directions(n)
+        dist, _ = cKDTree(dirs).query(dirs, k=2)
+        assert dist[:, 1].min() > 2.0 * np.sin(np.radians(0.5))
+
+    def test_deterministic_and_read_only(self):
+        dirs = fields._orbit_directions(200)
+        fields._orbit_design.cache_clear()
+        again = fields._orbit_directions(200)
+        assert again is not dirs and np.array_equal(again, dirs)
+        assert fields._orbit_directions(200) is again
+        with pytest.raises(ValueError, match="read-only"):
+            again[0, 0] = 0.0
+
+    def test_first_build_stays_small(self):
+        # A dense samples-by-points assignment would take 160 MB.
+        fields._orbit_design.cache_clear()
+        tracemalloc.start()
+        try:
+            fields._orbit_directions(1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def random_solution(rwg, bc, seed=0):
+    rng = np.random.default_rng(seed)
+    return CurrentSolution(
+        m=rng.standard_normal(rwg.n_dofs)
+        + 1j * rng.standard_normal(rwg.n_dofs),
+        j=rng.standard_normal(bc.n_dofs) + 1j * rng.standard_normal(bc.n_dofs),
+        wavenumber=CTX.wavenumber, formulation="random", report=None)
+
+
+def counted_rows(monkeypatch):
+    """Record the number of points of every ``_kernel_rows`` call."""
+    real, seen = fields._kernel_rows, []
+
+    def counted(points, *args, **kwargs):
+        seen.append(len(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(fields, "_kernel_rows", counted)
+    return seen
+
+
+class TestOrbitRadiation:
+    RADII = [0.5, 1.0, 2.0]
+
+    def test_orbit_rows_match_per_point_rows(self, surface, traced_pair):
+        _, rwg, bc = surface
+        assert rwg.fine.n_faces == 480
+        group = rwg.fine.rotations.ids
+        assert len(group) == 60
+        seeds = fields._orbit_directions(200)[:3]
+        # Six radii of three seeds: chunks of 16 and 2 representatives.
+        reps = np.concatenate([r * seeds for r in (0.07, 0.1, 0.2, 0.3,
+                                                   0.5, 0.8)])
+        points = fields._orbit_points(reps, group)
+        orbit = radiate_arrays(traced_pair, rwg, bc, points, rotations=group)
+        direct = radiate_arrays(traced_pair, rwg, bc, points)
+        scale = np.linalg.norm(direct, axis=1)
+        assert (np.linalg.norm(orbit - direct, axis=1) / scale).max() < 1e-13
+
+    def test_points_must_be_the_orbits(self, surface, traced_pair):
+        _, rwg, bc = surface
+        group = rwg.fine.rotations.ids
+        points = fields._orbit_points(0.2 * fields._orbit_directions(60)[:1],
+                                      group)
+        with pytest.raises(ValueError, match="orbits"):
+            radiate_arrays(traced_pair, rwg, bc, points[::-1],
+                           rotations=group)
+        with pytest.raises(ValueError, match="orbits"):
+            radiate_arrays(traced_pair, rwg, bc, points[:-1],
+                           rotations=group)
+
+    def test_rotations_must_be_kept_by_the_mesh(self, surface, traced_pair):
+        gamma, _, _ = surface
+        rwg, bc = basis_pair(turned(gamma, 0))
+        assert list(rwg.fine.rotations.ids) == [0]
+        points = fields._orbit_points(0.2 * fields._orbit_directions(60)[:1],
+                                      np.arange(60))
+        with pytest.raises(ValueError, match="rotations the refined mesh"):
+            radiate_arrays(random_solution(rwg, bc), rwg, bc, points,
+                           rotations=np.arange(60))
+
+    def test_symmetric_sphere_computes_rows_per_orbit(
+            self, surface, source, traced_pair, monkeypatch):
+        _, rwg, bc = surface
+        seen = counted_rows(monkeypatch)
+        error_curve(traced_pair, source, rwg, bc, self.RADII, n_points=1000)
+        assert sum(seen) * 50 <= len(self.RADII) * 1020
+        assert sum(seen) == len(self.RADII) * 17
+
+    def test_turned_sphere_is_its_own_representatives(
+            self, surface, monkeypatch):
+        gamma, _, _ = surface
+        rwg, bc = basis_pair(turned(gamma, 0))
+        src = DipoleSource(np.zeros(3), np.array([0.0, 0.0, 1e-3]), CTX)
+        seen = counted_rows(monkeypatch)
+        curve = error_curve(random_solution(rwg, bc), src, rwg, bc,
+                            self.RADII, n_points=64)
+        assert sum(seen) == len(self.RADII) * 60
+        assert np.all(np.isfinite(curve.errors))
+
+    def test_kept_rows_give_the_same_curve(self, surface, source,
+                                           traced_pair, monkeypatch):
+        _, rwg, bc = surface
+        plain = error_curve(traced_pair, source, rwg, bc, self.RADII,
+                            n_points=200)
+        rows = KernelRows(2**30)
+        miss = error_curve(traced_pair, source, rwg, bc, self.RADII,
+                           n_points=200, rows=rows)
+        assert rows.nbytes == row_bytes(np.empty((3 * 180, 3)), rwg)
+        seen = counted_rows(monkeypatch)
+        hit = error_curve(traced_pair, source, rwg, bc, self.RADII,
+                          n_points=200, rows=rows)
+        assert seen == []
+        assert np.array_equal(miss.errors, plain.errors)
+        assert np.array_equal(hit.errors, plain.errors)
+
+    def test_kept_orbit_rows_give_the_same_bits(self, surface, traced_pair,
+                                                monkeypatch):
+        _, rwg, bc = surface
+        group = rwg.fine.rotations.ids
+        reps = 0.2 * fields._orbit_directions(1000)[:_CHUNK + 1]
+        points = fields._orbit_points(reps, group)
+        plain = radiate_arrays(traced_pair, rwg, bc, points, rotations=group)
+        rows = KernelRows(2**30)
+        miss = radiate_arrays(traced_pair, rwg, bc, points, rows=rows,
+                              rotations=group)
+        assert list(rows.sets) == [reps.tobytes() + group[1:].tobytes()]
+        # 16 representatives take one rotation a product, the 17th 16.
+        assert [len(a) for a, _ in rows.sets[list(rows.sets)[0]]] == (
+            [2 * _CHUNK] * 60 + [2 * _CHUNK] * 3 + [2 * 12])
+        seen = counted_rows(monkeypatch)
+        hit = radiate_arrays(traced_pair, rwg, bc, points.copy(), rows=rows,
+                             rotations=group)
+        assert seen == []
+        assert np.array_equal(miss, plain) and np.array_equal(hit, plain)
 
 
 def row_bytes(pts, rwg):

@@ -137,7 +137,10 @@ def baseline(scene, fixed, gram):
 
 class TestInteriorCoupling:
     def test_well_conditioned_on_sphere(self, system):
-        assert system.coupling_condition < 50.0
+        assert np.linalg.cond(system.coupling) < 50.0
+        # The LU-based estimate is a lower bound on the 1-norm condition.
+        exact = np.linalg.cond(system.coupling, 1)
+        assert exact / 3.0 <= system.coupling_condition <= exact * (1 + 1e-9)
 
     def test_deterministic(self, scene, fixed, projectors, gram):
         # A second static pass rebuilds the block bit for bit.
@@ -196,6 +199,14 @@ class TestSPSystem:
         with pytest.raises(ValueError, match="singular"):
             SPSystem(1.0, blocks[0], blocks[1], np.zeros((2, 2)),
                      np.zeros((2, 2)))
+
+    def test_rejects_numerically_singular_coupling(self):
+        # Rank one: rounding leaves tiny, not exactly zero, pivots.
+        rng = np.random.default_rng(4)
+        u, v = random_complex(rng, 3), random_complex(rng, 3)
+        with pytest.raises(ValueError, match="singular"):
+            SPSystem(1.0, np.zeros((4, 3)), np.zeros((4, 3)),
+                     np.zeros((3, 3)), np.outer(u, v.conj()))
 
     def test_rejects_nonsquare_coupling(self):
         with pytest.raises(ValueError, match="square"):

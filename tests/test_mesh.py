@@ -229,3 +229,33 @@ class TestRotations:
         assert small_sphere.rotations is small_sphere.rotations
         with pytest.raises(ValueError):
             small_sphere.rotations.perm[0, 0] = 1
+
+    def test_corner_images_follow_the_rotated_corners(self):
+        from lovebem.mesh import _icosahedral_rotations
+        fine = barycentric_refine(unit_icosphere(1)).mesh
+        face, corner = fine.corner_images
+        assert face.shape == (60, fine.n_faces)
+        assert corner.shape == (60, fine.n_faces, 3)
+        corners = fine.face_corners
+        for g, images, locals_ in zip(fine.rotations.ids, face, corner):
+            turned_corners = corners @ _icosahedral_rotations()[g].T
+            image = corners[images[:, None], locals_]
+            np.testing.assert_allclose(image, turned_corners, atol=1e-14)
+
+    def test_scaled_copy_adopts_the_unit_symmetry(self):
+        unit = unit_icosphere(2)
+        sphere = generate_sphere_mesh(0.04, 0.01)
+        assert sphere.n_edges == unit.n_edges
+        sphere.adopt_symmetry(unit)
+        assert sphere.rotations is unit.rotations
+        assert sphere.corner_images is unit.corner_images
+        fresh = generate_sphere_mesh(0.04, 0.01)
+        for got, want in zip(fresh.rotations, unit.rotations):
+            np.testing.assert_array_equal(got, want)
+
+    def test_adopting_another_shape_is_rejected(self):
+        unit = unit_icosphere(1)
+        with pytest.raises(ValueError, match="scale"):
+            turned(unit, 0).adopt_symmetry(unit)
+        with pytest.raises(ValueError, match="scale"):
+            unit_icosphere(2).adopt_symmetry(unit)
